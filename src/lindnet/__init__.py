@@ -43,7 +43,6 @@ from lindnet.dynamics import (
     build_superoperator,
     lindblad_apply,
     propagate,
-    propagate_expm,
     steady_states,
 )
 from lindnet.observables import (

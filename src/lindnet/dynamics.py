@@ -1,13 +1,16 @@
 """Time evolution and steady states of Lindblad generators.
 
 The generator acts two ways: directly on a density matrix, and as a
-column-stacked superoperator (sparse for propagation, dense for spectral
-work). Propagation offers a fixed-step fourth-order Runge-Kutta integrator
-over the sparse superoperator plus an exact matrix-exponential path for
-cross-checks on small problems. Models that conserve total occupation and
-start inside a single occupation sector are restricted to that sector
-automatically, which keeps the larger presets cheap without changing any
-reported observable.
+column-stacked superoperator S (sparse for propagation, dense for spectral
+work). Propagation first finds the entries of vec(rho) that the initial
+state can reach in the sparsity graph of S. Every other entry has zero
+derivative for all time, so both integrators, fixed-step fourth-order
+Runge-Kutta and the action of the matrix exponential (one expm_multiply
+per output gap), run exactly on that block of S. Each jump of the models
+here shifts total occupation by a fixed amount, so the block stays inside
+the occupation-difference sectors the initial state touches, pumped and
+lossy runs included. Each sample is scattered back into the full density
+matrix before any observable or invariant is read from it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "lindblad_apply",
     "build_superoperator",
     "propagate",
-    "propagate_expm",
     "steady_states",
 ]
 
@@ -66,6 +68,11 @@ class InvariantViolation(RuntimeError):
         self.time = time
         self.value = value
         self.bound = bound
+
+    def __reduce__(self):
+        # rebuild from the four fields; args holds only the message, so the
+        # default reduction cannot cross a sweep worker's process boundary
+        return (type(self), (self.invariant, self.time, self.value, self.bound))
 
 
 StateLike = Union[DensityMatrix, PureState, np.ndarray]
@@ -156,8 +163,10 @@ class PropagationConfig:
     times is the output grid; the initial state is taken at times[0]. dt is
     the integrator substep cap for the Runge-Kutta method. coherences are
     (row, col) index pairs of the full density matrix to record. snapshots is
-    'none', 'last', or 'all'. sector_filter 'auto' restricts to a conserved
-    occupation sector when the model and the initial state allow it.
+    'none', 'last', or 'all'. sector_filter 'auto' integrates only the
+    entries of vec(rho) reachable from the initial state's support in the
+    sparsity graph of the superoperator, which is exact; 'off' integrates
+    every entry.
     """
 
     times: np.ndarray
@@ -236,62 +245,59 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
             raise ValueError("initial state is not hermitian")
         if abs(rho.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"initial state trace {rho.trace():.12g} is not 1")
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        if min_eig < -POSITIVITY_TOL:
+            raise ValueError(f"initial state has eigenvalue {min_eig:.3e} "
+                             f"below -{POSITIVITY_TOL}")
     if rho.shape[0] != gen.dimension:
         raise ValueError(
             f"state dimension {rho.shape[0]} does not match generator {gen.dimension}")
     return np.array(rho, dtype=complex)
 
 
-def _commutes_with_number(op: np.ndarray, nvec: np.ndarray, tol: float = 1e-12) -> bool:
-    # N is diagonal, so [op, N]_{ij} = op_{ij} (n_j - n_i)
-    if op.size == 0:
-        return True
-    scale = max(1.0, float(np.abs(op).max()))
-    comm = op * (nvec[None, :] - nvec[:, None])
-    return float(np.abs(comm).max()) <= tol * scale
+def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray:
+    """Sorted vec(rho) entries that the support of v0 reaches under S.
 
+    Entry j feeds entry i wherever S[i, j] != 0. An entry that no path
+    reaches from the initial support has zero derivative for all time, so
+    propagating only the returned entries is exact.
+    """
+    from scipy.sparse.csgraph import breadth_first_order
 
-def _sector_indices(gen: LindbladGenerator, rho0: np.ndarray) -> np.ndarray | None:
-    """Indices of the conserved occupation sector holding rho0, or None."""
-    if gen.basis is None:
-        return None
-    nvec = gen.basis.total_number
-    if not _commutes_with_number(gen.hamiltonian, nvec):
-        return None
-    for L in gen.jump_operators:
-        if not _commutes_with_number(L, nvec):
-            return None
-    sector_ids = np.rint(nvec).astype(int)
-    support = (np.abs(rho0).max(axis=0) > 1e-14) | (np.abs(rho0).max(axis=1) > 1e-14)
-    if not support.any():
-        return None
-    present = np.unique(sector_ids[support])
-    if present.size != 1:
-        return None
-    indices = np.flatnonzero(sector_ids == present[0])
-    if indices.size == rho0.shape[0]:
-        return None
-    return indices
+    n = S.shape[0]
+    T = S.tocoo()
+    edge = T.data != 0
+    support = np.flatnonzero(v0)
+    # csgraph reads G[a, b] as an edge a -> b; node n is a virtual source
+    # with an edge into every entry of the initial support
+    rows = np.concatenate([T.col[edge], np.full(support.size, n)])
+    cols = np.concatenate([T.row[edge], support])
+    G = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    order = breadth_first_order(G, n, directed=True, return_predecessors=False)
+    return np.sort(order[1:])
 
 
 class _Recorder:
-    """Accumulates observables while a vectorized state marches forward."""
+    """Accumulates observables while the reachable block of vec(rho) marches forward.
+
+    S is the superoperator restricted to the entries R; each sample is
+    scattered back into the full density matrix before it is measured.
+    """
 
     def __init__(self, gen: LindbladGenerator, config: PropagationConfig,
-                 S: scipy.sparse.csr_matrix, dim: int,
-                 indices: np.ndarray | None, full_dim: int):
-        self.gen = gen
+                 S: scipy.sparse.csr_matrix, R: np.ndarray):
         self.config = config
         self.S = S
-        self.dim = dim
-        self.indices = indices
-        self.full_dim = full_dim
+        self.R = R
+        self.dim = dim = gen.dimension
+        # rows and columns of rho that no entry of R touches stay zero, so
+        # its spectrum is the touched block's plus that many zeros
+        self.touched = np.union1d(R % dim, R // dim)
         n = config.times.size
         basis = gen.basis
         if basis is not None:
             self.site_labels = tuple(s.label for s in basis.sites)
-            table = basis.occupation_table
-            self.occ = table[indices] if indices is not None else table
+            self.occ = basis.occupation_table
         else:
             self.site_labels = ()
             self.occ = np.zeros((dim, 0))
@@ -301,37 +307,23 @@ class _Recorder:
         self.trace = np.zeros(n)
         self.min_eigenvalue = np.zeros(n)
         self.hermiticity_defect = np.zeros(n)
+        for (i, j) in config.coherences:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"coherence index pair {(i, j)} out of range")
         self.coherences = {pair: np.zeros(n, dtype=complex) for pair in config.coherences}
         self.snapshots: list[np.ndarray] = []
         self.snapshot_times: list[float] = []
-        # map requested full-basis coherence pairs onto the restricted block
-        self._pair_local: dict[tuple[int, int], tuple[int, int] | None] = {}
-        for (i, j) in config.coherences:
-            if not (0 <= i < full_dim and 0 <= j < full_dim):
-                raise ValueError(f"coherence index pair {(i, j)} out of range")
-        if indices is not None:
-            pos = {int(g): k for k, g in enumerate(indices)}
-            for (i, j) in config.coherences:
-                self._pair_local[(i, j)] = (pos[i], pos[j]) if i in pos and j in pos else None
-        else:
-            for (i, j) in config.coherences:
-                self._pair_local[(i, j)] = (i, j)
-
-    def _embed(self, rho: np.ndarray) -> np.ndarray:
-        if self.indices is None:
-            return rho
-        full = np.zeros((self.full_dim, self.full_dim), dtype=complex)
-        full[np.ix_(self.indices, self.indices)] = rho
-        return full
 
     def record(self, k: int, t: float, v: np.ndarray) -> np.ndarray:
         """Store observables for output slot k; returns possibly hermitized v."""
         cfg = self.config
-        rho = v.reshape(self.dim, self.dim, order="F")
+        w = np.zeros(self.dim * self.dim, dtype=complex)
+        w[self.R] = v
+        rho = w.reshape(self.dim, self.dim, order="F")
         defect = float(np.abs(rho - rho.conj().T).max())
         if cfg.rehermitize and defect > 0:
             rho = 0.5 * (rho + rho.conj().T)
-            v = rho.ravel(order="F")
+            v = rho.ravel(order="F")[self.R]
             defect = 0.0
         self.hermiticity_defect[k] = defect
         tr = rho.trace()
@@ -340,16 +332,17 @@ class _Recorder:
             self.populations[k] = np.real(np.diag(rho)) @ self.occ
         self.purity[k] = float(np.vdot(v, v).real)
         self.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-        if self.indices is not None and self.dim < self.full_dim:
+        block = rho[np.ix_(self.touched, self.touched)]
+        lam_min = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+        if self.touched.size < self.dim:
             lam_min = min(lam_min, 0.0)
         self.min_eigenvalue[k] = lam_min
-        for pair, local in self._pair_local.items():
-            self.coherences[pair][k] = rho[local] if local is not None else 0.0
+        for pair, series in self.coherences.items():
+            series[k] = rho[pair]
         want_snap = cfg.snapshots == "all" or (
             cfg.snapshots == "last" and k == cfg.times.size - 1)
         if want_snap:
-            self.snapshots.append(self._embed(rho))
+            self.snapshots.append(rho)
             self.snapshot_times.append(t)
         if cfg.check_invariants:
             if abs(tr - 1.0) > TRACE_TOL:
@@ -361,19 +354,17 @@ class _Recorder:
                 raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
         return v
 
-    def finish(self, method: str, dt: float, sector: int | None) -> Trajectory:
+    def finish(self, method: str, dt: float) -> Trajectory:
         meta = {
             "method": method,
             "dt": dt,
-            "dimension": self.full_dim,
-            "sector_filtered": self.indices is not None,
+            "dimension": self.dim,
+            "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
             "invariants_checked": self.config.check_invariants,
             "max_trace_error": float(np.abs(self.trace - 1.0).max()),
             "min_eigenvalue_floor": float(self.min_eigenvalue.min()),
             "max_hermiticity_defect": float(self.hermiticity_defect.max()),
         }
-        if self.indices is not None:
-            meta["sector"] = {"occupation": sector, "dimension": self.dim}
         return Trajectory(
             times=self.config.times.copy(), site_labels=self.site_labels,
             populations=self.populations, purity=self.purity,
@@ -384,52 +375,37 @@ class _Recorder:
             snapshot_times=self.snapshot_times, metadata=meta)
 
 
-def _restrict(gen: LindbladGenerator, rho0: np.ndarray,
-              config: PropagationConfig):
-    """Apply the sector filter if allowed; returns (H, jumps, rho, indices, sector)."""
-    indices = None
-    if config.sector_filter == "auto":
-        indices = _sector_indices(gen, rho0)
-    if indices is None:
-        return gen.hamiltonian, gen.jump_operators, rho0, None, None
-    ix = np.ix_(indices, indices)
-    H = gen.hamiltonian[ix]
-    jumps = tuple(L[ix] for L in gen.jump_operators)
-    sector = int(np.rint(gen.basis.total_number[indices[0]]))
-    return H, jumps, rho0[ix], indices, sector
-
-
 def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times."""
-    rho0 = _as_density(gen, state)
-    full_dim = gen.dimension
-    H, jumps, rho, indices, sector = _restrict(gen, rho0, config)
-    dim = H.shape[0]
-    S = _superoperator_csr(H, jumps)
-    rec = _Recorder(gen, config, S, dim, indices, full_dim)
+    v = _as_density(gen, state).ravel(order="F")
+    S = _superoperator_csr(gen.hamiltonian, gen.jump_operators)
+    if config.sector_filter == "auto":
+        R = _reachable_entries(S, v)
+        S = S[R][:, R]
+        v = v[R]
+    else:
+        R = np.arange(v.size)
+    rec = _Recorder(gen, config, S, R)
     times = config.times
+    v = rec.record(0, times[0], v)
 
     if config.method == "superoperator_expm":
-        if dim > DENSE_DIMENSION_LIMIT:
-            raise ValueError(
-                f"superoperator_expm needs effective dimension <= "
-                f"{DENSE_DIMENSION_LIMIT}, got {dim}; use fixed_step_rk4")
-        Sd = S.toarray()
-        v = rho.ravel(order="F")
-        v = rec.record(0, times[0], v)
-        cache: dict[float, np.ndarray] = {}
-        for k in range(1, times.size):
-            gap = float(times[k] - times[k - 1])
-            key = round(gap, 15)
-            if key not in cache:
-                cache[key] = scipy.linalg.expm(Sd * gap)
-            v = cache[key] @ v
-            v = rec.record(k, times[k], v)
-        return rec.finish(config.method, math.nan, sector)
+        from scipy.sparse.linalg import expm_multiply
 
-    v = rho.ravel(order="F")
-    v = rec.record(0, times[0], v)
+        # expm_multiply picks its Taylor degree and step count from 1-norm
+        # estimates (onenormest) that draw from NumPy's legacy global RNG;
+        # pinning it keeps the output's last bits independent of the caller
+        saved = np.random.get_state()
+        np.random.seed(0)
+        try:
+            for k in range(1, times.size):
+                v = expm_multiply(S * float(times[k] - times[k - 1]), v)
+                v = rec.record(k, times[k], v)
+        finally:
+            np.random.set_state(saved)
+        return rec.finish(config.method, math.nan)
+
     dt = config.dt
     for k in range(1, times.size):
         gap = float(times[k] - times[k - 1])
@@ -442,15 +418,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
             k4 = S @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v = rec.record(k, times[k], v)
-    return rec.finish(config.method, dt, sector)
-
-
-def propagate_expm(gen: LindbladGenerator, state: StateLike,
-                   times: np.ndarray, **options) -> Trajectory:
-    """Exact dense-exponential propagation on an output grid (small systems)."""
-    config = PropagationConfig(times=np.asarray(times, dtype=float),
-                               method="superoperator_expm", **options)
-    return propagate(gen, state, config)
+    return rec.finish(config.method, dt)
 
 
 @dataclass

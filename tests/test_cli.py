@@ -222,6 +222,18 @@ class TestSweep:
         assert ((tmp_path / "a" / "sweep_sweep.tsv").read_bytes()
                 == (tmp_path / "b" / "sweep_sweep.tsv").read_bytes())
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_invariant_violation_exit_code(self, tmp_path, workers):
+        # one RK4 step across a 50-unit gap diverges, in a worker or not
+        cfg = write_config(tmp_path / "blowup.yaml", {
+            "preset": "two_site_pump",
+            "dt": 50.0,
+            "sweep": {"path": "params.J", "values": [1.0, 2.0],
+                      "observable": "population:2", "at_times": [50.0]},
+        })
+        assert main(["sweep", cfg, "--output", str(tmp_path),
+                     "--workers", workers]) == 2
+
     def test_logspace_values(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         data = yaml.safe_load(open(cfg))

@@ -1,4 +1,4 @@
-"""Tests for superoperators, propagation, sector filtering, and steady states."""
+"""Tests for superoperators, propagation, the reachable-subspace reduction, and steady states."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,13 @@ from lindnet.dynamics import (
     build_superoperator,
     lindblad_apply,
     propagate,
-    propagate_expm,
     steady_states,
 )
 from lindnet.hilbert import SiteDescriptor, basis_state, build_basis
 from lindnet.model import (
     Dephasing,
+    Dissipation,
+    Extraction,
     Injection,
     NetworkSpec,
     Transfer,
@@ -122,6 +123,7 @@ class TestPropagation:
             np.testing.assert_allclose(a, b, atol=1e-8)
         assert rk.metadata["max_trace_error"] < 1e-9
         assert rk.metadata["min_eigenvalue_floor"] > -1e-9
+        assert np.isnan(ex.metadata["dt"])
 
     def test_initial_state_recorded_at_first_time(self):
         run = preset("two_site_transfer")
@@ -157,15 +159,24 @@ class TestPropagation:
         assert traj.snapshot_times == [2.0]
         assert traj.final_snapshot.shape == (4, 4)
 
-    def test_expm_wrapper(self):
-        run = preset("two_site_transfer")
-        gen = LindbladGenerator.from_network(run.spec)
-        times = np.linspace(0.0, 1.0, 4)
-        a = propagate_expm(gen, run.initial, times)
-        b = propagate(gen, run.initial,
-                      PropagationConfig(times=times, method="superoperator_expm"))
-        np.testing.assert_allclose(a.populations, b.populations, atol=1e-14)
-        assert np.isnan(a.metadata["dt"])
+    def test_expm_output_ignores_global_rng(self):
+        # expm_multiply's norm estimates draw from NumPy's global RNG; left
+        # unpinned, this generator's result moves in its last bits with the seed
+        gen = random_generator(0, 8, 2)
+        rho0 = random_density(1, 8)
+        config = PropagationConfig(times=np.array([0.0, 1.0]),
+                                   method="superoperator_expm", snapshots="last")
+        finals = []
+        for seed in (0, 1, 2, 3):
+            np.random.seed(seed)
+            finals.append(propagate(gen, rho0, config).final_snapshot)
+        assert all(np.array_equal(finals[0], f) for f in finals[1:])
+        # and the caller's stream carries on where it was
+        np.random.seed(5)
+        expect = np.random.random()
+        np.random.seed(5)
+        propagate(gen, rho0, config)
+        assert np.random.random() == expect
 
     def test_unstable_step_raises_invariant_violation(self):
         run = preset("two_site_pump", J=2.0)
@@ -185,6 +196,12 @@ class TestPropagation:
         bad = np.diag([1.0, 0.0, 0.0]).astype(complex)
         bad[0, 1] = 1e-6
         with pytest.raises(ValueError, match="hermitian"):
+            propagate(gen, bad, PropagationConfig(times=np.array([0.0, 1.0])))
+
+    def test_nonpositive_initial_rejected(self):
+        gen = random_generator(0, 2, 1)
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="eigenvalue"):
             propagate(gen, bad, PropagationConfig(times=np.array([0.0, 1.0])))
 
     def test_coherence_recording(self):
@@ -212,6 +229,12 @@ class TestPropagation:
 
 
 class TestSectorFilter:
+    """sector_filter='auto' integrates the reachable entries of vec(rho).
+
+    The "declines" cases are those a number-conserving sector could not
+    cover; the reachable reduction still applies to each of them.
+    """
+
     def conserving_model(self):
         # dimer with a downstream transfer and dephasing: conserves total number
         spec = NetworkSpec(
@@ -231,11 +254,13 @@ class TestSectorFilter:
         kw = dict(times=times, dt=5e-3, coherences=(inside, outside), snapshots="last")
         on = propagate(gen, rho0, PropagationConfig(sector_filter="auto", **kw))
         off = propagate(gen, rho0, PropagationConfig(sector_filter="off", **kw))
-        assert on.metadata["sector_filtered"] is True
-        assert on.metadata["sector"] == {"occupation": 1, "dimension": 3}
-        assert off.metadata["sector_filtered"] is False
+        # |100>, |010> and their coherences, plus |001> fed only by the jump
+        assert on.metadata["reachable"] == {"entries": 5, "of": 64}
+        assert off.metadata["reachable"] == {"entries": 64, "of": 64}
         np.testing.assert_allclose(on.populations, off.populations, atol=1e-10)
         np.testing.assert_allclose(on.purity, off.purity, atol=1e-10)
+        # five basis states are never occupied; their zero eigenvalues set the floor
+        np.testing.assert_allclose(on.min_eigenvalue, off.min_eigenvalue, atol=1e-10)
         np.testing.assert_allclose(on.coherences[inside], off.coherences[inside],
                                    atol=1e-10)
         assert np.all(on.coherences[outside] == 0.0)
@@ -244,6 +269,61 @@ class TestSectorFilter:
         # snapshots come back embedded in the full space
         assert on.final_snapshot.shape == (8, 8)
         np.testing.assert_allclose(on.final_snapshot, off.final_snapshot, atol=1e-10)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reduction_matches_full_space(self, data):
+        # lossy and dephased qubit networks (D <= 8), pumped or not, started
+        # from mixed states whose support spans several occupation sectors
+        n = data.draw(st.integers(2, 3), label="sites")
+        labels = [str(k) for k in range(n)]
+        site = st.sampled_from(labels)
+        rate = st.floats(0.05, 1.0)
+        jumps = [Extraction(data.draw(site), data.draw(rate)),
+                 Dissipation(data.draw(site), data.draw(rate)),
+                 Dephasing(data.draw(site), data.draw(rate))]
+        if data.draw(st.booleans(), label="pumped"):
+            jumps.append(Injection(data.draw(site), data.draw(rate)))
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+            hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
+                           for a, b in zip(labels, labels[1:])),
+            jumps=tuple(jumps),
+        )
+        gen = LindbladGenerator.from_network(spec)
+        D = gen.dimension
+        # the vacuum plus up to three occupied states, fully coherent mixtures
+        extra = data.draw(st.lists(st.integers(1, D - 1), min_size=1, max_size=3,
+                                   unique=True), label="support")
+        support = [0, *extra]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        A = (rng.normal(size=(len(support), len(support)))
+             + 1j * rng.normal(size=(len(support), len(support))))
+        rho0 = np.zeros((D, D), dtype=complex)
+        rho0[np.ix_(support, support)] = A @ A.conj().T
+        rho0 /= rho0.trace()
+        # each jump shifts both occupations of |a><b| alike, so a reachable
+        # entry keeps an occupation difference the initial support has
+        nvec = gen.basis.total_number
+        q = nvec[:, None] - nvec[None, :]
+        bound = int(np.isin(q, q[np.ix_(support, support)]).sum())
+        pairs = ((support[1], 0), (D - 1, 1))
+        times = np.linspace(0.0, 2.0, 5)
+        for method in ("fixed_step_rk4", "superoperator_expm"):
+            kw = dict(times=times, dt=1e-2, method=method, coherences=pairs,
+                      snapshots="all")
+            on = propagate(gen, rho0, PropagationConfig(sector_filter="auto", **kw))
+            off = propagate(gen, rho0, PropagationConfig(sector_filter="off", **kw))
+            assert on.metadata["reachable"]["entries"] <= bound
+            for name in ("populations", "purity", "purity_rate", "trace",
+                         "min_eigenvalue"):
+                np.testing.assert_allclose(getattr(on, name), getattr(off, name),
+                                           atol=1e-10, err_msg=name)
+            for pair in pairs:
+                np.testing.assert_allclose(on.coherences[pair], off.coherences[pair],
+                                           atol=1e-10)
+            np.testing.assert_allclose(np.array(on.snapshots), np.array(off.snapshots),
+                                       atol=1e-10)
 
     def test_declines_for_number_changing_jumps(self):
         spec = NetworkSpec(
@@ -254,7 +334,8 @@ class TestSectorFilter:
         gen = LindbladGenerator.from_network(spec)
         traj = propagate(gen, basis_state(gen.basis, (0, 0)),
                          PropagationConfig(times=np.array([0.0, 1.0])))
-        assert traj.metadata["sector_filtered"] is False
+        # the populations and coherences of equal total occupation
+        assert traj.metadata["reachable"] == {"entries": 6, "of": 16}
 
     def test_declines_for_mixed_sector_initial(self):
         gen = self.conserving_model()
@@ -263,14 +344,14 @@ class TestSectorFilter:
         plus[gen.basis.index((1, 1, 0))] = 1 / np.sqrt(2)
         rho0 = np.outer(plus, plus.conj())
         traj = propagate(gen, rho0, PropagationConfig(times=np.array([0.0, 1.0])))
-        assert traj.metadata["sector_filtered"] is False
+        assert traj.metadata["reachable"] == {"entries": 18, "of": 64}
 
     def test_declines_without_basis(self):
         gen_nb = LindbladGenerator(self.conserving_model().hamiltonian,
                                    self.conserving_model().jump_operators)
         traj = propagate(gen_nb, np.diag([0, 0, 0, 0, 1, 0, 0, 0.0]).astype(complex),
                          PropagationConfig(times=np.array([0.0, 1.0])))
-        assert traj.metadata["sector_filtered"] is False
+        assert traj.metadata["reachable"] == {"entries": 5, "of": 64}
         assert traj.site_labels == ()
 
 
@@ -284,8 +365,10 @@ class TestSteadyStates:
         assert result.residual < 1e-12
         assert result.state.trace().real == pytest.approx(1.0)
         # propagating far forward lands on the same state
-        traj = propagate_expm(gen, run.initial, np.array([0.0, 120.0]),
-                              snapshots="last")
+        traj = propagate(gen, run.initial,
+                         PropagationConfig(times=np.array([0.0, 120.0]),
+                                           method="superoperator_expm",
+                                           snapshots="last"))
         np.testing.assert_allclose(traj.final_snapshot, result.state, atol=1e-9)
 
     def test_degenerate_dark_space(self):
