@@ -16,7 +16,6 @@ from lindnet.hilbert import (
     build_basis,
     dicke_state,
     embed_site_operator,
-    reverse_occupation_order,
 )
 from lindnet.model import (
     Dephasing,
@@ -47,10 +46,8 @@ from lindnet.dynamics import (
 )
 from lindnet.observables import (
     EffectReport,
-    FrequencyEstimate,
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    dominant_frequency,
     eigenbasis_element,
     population,
     purity_and_rate,

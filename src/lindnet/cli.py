@@ -384,6 +384,7 @@ def _cmd_steady(args) -> int:
         "state_re": result.state.real,
         "state_im": result.state.imag,
         "multiplicity": result.multiplicity,
+        "blocks": result.blocks,
         "residual": result.residual,
         "zero_eigenvalues": [complex(z) for z in result.zero_eigenvalues],
         "run_metadata": meta,

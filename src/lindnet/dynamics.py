@@ -1,16 +1,18 @@
 """Time evolution and steady states of Lindblad generators.
 
 The generator acts two ways: directly on a density matrix, and as a
-column-stacked superoperator S (sparse for propagation, dense for spectral
-work). Propagation first finds the entries of vec(rho) that the initial
-state can reach in the sparsity graph of S. Every other entry has zero
-derivative for all time, so both integrators, fixed-step fourth-order
-Runge-Kutta and the action of the matrix exponential (one expm_multiply
-per output gap), run exactly on that block of S. Each jump of the models
-here shifts total occupation by a fixed amount, so the block stays inside
-the occupation-difference sectors the initial state touches, pumped and
-lossy runs included. Each sample is scattered back into the full density
-matrix before any observable or invariant is read from it.
+column-stacked sparse superoperator S. Propagation first finds the entries
+of vec(rho) that the initial state can reach in the sparsity graph of S.
+Every other entry has zero derivative for all time, so both integrators,
+fixed-step fourth-order Runge-Kutta and the action of the matrix
+exponential (one expm_multiply per output gap), run exactly on that block
+of S. Each jump of the models here shifts total occupation by a fixed
+amount, so the block stays inside the occupation-difference sectors the
+initial state touches, pumped and lossy runs included. Each sample is
+scattered back into the full density matrix before any observable or
+invariant is read from it. Steady states split the entries of vec(rho)
+into the weakly connected components of the same sparsity graph and take
+each block's null space by a dense SVD.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ __all__ = [
 # allowed to drift up to this looser bound before a run is declared invalid.
 PROPAGATION_HERMITICITY_TOL = 1e-9
 
-# Largest Hilbert dimension for which dense superoperator work (expm, eig)
-# is allowed; D = 64 means 4096 x 4096 dense matrices.
+# Largest Hilbert dimension for which build_superoperator returns the whole
+# dense superoperator; D = 64 means a 4096 x 4096 matrix. steady_states
+# applies the same bound to its largest block, which may hold at most
+# DENSE_DIMENSION_LIMIT**2 entries whatever D is.
 DENSE_DIMENSION_LIMIT = 64
 
 
@@ -255,24 +259,38 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
     return np.array(rho, dtype=complex)
 
 
+def _entry_graph(S: scipy.sparse.csr_matrix,
+                 sources: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+    """Graph on the entries of vec(rho): an edge j -> i wherever S[i, j] != 0.
+
+    csgraph reads G[a, b] as an edge a -> b. The edges come from the index
+    pattern with unit weights: passing S itself would cast its complex data
+    to real, which zeroes every purely imaginary -iH entry and drops its
+    edge. With sources, a virtual node n gets an edge into each of them.
+    """
+    n = S.shape[0]
+    T = S.tocoo()
+    keep = T.data != 0
+    if sources is None:
+        rows, cols, size = T.col[keep], T.row[keep], n
+    else:
+        rows = np.concatenate([T.col[keep], np.full(sources.size, n)])
+        cols = np.concatenate([T.row[keep], sources])
+        size = n + 1
+    return scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+
+
 def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray:
     """Sorted vec(rho) entries that the support of v0 reaches under S.
 
-    Entry j feeds entry i wherever S[i, j] != 0. An entry that no path
-    reaches from the initial support has zero derivative for all time, so
-    propagating only the returned entries is exact.
+    An entry that no path reaches from the initial support has zero
+    derivative for all time, so propagating only the returned entries is
+    exact.
     """
     from scipy.sparse.csgraph import breadth_first_order
 
     n = S.shape[0]
-    T = S.tocoo()
-    edge = T.data != 0
-    support = np.flatnonzero(v0)
-    # csgraph reads G[a, b] as an edge a -> b; node n is a virtual source
-    # with an edge into every entry of the initial support
-    rows = np.concatenate([T.col[edge], np.full(support.size, n)])
-    cols = np.concatenate([T.row[edge], support])
-    G = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    G = _entry_graph(S, sources=np.flatnonzero(v0))
     order = breadth_first_order(G, n, directed=True, return_predecessors=False)
     return np.sort(order[1:])
 
@@ -429,7 +447,9 @@ class SteadyStateResult:
     when the stationary state is unique this is that state. directions are
     traceless hermitian unit matrices spanning the remaining freedom, so
     every stationary density matrix has the form state + sum_m a_m
-    directions[m] for real a_m (subject to positivity).
+    directions[m] for real a_m (subject to positivity). blocks gives the
+    count of weakly connected blocks of the superoperator that were solved,
+    the entries of the largest, and the D*D entries of all of them.
     """
 
     state: np.ndarray
@@ -437,6 +457,7 @@ class SteadyStateResult:
     multiplicity: int
     zero_eigenvalues: np.ndarray
     residual: float
+    blocks: dict[str, int]
 
 
 def _hermitian_coords(M: np.ndarray, iu: tuple) -> np.ndarray:
@@ -457,22 +478,67 @@ def _hermitian_from_coords(c: np.ndarray, D: int, iu: tuple) -> np.ndarray:
 
 def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
                   max_dim: int = DENSE_DIMENSION_LIMIT) -> SteadyStateResult:
-    """All stationary solutions via the dense superoperator spectrum."""
-    S = build_superoperator(gen, max_dim=max_dim)
+    """All stationary solutions, solved block by block on the sparse superoperator.
+
+    The entries of vec(rho) split into the weakly connected components of
+    the sparsity graph of S; S maps each component into itself, so its null
+    space is the direct sum of the null spaces of its diagonal blocks. Each
+    block is solved densely by SVD: a right singular vector is a null vector
+    when its singular value is at most zero_tol times max(1, the largest
+    singular value over all blocks). The largest block may hold at most
+    max_dim**2 entries, the size of the whole dense superoperator at
+    D = max_dim; a larger one raises ValueError before any dense work.
+    """
+    from scipy.sparse.csgraph import connected_components
+
     D = gen.dimension
-    evals, evecs = scipy.linalg.eig(S)
-    scale = max(1.0, float(np.abs(evals).max()))
-    mask = np.abs(evals) <= zero_tol * scale
-    if not mask.any():
+    n = D * D
+    S = _superoperator_csr(gen.hamiltonian, gen.jump_operators)
+    n_blocks, labels = connected_components(_entry_graph(S), directed=True,
+                                            connection="weak")
+    sizes = np.bincount(labels)
+    largest = int(sizes.max())
+    if largest > max_dim * max_dim:
+        raise ValueError(
+            f"largest block of the superoperator has {largest} entries, "
+            f"above the cap of {max_dim * max_dim} (max_dim={max_dim})")
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+    # the largest singular value over all blocks is the 2-norm of S, at most
+    # sqrt(|S|_1 |S|_inf); rows of Vh below the threshold for that bound are
+    # the only candidates, so no block's full factors need to be kept
+    A = abs(S)
+    bound = math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    candidates = []
+    scale = 1.0
+    for idx in blocks:
+        U, sv, Vh = scipy.linalg.svd(S[idx][:, idx].toarray())
+        scale = max(scale, float(sv[0]))
+        near = sv <= zero_tol * max(1.0, bound)
+        candidates.append((idx, U[:, near], sv[near], Vh[near]))
+    null_vectors = []
+    zero_eigenvalues = []
+    for idx, U, sv, Vh in candidates:
+        null = sv <= zero_tol * scale
+        if not null.any():
+            continue
+        # columns of N are null vectors; B N = U diag(sv) on them
+        N = Vh[null].conj().T
+        zero_eigenvalues.append(scipy.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null])))
+        for col in N.T:
+            v = np.zeros(n, dtype=complex)
+            v[idx] = col
+            null_vectors.append(v)
+    if not null_vectors:
         raise ValueError("generator has no stationary mode within tolerance")
-    zero_eigenvalues = evals[mask]
+    zero_eigenvalues = np.concatenate(zero_eigenvalues)
 
     # stationary subspace is closed under the adjoint, so split each null
     # vector into two hermitian parts and find the real span
     iu = np.triu_indices(D, 1)
     rows = []
-    for col in np.flatnonzero(mask):
-        X = evecs[:, col].reshape(D, D, order="F")
+    for v in null_vectors:
+        X = v.reshape(D, D, order="F")
         rows.append(_hermitian_coords(0.5 * (X + X.conj().T), iu))
         rows.append(_hermitian_coords((X - X.conj().T) / 2j, iu))
     M = np.array(rows)
@@ -499,4 +565,5 @@ def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
     return SteadyStateResult(state=state, directions=directions,
                              multiplicity=rank,
                              zero_eigenvalues=zero_eigenvalues,
-                             residual=residual)
+                             residual=residual,
+                             blocks={"count": int(n_blocks), "largest": largest, "of": n})

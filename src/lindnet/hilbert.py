@@ -25,7 +25,6 @@ __all__ = [
     "embed_site_operator",
     "basis_state",
     "dicke_state",
-    "reverse_occupation_order",
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "POSITIVITY_TOL",
@@ -280,18 +279,3 @@ def dicke_state(basis: ProductBasis, site_labels: Sequence[str], n: int) -> Pure
         amp[basis.index(occ)] = weight
     return PureState(amp, basis)
 
-
-def reverse_occupation_order(array: np.ndarray) -> np.ndarray:
-    """Reindex a vector or matrix to descending-occupation basis order.
-
-    Textbook displays for small qubit registers list kets with occupations
-    descending (|1,1>, |1,0>, |0,1>, |0,0> for two qubits), which is exactly
-    the reverse of this package's ascending flat order. The map is an
-    involution and applies to any mixed-radix basis.
-    """
-    a = np.asarray(array)
-    if a.ndim == 1:
-        return a[::-1].copy()
-    if a.ndim == 2:
-        return a[::-1, ::-1].copy()
-    raise ValueError("expected a vector or a matrix")

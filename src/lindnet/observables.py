@@ -20,8 +20,6 @@ __all__ = [
     "purity_and_rate",
     "eigenbasis_element",
     "unitarity_distance",
-    "FrequencyEstimate",
-    "dominant_frequency",
     "EffectReport",
     "detect_congestion_valley",
     "staircase_steps",
@@ -114,63 +112,6 @@ def unitarity_distance(rho_t: np.ndarray, rho_ref: np.ndarray,
     U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     delta = np.asarray(rho_t, dtype=complex) - U @ np.asarray(rho_ref, complex) @ U.conj().T
     return float(np.linalg.norm(delta, 2))
-
-
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    """Oscillation frequency read off extremum spacings."""
-
-    omega: float
-    period: float
-    n_extrema: int
-    spacing_spread: float  # relative std of the extremum spacings
-
-
-def dominant_frequency(times: np.ndarray, values: np.ndarray,
-                       tail_fraction: float = 0.25,
-                       floor: float = 1e-6) -> FrequencyEstimate:
-    """Frequency of a damped oscillation around its asymptote.
-
-    Consecutive extrema of exp(-g t) cos(w t + p) are spaced exactly pi / w
-    regardless of g, so the mean refined extremum spacing gives w without
-    fitting the envelope. The asymptote is estimated as the tail mean; only
-    extrema standing above `floor` (relative to the peak deviation) count.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or t.size < 8:
-        raise ValueError("need matching 1-D arrays with at least 8 samples")
-    n_tail = max(2, int(t.size * tail_fraction))
-    signal = y - y[-n_tail:].mean()
-    peak = float(np.abs(signal).max())
-    if peak == 0.0:
-        raise ValueError("signal is flat; no oscillation to measure")
-
-    locs = []
-    for k in range(1, t.size - 1):
-        d1 = signal[k] - signal[k - 1]
-        d2 = signal[k + 1] - signal[k]
-        if d1 == 0.0 and d2 == 0.0:
-            continue
-        if (d1 >= 0 >= d2 or d1 <= 0 <= d2) and abs(signal[k]) > floor * peak:
-            # parabolic refinement through the three neighbouring samples
-            denom = signal[k - 1] - 2.0 * signal[k] + signal[k + 1]
-            if denom == 0.0:
-                locs.append(t[k])
-                continue
-            shift = 0.5 * (signal[k - 1] - signal[k + 1]) / denom
-            shift = float(np.clip(shift, -1.0, 1.0))
-            step = 0.5 * (t[k + 1] - t[k - 1])
-            locs.append(t[k] + shift * step)
-    if len(locs) < 3:
-        raise ValueError(
-            f"only {len(locs)} usable extrema; need at least 3 to measure a frequency")
-    spacings = np.diff(np.asarray(locs))
-    mean_gap = float(spacings.mean())
-    omega = math.pi / mean_gap
-    spread = float(spacings.std() / mean_gap) if spacings.size > 1 else 0.0
-    return FrequencyEstimate(omega=omega, period=2.0 * math.pi / omega,
-                             n_extrema=len(locs), spacing_spread=spread)
 
 
 @dataclass(frozen=True)

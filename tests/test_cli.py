@@ -287,6 +287,27 @@ class TestSteady:
         header, rows = read_tsv(out / "net_steady.tsv")
         assert rows[0][2] == "1"
 
+    def test_reports_blocks(self, tmp_path):
+        cfg = write_config(tmp_path / "dark.yaml", {"preset": "two_site_transfer"})
+        out = tmp_path / "out"
+        assert main(["steady", cfg, "--output", str(out)]) == 0
+        meta = json.loads((out / "dark_steady.meta.json").read_text())
+        assert meta["multiplicity"] == 9
+        assert meta["blocks"] == {"count": 15, "largest": 2, "of": 16}
+
+    def test_oversized_block_exits_1(self, tmp_path, capsys):
+        # an 8-qubit hopping chain: its half-filled block has 70**2 = 4900
+        # entries, above the 64**2 cap
+        labels = [str(k) for k in range(8)]
+        cfg = write_config(tmp_path / "wide.yaml", {
+            "network": {
+                "sites": [{"label": lbl, "kind": "qubit", "dim": 2} for lbl in labels],
+                "hoppings": [[a, b, 1.0] for a, b in zip(labels, labels[1:])],
+            },
+        })
+        assert main(["steady", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert "4900 entries, above the cap of 4096" in capsys.readouterr().err
+
 
 class TestInformational:
     def test_presets_lists_all(self, capsys):

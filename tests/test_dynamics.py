@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -378,6 +379,8 @@ class TestSteadyStates:
         result = steady_states(gen)
         assert result.multiplicity == 9
         assert len(result.directions) == 8
+        # the dark coherences |00><01| etc. sit in blocks of their own
+        assert result.blocks == {"count": 15, "largest": 2, "of": 16}
         # minimum-norm representative: even mixture of the dark kets
         expect = np.diag([1, 1, 0, 1]).astype(complex) / 3.0
         np.testing.assert_allclose(result.state, expect, atol=1e-10)
@@ -392,3 +395,63 @@ class TestSteadyStates:
         result = steady_states(gen)
         for d in result.directions:
             assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_space_null_space(self, data):
+        # qubit chains (D <= 8) with any mix of loss, pumping and dephasing,
+        # against one null space of the whole dense superoperator
+        n = data.draw(st.integers(2, 3), label="sites")
+        labels = [str(k) for k in range(n)]
+        site = st.sampled_from(labels)
+        rate = st.floats(0.05, 1.0)
+        kinds = data.draw(st.lists(st.sampled_from([Extraction, Injection, Dephasing]),
+                                   max_size=4), label="jumps")
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+            hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
+                           for a, b in zip(labels, labels[1:])),
+            jumps=tuple(kind(data.draw(site), data.draw(rate)) for kind in kinds),
+        )
+        gen = LindbladGenerator.from_network(spec)
+        D = gen.dimension
+        S = build_superoperator(gen)
+        K = scipy.linalg.null_space(S)
+        result = steady_states(gen)
+        assert result.multiplicity == K.shape[1]
+        # the minimum-norm trace-one element of the null space; it is
+        # hermitian because the null space is closed under the adjoint
+        traces = K[np.arange(D) * (D + 1)].sum(axis=0)
+        ref = K @ (traces.conj() / np.vdot(traces, traces).real)
+        np.testing.assert_allclose(result.state, ref.reshape(D, D, order="F"), atol=1e-9)
+        for d in result.directions:
+            assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
+
+    def test_dimension_beyond_dense_limit(self):
+        # seven decaying qubits, D = 128: the blocks are labelled by where
+        # row and column kets differ, 3**7 of them with at most 128 entries
+        labels = [str(k) for k in range(7)]
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+            onsite=tuple((lbl, 0.1 * (k + 1)) for k, lbl in enumerate(labels)),
+            jumps=tuple(Dissipation(lbl, 0.3) for lbl in labels),
+        )
+        gen = LindbladGenerator.from_network(spec)
+        result = steady_states(gen)
+        assert result.blocks == {"count": 3**7, "largest": 128, "of": 128 * 128}
+        assert result.multiplicity == 1
+        assert result.residual < 1e-12
+        vacuum = np.zeros((128, 128), dtype=complex)
+        vacuum[0, 0] = 1.0
+        np.testing.assert_allclose(result.state, vacuum, atol=1e-12)
+
+    def test_oversized_block_refused_before_dense_work(self, monkeypatch):
+        # a dense random H couples every entry: one block of 65**2 > 64**2
+        gen = random_generator(0, 65, 0)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("dense work started")
+
+        monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+        with pytest.raises(ValueError, match=r"4225 entries, above the cap of 4096"):
+            steady_states(gen)

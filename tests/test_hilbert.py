@@ -14,7 +14,6 @@ from lindnet.hilbert import (
     build_basis,
     dicke_state,
     embed_site_operator,
-    reverse_occupation_order,
 )
 
 
@@ -241,21 +240,3 @@ class TestDickeState:
         with pytest.raises(ValueError, match="qubit"):
             dicke_state(basis, ["a", "b"], 1)
 
-
-class TestReverseOccupationOrder:
-    def test_two_qubit_mapping(self):
-        # ascending |00>,|01>,|10>,|11> reversed is descending |11>,|10>,|01>,|00>
-        v = np.array([0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(reverse_occupation_order(v), [3.0, 2.0, 1.0, 0.0])
-
-    @given(n=st.integers(1, 5))
-    @settings(max_examples=20, deadline=None)
-    def test_matrix_involution(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.normal(size=(n, n))
-        np.testing.assert_array_equal(
-            reverse_occupation_order(reverse_occupation_order(m)), m)
-
-    def test_rejects_higher_rank(self):
-        with pytest.raises(ValueError):
-            reverse_occupation_order(np.zeros((2, 2, 2)))

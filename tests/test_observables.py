@@ -10,7 +10,6 @@ from lindnet.model import preset
 from lindnet.observables import (
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    dominant_frequency,
     eigenbasis_element,
     population,
     purity_and_rate,
@@ -118,38 +117,6 @@ class TestUnitarityDistance:
         delta = rho_t - U @ ref @ U.conj().T
         expect = np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2)).max()
         assert unitarity_distance(rho_t, ref, H, 1.7) == pytest.approx(expect, rel=1e-10)
-
-
-class TestDominantFrequency:
-    def test_damped_cosine(self):
-        t = np.linspace(0.0, 30.0, 3001)
-        y = 0.4 + 0.3 * np.exp(-0.05 * t) * np.cos(2.3 * t + 0.4)
-        est = dominant_frequency(t, y)
-        assert est.omega == pytest.approx(2.3, rel=1e-3)
-        assert est.period == pytest.approx(2 * np.pi / 2.3, rel=1e-3)
-        assert est.n_extrema >= 15
-        assert est.spacing_spread < 0.02
-
-    def test_offset_does_not_matter(self):
-        t = np.linspace(0.0, 20.0, 2001)
-        y = 5.0 + np.exp(-0.1 * t) * np.cos(1.7 * t)
-        est = dominant_frequency(t, y)
-        assert est.omega == pytest.approx(1.7, rel=1e-3)
-
-    def test_flat_signal_rejected(self):
-        t = np.linspace(0.0, 10.0, 100)
-        with pytest.raises(ValueError, match="flat"):
-            dominant_frequency(t, np.full_like(t, 0.3))
-
-    def test_too_few_extrema_rejected(self):
-        t = np.linspace(0.0, 10.0, 200)
-        with pytest.raises(ValueError, match="extrema"):
-            dominant_frequency(t, np.exp(-t))
-
-    def test_too_short_rejected(self):
-        t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="8 samples"):
-            dominant_frequency(t, np.cos(t))
 
 
 class TestCongestionValley:
