@@ -23,7 +23,6 @@ from lindnet.model import (
     Extraction,
     Injection,
     NetworkSpec,
-    PresetParams,
     PresetRun,
     Transfer,
     build_hamiltonian,
@@ -48,9 +47,7 @@ from lindnet.observables import (
     EffectReport,
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    eigenbasis_element,
     population,
-    purity_and_rate,
     staircase_steps,
     unitarity_distance,
 )

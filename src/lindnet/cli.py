@@ -40,7 +40,6 @@ from lindnet.model import (
     Extraction,
     Injection,
     NetworkSpec,
-    PresetParams,
     preset,
     preset_defaults,
     preset_description,
@@ -112,7 +111,9 @@ def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
     raise UsageError("times must be a list or a {start, stop, num} mapping")
 
 
-def _network_gen(cfg: dict) -> tuple[LindbladGenerator, dict]:
+def _network_gen(cfg: dict, seed_override: int | None) -> tuple[LindbladGenerator, dict]:
+    if seed_override is not None:
+        raise UsageError("network configs accept no seed")
     try:
         spec = NetworkSpec.from_dict(cfg["network"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -134,13 +135,13 @@ def _build_run(cfg: dict, seed_override: int | None):
                 raise UsageError(f"preset {name!r} accepts no seed")
             params["seed"] = seed_override
         try:
-            run = preset(PresetParams(name, params))
+            run = preset(name, **params)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         gen = LindbladGenerator.from_network(run.spec)
         return gen, run.initial, _resolve_times(cfg, run.times), dict(run.metadata)
 
-    gen, meta = _network_gen(cfg)
+    gen, meta = _network_gen(cfg, seed_override)
     basis = gen.basis
     init = cfg.get("initial")
     if not isinstance(init, dict):
@@ -320,6 +321,8 @@ def _sweep_one(task):
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     block = cfg.get("sweep")
     if not isinstance(block, dict):
@@ -333,8 +336,11 @@ def _cmd_sweep(args) -> int:
     cols, _ = _parse_observables([token], None)
     tasks = [(cfg, args.seed, v, at_times, token) for v in values]
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # under the fork start method the pool forks every worker at the first
+    # submit, so never ask for more than there are points
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -364,7 +370,7 @@ def _cmd_steady(args) -> int:
     if "preset" in cfg:
         gen, _, _, meta = _build_run(cfg, args.seed)
     else:
-        gen, meta = _network_gen(cfg)
+        gen, meta = _network_gen(cfg, args.seed)
     result = steady_states(gen)
     labels = tuple(s.label for s in gen.basis.sites) if gen.basis else ()
     pops = []

@@ -60,6 +60,9 @@ PROPAGATION_HERMITICITY_TOL = 1e-9
 # DENSE_DIMENSION_LIMIT**2 entries whatever D is.
 DENSE_DIMENSION_LIMIT = 64
 
+# Relative size below which steady_states counts a singular value as zero.
+_ZERO_TOL = 1e-10
+
 
 class InvariantViolation(RuntimeError):
     """A propagated state broke a trace, hermiticity, or positivity bound."""
@@ -149,13 +152,13 @@ def _superoperator_csr(H: np.ndarray, jumps: Sequence[np.ndarray]) -> scipy.spar
     return S.tocsr()
 
 
-def build_superoperator(gen: LindbladGenerator,
-                        max_dim: int = DENSE_DIMENSION_LIMIT) -> np.ndarray:
+def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Dense column-stacked superoperator, bounded to keep memory sane."""
     D = gen.dimension
-    if D > max_dim:
+    if D > DENSE_DIMENSION_LIMIT:
         raise ValueError(
-            f"dense superoperator for dimension {D} exceeds the {max_dim} limit; "
+            f"dense superoperator for dimension {D} exceeds the "
+            f"{DENSE_DIMENSION_LIMIT} limit; "
             "use the sparse propagation path instead")
     return _superoperator_csr(gen.hamiltonian, gen.jump_operators).toarray()
 
@@ -179,8 +182,6 @@ class PropagationConfig:
     coherences: tuple[tuple[int, int], ...] = ()
     snapshots: str = "none"
     sector_filter: str = "auto"
-    rehermitize: bool = False
-    check_invariants: bool = True
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -332,17 +333,13 @@ class _Recorder:
         self.snapshots: list[np.ndarray] = []
         self.snapshot_times: list[float] = []
 
-    def record(self, k: int, t: float, v: np.ndarray) -> np.ndarray:
-        """Store observables for output slot k; returns possibly hermitized v."""
+    def record(self, k: int, t: float, v: np.ndarray) -> None:
+        """Store observables for slot k; raise InvariantViolation on a broken bound."""
         cfg = self.config
         w = np.zeros(self.dim * self.dim, dtype=complex)
         w[self.R] = v
         rho = w.reshape(self.dim, self.dim, order="F")
         defect = float(np.abs(rho - rho.conj().T).max())
-        if cfg.rehermitize and defect > 0:
-            rho = 0.5 * (rho + rho.conj().T)
-            v = rho.ravel(order="F")[self.R]
-            defect = 0.0
         self.hermiticity_defect[k] = defect
         tr = rho.trace()
         self.trace[k] = tr.real
@@ -362,15 +359,13 @@ class _Recorder:
         if want_snap:
             self.snapshots.append(rho)
             self.snapshot_times.append(t)
-        if cfg.check_invariants:
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
-            if defect > PROPAGATION_HERMITICITY_TOL:
-                raise InvariantViolation("hermiticity", t, defect,
-                                         PROPAGATION_HERMITICITY_TOL)
-            if lam_min < -POSITIVITY_TOL:
-                raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
-        return v
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
+        if defect > PROPAGATION_HERMITICITY_TOL:
+            raise InvariantViolation("hermiticity", t, defect,
+                                     PROPAGATION_HERMITICITY_TOL)
+        if lam_min < -POSITIVITY_TOL:
+            raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
 
     def finish(self, method: str, dt: float) -> Trajectory:
         meta = {
@@ -378,7 +373,6 @@ class _Recorder:
             "dt": dt,
             "dimension": self.dim,
             "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
-            "invariants_checked": self.config.check_invariants,
             "max_trace_error": float(np.abs(self.trace - 1.0).max()),
             "min_eigenvalue_floor": float(self.min_eigenvalue.min()),
             "max_hermiticity_defect": float(self.hermiticity_defect.max()),
@@ -406,7 +400,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
         R = np.arange(v.size)
     rec = _Recorder(gen, config, S, R)
     times = config.times
-    v = rec.record(0, times[0], v)
+    rec.record(0, times[0], v)
 
     if config.method == "superoperator_expm":
         from scipy.sparse.linalg import expm_multiply
@@ -419,7 +413,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
         try:
             for k in range(1, times.size):
                 v = expm_multiply(S * float(times[k] - times[k - 1]), v)
-                v = rec.record(k, times[k], v)
+                rec.record(k, times[k], v)
         finally:
             np.random.set_state(saved)
         return rec.finish(config.method, math.nan)
@@ -435,7 +429,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
             k3 = S @ (v + (0.5 * h) * k2)
             k4 = S @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = rec.record(k, times[k], v)
+        rec.record(k, times[k], v)
     return rec.finish(config.method, dt)
 
 
@@ -476,18 +470,18 @@ def _hermitian_from_coords(c: np.ndarray, D: int, iu: tuple) -> np.ndarray:
     return out
 
 
-def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
-                  max_dim: int = DENSE_DIMENSION_LIMIT) -> SteadyStateResult:
+def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     """All stationary solutions, solved block by block on the sparse superoperator.
 
     The entries of vec(rho) split into the weakly connected components of
     the sparsity graph of S; S maps each component into itself, so its null
     space is the direct sum of the null spaces of its diagonal blocks. Each
     block is solved densely by SVD: a right singular vector is a null vector
-    when its singular value is at most zero_tol times max(1, the largest
-    singular value over all blocks). The largest block may hold at most
-    max_dim**2 entries, the size of the whole dense superoperator at
-    D = max_dim; a larger one raises ValueError before any dense work.
+    when its singular value is at most _ZERO_TOL = 1e-10 times max(1, the
+    largest singular value over all blocks). The largest block may hold at
+    most DENSE_DIMENSION_LIMIT**2 = 4096 entries, the size of the whole dense
+    superoperator at D = 64; a larger one raises ValueError before any dense
+    work.
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -498,10 +492,11 @@ def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
                                             connection="weak")
     sizes = np.bincount(labels)
     largest = int(sizes.max())
-    if largest > max_dim * max_dim:
+    cap = DENSE_DIMENSION_LIMIT * DENSE_DIMENSION_LIMIT
+    if largest > cap:
         raise ValueError(
             f"largest block of the superoperator has {largest} entries, "
-            f"above the cap of {max_dim * max_dim} (max_dim={max_dim})")
+            f"above the cap of {cap} (DENSE_DIMENSION_LIMIT={DENSE_DIMENSION_LIMIT})")
     blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
 
     # the largest singular value over all blocks is the 2-norm of S, at most
@@ -514,12 +509,12 @@ def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
     for idx in blocks:
         U, sv, Vh = scipy.linalg.svd(S[idx][:, idx].toarray())
         scale = max(scale, float(sv[0]))
-        near = sv <= zero_tol * max(1.0, bound)
+        near = sv <= _ZERO_TOL * max(1.0, bound)
         candidates.append((idx, U[:, near], sv[near], Vh[near]))
     null_vectors = []
     zero_eigenvalues = []
     for idx, U, sv, Vh in candidates:
-        null = sv <= zero_tol * scale
+        null = sv <= _ZERO_TOL * scale
         if not null.any():
             continue
         # columns of N are null vectors; B N = U diag(sv) on them
@@ -543,14 +538,14 @@ def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
         rows.append(_hermitian_coords((X - X.conj().T) / 2j, iu))
     M = np.array(rows)
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(sv > zero_tol * max(1.0, sv[0])))
+    rank = int(np.sum(sv > _ZERO_TOL * max(1.0, sv[0])))
     if rank == 0:
         raise ValueError("stationary subspace has no hermitian element")
     span = Vt[:rank]
 
     traces = span[:, :D].sum(axis=1)
     tnorm2 = float(traces @ traces)
-    if tnorm2 <= zero_tol:
+    if tnorm2 <= _ZERO_TOL:
         raise ValueError("stationary subspace carries no trace; "
                          "no normalizable steady state")
     g_coords = (traces / tnorm2) @ span
@@ -558,7 +553,7 @@ def steady_states(gen: LindbladGenerator, zero_tol: float = 1e-10,
 
     kernel = span - np.outer(traces, g_coords)
     _, sv2, Vt2 = np.linalg.svd(kernel, full_matrices=False)
-    keep = sv2 > zero_tol * max(1.0, sv2[0] if sv2.size else 1.0)
+    keep = sv2 > _ZERO_TOL * max(1.0, sv2[0] if sv2.size else 1.0)
     directions = tuple(_hermitian_from_coords(row, D, iu) for row in Vt2[keep])
 
     residual = float(np.abs(S @ state.ravel(order="F")).max())

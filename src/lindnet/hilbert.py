@@ -34,7 +34,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
-OP_KINDS = ("lower", "raise", "number", "sz", "identity")
+OP_KINDS = ("lower", "raise", "number", "identity")
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,6 @@ class ProductBasis:
         table.flags.writeable = False
         return table
 
-    @cached_property
-    def total_number(self) -> np.ndarray:
-        """Diagonal of the total occupation operator, one entry per basis ket."""
-        n = self.occupation_table.sum(axis=1)
-        n.flags.writeable = False
-        return n
-
     def site_position(self, label: str) -> int:
         for k, s in enumerate(self.sites):
             if s.label == label:
@@ -133,12 +126,6 @@ class ProductBasis:
                     f"occupation {eta} out of range for site {site.label!r}"
                 )
         return int(np.dot(np.asarray(occupations, dtype=np.int64), self._strides))
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of the basis ket with the given flat index."""
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"index {index} out of range")
-        return tuple(int(x) for x in self.occupation_table[index])
 
 
 def build_basis(sites: Iterable[SiteDescriptor | tuple]) -> ProductBasis:
@@ -159,11 +146,6 @@ def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:
         return np.eye(d, dtype=complex)
     if op_kind == "number":
         return np.diag(np.arange(d, dtype=float)).astype(complex)
-    if op_kind == "sz":
-        if site.kind != "spin":
-            raise ValueError(f"op_kind 'sz' only valid for spin sites, not {site.label!r}")
-        s = site.spin
-        return np.diag(np.arange(d, dtype=float) - s).astype(complex)
     if op_kind in ("lower", "raise"):
         low = np.zeros((d, d), dtype=complex)
         if site.kind == "qubit":
@@ -180,9 +162,8 @@ def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:
 def embed_site_operator(basis: ProductBasis, label: str, op_kind: str) -> np.ndarray:
     """Single-site operator embedded in the full product space.
 
-    op_kind is one of 'lower', 'raise', 'number', 'sz', 'identity'. 'sz' is only
-    defined for spin sites; on qubits the number operator plays that role via
-    number = (pauli_z + 1)/2.
+    op_kind is one of 'lower', 'raise', 'number', 'identity'. There is no
+    separate sz kind: on a site of dimension 2s+1, sz = number - s.
     """
     pos = basis.site_position(label)
     out = np.array([[1.0 + 0j]])

@@ -9,8 +9,8 @@ by this package, each with documented parameter conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Mapping, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from lindnet.hilbert import (
     PureState,
     SiteDescriptor,
     basis_state,
-    build_basis,
     dicke_state,
     embed_site_operator,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Dephasing",
     "JumpProcess",
     "NetworkSpec",
-    "PresetParams",
     "PresetRun",
     "build_hamiltonian",
     "build_jump_operators",
@@ -267,14 +265,6 @@ def uniform_noise(amplitude: float, count: int, seed: int) -> list[float]:
 
 # --------------------------------------------------------------------------
 # presets
-
-
-@dataclass(frozen=True)
-class PresetParams:
-    """Preset selector plus parameter overrides (defaults fill the rest)."""
-
-    name: str
-    values: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -589,13 +579,9 @@ def preset_description(name: str) -> str:
     return _PRESETS[name][2]
 
 
-def preset(params: PresetParams | str, **overrides: Any) -> PresetRun:
-    """Resolve a preset by PresetParams or by name plus keyword overrides."""
-    if isinstance(params, str):
-        params = PresetParams(params, overrides)
-    elif overrides:
-        raise ValueError("pass overrides inside PresetParams or as keywords, not both")
-    if params.name not in _PRESETS:
-        raise ValueError(f"unknown preset {params.name!r}; valid: {preset_names()}")
-    defaults, builder, _ = _PRESETS[params.name]
-    return builder(_merge(defaults, params.values, params.name))
+def preset(name: str, /, **overrides: Any) -> PresetRun:
+    """Resolve a preset by name; keyword overrides replace its defaults."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; valid: {preset_names()}")
+    defaults, builder, _ = _PRESETS[name]
+    return builder(_merge(defaults, overrides, name))

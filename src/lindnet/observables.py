@@ -1,7 +1,7 @@
 """Derived observables and effect detectors.
 
-Measurement helpers work on density matrices plus a generator or
-Hamiltonian; detectors turn recorded trajectories or parameter sweeps into a
+Measurement helpers work on density matrices and a Hamiltonian;
+detectors turn recorded trajectories or parameter sweeps into a
 detected / not-detected verdict with the numbers that justify it.
 """
 
@@ -12,13 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lindnet.dynamics import LindbladGenerator, lindblad_apply
 from lindnet.hilbert import DensityMatrix
 
 __all__ = [
     "population",
-    "purity_and_rate",
-    "eigenbasis_element",
     "unitarity_distance",
     "EffectReport",
     "detect_congestion_valley",
@@ -35,69 +32,6 @@ def population(state: DensityMatrix, site_label: str) -> float:
     col = basis.site_position(site_label)
     occ = basis.occupation_table[:, col]
     return float(np.real(np.diag(state.matrix)) @ occ)
-
-
-def purity_and_rate(state: DensityMatrix, gen: LindbladGenerator) -> tuple[float, float]:
-    """Tr rho^2 and its instantaneous time derivative under the generator."""
-    rho = state.matrix
-    purity = float(np.vdot(rho, rho).real)
-    rate = 2.0 * float(np.vdot(rho, lindblad_apply(gen, rho)).real)
-    return purity, rate
-
-
-def _eigh_deterministic(H: np.ndarray, degeneracy_tol: float = 1e-10):
-    """Eigenbasis of H with a reproducible choice inside degenerate clusters.
-
-    Eigenvalues ascend. Within each near-degenerate cluster the subspace is
-    re-spanned by projecting computational basis vectors in index order and
-    orthonormalizing, and every vector's phase is fixed by making its largest
-    component (lowest index on ties) real positive.
-    """
-    evals, evecs = np.linalg.eigh(H)
-    scale = max(1.0, float(evals[-1] - evals[0]) if evals.size > 1 else 1.0)
-    tol = degeneracy_tol * scale
-    D = evals.size
-    start = 0
-    while start < D:
-        stop = start + 1
-        while stop < D and evals[stop] - evals[stop - 1] < tol:
-            stop += 1
-        if stop - start > 1:
-            block = evecs[:, start:stop]
-            P = block @ block.conj().T
-            chosen = []
-            for idx in range(D):
-                v = P[:, idx].copy()
-                for u in chosen:
-                    v -= u * (u.conj() @ v)
-                nrm = float(np.linalg.norm(v))
-                if nrm > 1e-8:
-                    chosen.append(v / nrm)
-                if len(chosen) == stop - start:
-                    break
-            evecs[:, start:stop] = np.column_stack(chosen)
-        start = stop
-    for k in range(D):
-        v = evecs[:, k]
-        mags = np.abs(v)
-        lead = int(np.flatnonzero(mags >= mags.max() - 1e-12)[0])
-        phase = v[lead] / abs(v[lead])
-        evecs[:, k] = v / phase
-    return evals, evecs
-
-
-def eigenbasis_element(rho: np.ndarray, H: np.ndarray, bra: int, ket: int) -> complex:
-    """Matrix element <bra| rho |ket> between eigenvectors of H.
-
-    bra and ket index the eigenvectors in ascending-eigenvalue order, with
-    the reproducible degenerate-subspace convention of _eigh_deterministic.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    _, evecs = _eigh_deterministic(np.asarray(H, dtype=complex))
-    D = evecs.shape[1]
-    if not (0 <= bra < D and 0 <= ket < D):
-        raise ValueError(f"eigenvector indices must lie in 0..{D - 1}")
-    return complex(evecs[:, bra].conj() @ rho @ evecs[:, ket])
 
 
 def unitarity_distance(rho_t: np.ndarray, rho_ref: np.ndarray,

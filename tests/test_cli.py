@@ -133,6 +133,20 @@ class TestRun:
     def test_seed_rejected_for_seedless_preset(self, tmp_path, pump_config):
         assert main(["run", pump_config, "--output", str(tmp_path), "--seed", "3"]) == 1
 
+    def test_seed_rejected_for_network_config(self, tmp_path):
+        cfg = write_config(tmp_path / "net.yaml", {
+            "network": {
+                "sites": [{"label": "1", "kind": "qubit", "dim": 2},
+                          {"label": "2", "kind": "qubit", "dim": 2}],
+                "jumps": [{"kind": "transfer", "source": "1", "target": "2",
+                           "rate": 1.0}],
+            },
+            "initial": {"occupations": [1, 0]},
+            "times": [0.0, 1.0],
+        })
+        for command in ("run", "steady"):
+            assert main([command, cfg, "--output", str(tmp_path), "--seed", "5"]) == 1
+
     def test_unknown_observable(self, tmp_path):
         cfg = write_config(tmp_path / "bad.yaml", {
             "preset": "two_site_pump",
@@ -170,12 +184,15 @@ class TestRun:
         })
         assert main(["run", cfg, "--output", str(tmp_path)]) == 1
 
-    def test_unknown_preset_parameter(self, tmp_path):
-        cfg = write_config(tmp_path / "p.yaml", {
-            "preset": "two_site_pump",
-            "params": {"coupling": 1.0},
-        })
-        assert main(["run", cfg, "--output", str(tmp_path)]) == 1
+    def test_unknown_preset_parameter(self, tmp_path, capsys):
+        # 'name' must reach the same error, not bind to preset()'s own argument
+        for key in ("coupling", "name"):
+            cfg = write_config(tmp_path / "p.yaml", {
+                "preset": "two_site_pump",
+                "params": {key: 1.0},
+            })
+            assert main(["run", cfg, "--output", str(tmp_path)]) == 1
+            assert f"unknown parameters ['{key}']" in capsys.readouterr().err
 
     def test_invariant_violation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "blowup.yaml", {
@@ -221,6 +238,31 @@ class TestSweep:
                          "--workers", workers]) == 0
         assert ((tmp_path / "a" / "sweep_sweep.tsv").read_bytes()
                 == (tmp_path / "b" / "sweep_sweep.tsv").read_bytes())
+
+    def test_pool_never_exceeds_points(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("lindnet.cli.ProcessPoolExecutor", SerialPool)
+        cfg = self.sweep_config(tmp_path)
+        assert main(["sweep", cfg, "--output", str(tmp_path), "--workers", "64"]) == 0
+        assert sizes == [2]
+        for workers in ("0", "-1"):
+            assert main(["sweep", cfg, "--output", str(tmp_path),
+                         "--workers", workers]) == 1
+        assert sizes == [2]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invariant_violation_exit_code(self, tmp_path, workers):

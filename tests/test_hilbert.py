@@ -68,7 +68,7 @@ class TestProductBasis:
         basis = build_basis([qubit("q"), spin("b", 3)])
         assert basis.dimension == 6
         assert basis.index((1, 2)) == 5
-        assert basis.occupations(4) == (1, 1)
+        assert tuple(basis.occupation_table[4]) == (1, 1)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -84,8 +84,6 @@ class TestProductBasis:
         basis = build_basis([qubit("a")])
         with pytest.raises(ValueError, match="out of range"):
             basis.index((2,))
-        with pytest.raises(ValueError, match="out of range"):
-            basis.occupations(2)
 
     def test_occupation_table_readonly(self):
         basis = build_basis([qubit("a"), qubit("b")])
@@ -99,15 +97,7 @@ class TestProductBasis:
         occ = tuple(data.draw(st.integers(0, s.dim - 1)) for s in sites)
         idx = basis.index(occ)
         assert 0 <= idx < basis.dimension
-        assert basis.occupations(idx) == occ
         assert tuple(basis.occupation_table[idx]) == occ
-
-    @given(sites=sites_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_total_number_matches_table(self, sites):
-        basis = ProductBasis(sites)
-        np.testing.assert_array_equal(basis.total_number,
-                                      basis.occupation_table.sum(axis=1))
 
 
 class TestEmbeddedOperators:
@@ -126,20 +116,6 @@ class TestEmbeddedOperators:
         low = embed_site_operator(basis, "b", "lower")
         assert low[0, 1] == pytest.approx(np.sqrt(2.0))
         assert low[1, 2] == pytest.approx(np.sqrt(2.0))
-        sz = embed_site_operator(basis, "b", "sz")
-        np.testing.assert_allclose(np.diag(sz).real, [-1.0, 0.0, 1.0])
-
-    def test_sz_number_relation(self):
-        # number = sz + s on a spin site
-        basis = build_basis([spin("b", 5)])
-        sz = embed_site_operator(basis, "b", "sz")
-        num = embed_site_operator(basis, "b", "number")
-        np.testing.assert_allclose(num, sz + 2.0 * np.eye(5), atol=1e-15)
-
-    def test_sz_rejected_on_qubit(self):
-        basis = build_basis([qubit("a")])
-        with pytest.raises(ValueError, match="spin"):
-            embed_site_operator(basis, "a", "sz")
 
     def test_unknown_kind(self):
         basis = build_basis([qubit("a")])

@@ -14,7 +14,6 @@ from lindnet.model import (
     Extraction,
     Injection,
     NetworkSpec,
-    PresetParams,
     Transfer,
     build_hamiltonian,
     build_jump_operators,
@@ -112,7 +111,7 @@ class TestBuilders:
     def test_transfer_conserves_total_number(self):
         spec = two_qubits(jumps=(Transfer("1", "2", 1.0),))
         L = build_jump_operators(spec)[0]
-        n = spec.basis().total_number.astype(float)
+        n = spec.basis().occupation_table.sum(axis=1).astype(float)
         comm = L * (n[None, :] - n[:, None])
         assert np.abs(comm).max() == 0.0
 
@@ -149,10 +148,6 @@ class TestPresetRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameters"):
             preset("two_site_transfer", gamma=1.0, typo=2.0)
-
-    def test_kwargs_and_params_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            preset(PresetParams("two_site_transfer", {}), gamma=1.0)
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_preset_builds(self, name):

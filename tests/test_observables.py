@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindnet.dynamics import LindbladGenerator, build_superoperator
 from lindnet.hilbert import DensityMatrix, SiteDescriptor, build_basis
-from lindnet.model import preset
 from lindnet.observables import (
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    eigenbasis_element,
     population,
-    purity_and_rate,
     staircase_steps,
     unitarity_distance,
 )
@@ -46,55 +42,6 @@ class TestPopulation:
         basis = build_basis([SiteDescriptor("b", "spin", 3)])
         state = DensityMatrix(np.diag([0.5, 0.2, 0.3]).astype(complex), basis)
         assert population(state, "b") == pytest.approx(0.2 + 2 * 0.3)
-
-
-class TestPurityAndRate:
-    def test_matches_definitions(self):
-        run = preset("two_site_transfer", gamma=0.6)
-        gen = LindbladGenerator.from_network(run.spec)
-        rho = random_density(5, 4)
-        state = DensityMatrix(rho, gen.basis)
-        purity, rate = purity_and_rate(state, gen)
-        assert purity == pytest.approx(np.trace(rho @ rho).real, abs=1e-14)
-        # finite-difference cross-check of the derivative
-        h = 1e-7
-        S = build_superoperator(gen)
-        stepped = (expm(S * h) @ rho.ravel(order="F")).reshape(4, 4, order="F")
-        fd = (np.trace(stepped @ stepped).real - purity) / h
-        assert rate == pytest.approx(fd, abs=1e-5)
-
-
-class TestEigenbasisElement:
-    def test_degenerate_hamiltonian_falls_back_to_computational(self):
-        rho = random_density(0, 4)
-        for i in range(4):
-            for j in range(4):
-                assert eigenbasis_element(rho, np.zeros((4, 4)), i, j) == pytest.approx(
-                    rho[i, j], abs=1e-12)
-
-    def test_orders_by_ascending_eigenvalue(self):
-        rho = random_density(1, 3)
-        H = np.diag([3.0, 1.0, 2.0])
-        # ascending eigenvalues pick computational vectors 1, 2, 0
-        assert eigenbasis_element(rho, H, 0, 0) == pytest.approx(rho[1, 1], abs=1e-12)
-        assert eigenbasis_element(rho, H, 1, 2) == pytest.approx(rho[2, 0], abs=1e-12)
-
-    def test_deterministic_under_repetition(self):
-        rng = np.random.default_rng(11)
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        H = A + A.conj().T
-        # force a degenerate pair
-        evals, evecs = np.linalg.eigh(H)
-        evals[1] = evals[0]
-        H = (evecs * evals) @ evecs.conj().T
-        rho = random_density(2, 5)
-        first = eigenbasis_element(rho, H, 0, 1)
-        again = eigenbasis_element(rho.copy(), H.copy(), 0, 1)
-        assert first == again
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError, match="indices"):
-            eigenbasis_element(np.eye(3) / 3, np.zeros((3, 3)), 0, 3)
 
 
 class TestUnitarityDistance:
