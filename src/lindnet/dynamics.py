@@ -1,8 +1,11 @@
 """Time evolution and steady states of Lindblad generators.
 
 The generator acts two ways: directly on a density matrix, and as a
-column-stacked sparse superoperator S. Propagation first finds the entries
-of vec(rho) that the initial state can reach in the sparsity graph of S.
+column-stacked sparse superoperator S. Propagation first finds the basis
+states that the rows and columns of the initial state's support reach in
+the sparsity pattern of H, the jump operators L and the products L^dag L,
+and assembles S only on the block of vec(rho) those states span. In that
+block's sparsity graph it finds the entries the initial state can reach.
 Every other entry has zero derivative for all time, so both integrators,
 fixed-step fourth-order Runge-Kutta and the action of the matrix
 exponential (one expm_multiply per output gap), run exactly on that block
@@ -11,8 +14,8 @@ amount, so the block stays inside the occupation-difference sectors the
 initial state touches, pumped and lossy runs included. Each sample is
 scattered back into the full density matrix before any observable or
 invariant is read from it. Steady states split the entries of vec(rho)
-into the weakly connected components of the same sparsity graph and take
-each block's null space by a dense SVD.
+into the weakly connected components of the whole sparsity graph of S and
+take each block's null space by a dense SVD.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -136,17 +139,39 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _superoperator_csr(H: np.ndarray, jumps: Sequence[np.ndarray]) -> scipy.sparse.csr_matrix:
-    """Column-stacked superoperator: d vec(rho)/dt = S vec(rho)."""
+def _superoperator_csr(gen: LindbladGenerator,
+                       states: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+    """Column-stacked superoperator: d vec(rho)/dt = S vec(rho).
+
+    With a sorted array of basis states T, only the block on the entries
+    rho[T[p], T[q]], indexed p + len(T) * q, is assembled from H, every L
+    and every L^dag L cut to T x T. When S maps that block into itself,
+    each of its entries equals the full assembly's bit for bit.
+    """
+    H = gen.hamiltonian
+    jumps = gen.jump_operators
+    products = gen._dissipator_products
+    if states is not None:
+        cut = np.ix_(states, states)
+        H = H[cut]
+        jumps = [L[cut] for L in jumps]
+        products = [LdL[cut] for LdL in products]
     D = H.shape[0]
     eye = scipy.sparse.identity(D, dtype=complex, format="csr")
     Hs = scipy.sparse.csr_matrix(H)
     S = -1j * (scipy.sparse.kron(eye, Hs, format="csr")
                - scipy.sparse.kron(Hs.T, eye, format="csr"))
-    for L in jumps:
-        Ls = scipy.sparse.csr_matrix(L)
-        LdL = scipy.sparse.csr_matrix(L.conj().T @ L)
-        S = S + scipy.sparse.kron(Ls.conj(), Ls, format="csr")
+    for L, LdL in zip(jumps, products):
+        # conj(L) (x) L from real products: NumPy may round a complex product
+        # differently on its vector and scalar loops, so a complex kron of the
+        # cut could differ in the last bit from the whole space's
+        Lr = scipy.sparse.csr_matrix(L.real)
+        Li = scipy.sparse.csr_matrix(L.imag)
+        S = S + (scipy.sparse.kron(Lr, Lr, format="csr")
+                 + scipy.sparse.kron(Li, Li, format="csr")
+                 + 1j * (scipy.sparse.kron(Lr, Li, format="csr")
+                         - scipy.sparse.kron(Li, Lr, format="csr")))
+        LdL = scipy.sparse.csr_matrix(LdL)
         S = S - 0.5 * (scipy.sparse.kron(eye, LdL, format="csr")
                        + scipy.sparse.kron(LdL.T, eye, format="csr"))
     return S.tocsr()
@@ -160,7 +185,7 @@ def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
             f"dense superoperator for dimension {D} exceeds the "
             f"{DENSE_DIMENSION_LIMIT} limit; "
             "use the sparse propagation path instead")
-    return _superoperator_csr(gen.hamiltonian, gen.jump_operators).toarray()
+    return _superoperator_csr(gen).toarray()
 
 
 @dataclass(frozen=True)
@@ -172,8 +197,9 @@ class PropagationConfig:
     (row, col) index pairs of the full density matrix to record. snapshots is
     'none', 'last', or 'all'. sector_filter 'auto' integrates only the
     entries of vec(rho) reachable from the initial state's support in the
-    sparsity graph of the superoperator, which is exact; 'off' integrates
-    every entry.
+    sparsity graph of the superoperator, which is exact, and assembles the
+    superoperator only on the basis states those entries can involve; 'off'
+    assembles it whole and integrates every entry.
     """
 
     times: np.ndarray
@@ -296,6 +322,32 @@ def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray
     return np.sort(order[1:])
 
 
+def _reachable_block(gen: LindbladGenerator,
+                     rho: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """The block of S on the vec(rho) entries R that the support of rho reaches, and R.
+
+    S sends rho[k, l] to rows i with H, L or L^dag L nonzero at [i, k] and
+    to columns j with L nonzero at [j, l] or H, L^dag L nonzero at [l, j].
+    The basis states T that the rows and columns of the support reach in
+    that pattern span a block T x T of vec(rho) which S maps into itself,
+    so R is found, and S cut to it, from the assembly of that block alone.
+    """
+    D = gen.dimension
+    # H and L^dag L act on column kets through their transposes
+    sym = np.abs(gen.hamiltonian)
+    for LdL in gen._dissipator_products:
+        sym += np.abs(LdL)
+    pattern = sym + sym.T
+    for L in gen.jump_operators:
+        pattern += np.abs(L)
+    support = rho != 0
+    T = _reachable_entries(scipy.sparse.csr_matrix(pattern),
+                           support.any(axis=0) | support.any(axis=1))
+    S = _superoperator_csr(gen, T)
+    sub = _reachable_entries(S, rho[np.ix_(T, T)].ravel(order="F"))
+    return S[sub][:, sub], T[sub % T.size] + D * T[sub // T.size]
+
+
 class _Recorder:
     """Accumulates observables while the reachable block of vec(rho) marches forward.
 
@@ -390,14 +442,13 @@ class _Recorder:
 def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times."""
-    v = _as_density(gen, state).ravel(order="F")
-    S = _superoperator_csr(gen.hamiltonian, gen.jump_operators)
+    rho = _as_density(gen, state)
     if config.sector_filter == "auto":
-        R = _reachable_entries(S, v)
-        S = S[R][:, R]
-        v = v[R]
+        S, R = _reachable_block(gen, rho)
     else:
-        R = np.arange(v.size)
+        S = _superoperator_csr(gen)
+        R = np.arange(rho.size)
+    v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
     rec.record(0, times[0], v)
@@ -487,7 +538,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
 
     D = gen.dimension
     n = D * D
-    S = _superoperator_csr(gen.hamiltonian, gen.jump_operators)
+    S = _superoperator_csr(gen)
     n_blocks, labels = connected_components(_entry_graph(S), directed=True,
                                             connection="weak")
     sizes = np.bincount(labels)
@@ -497,17 +548,28 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
         raise ValueError(
             f"largest block of the superoperator has {largest} entries, "
             f"above the cap of {cap} (DENSE_DIMENSION_LIMIT={DENSE_DIMENSION_LIMIT})")
-    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
 
     # the largest singular value over all blocks is the 2-norm of S, at most
     # sqrt(|S|_1 |S|_inf); rows of Vh below the threshold for that bound are
     # the only candidates, so no block's full factors need to be kept
-    A = abs(S)
-    bound = math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    bound = math.sqrt(float(abs(S).sum(axis=0).max())
+                      * float(abs(S).sum(axis=1).max()))
+    # renumbered in stable label order, each block is a contiguous run of
+    # entries, so it is one diagonal slice of S. A row's entries all lie in
+    # its own block, so renumbering the column indices of the row-permuted S
+    # keeps them sorted and in their order: products with S sum as before.
+    # This also spares the temporaries of S[order][:, order].
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    rank = np.empty(n, dtype=S.indices.dtype)
+    rank[order] = np.arange(n)
+    S = S[order]
+    S = scipy.sparse.csr_matrix((S.data, rank[S.indices], S.indptr), shape=(n, n))
     candidates = []
     scale = 1.0
-    for idx in blocks:
-        U, sv, Vh = scipy.linalg.svd(S[idx][:, idx].toarray())
+    for start, end in zip(ends - sizes, ends):
+        idx = order[start:end]
+        U, sv, Vh = scipy.linalg.svd(S[start:end, start:end].toarray())
         scale = max(scale, float(sv[0]))
         near = sv <= _ZERO_TOL * max(1.0, bound)
         candidates.append((idx, U[:, near], sv[near], Vh[near]))
@@ -556,7 +618,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     keep = sv2 > _ZERO_TOL * max(1.0, sv2[0] if sv2.size else 1.0)
     directions = tuple(_hermitian_from_coords(row, D, iu) for row in Vt2[keep])
 
-    residual = float(np.abs(S @ state.ravel(order="F")).max())
+    residual = float(np.abs(S @ state.ravel(order="F")[order]).max())
     return SteadyStateResult(state=state, directions=directions,
                              multiplicity=rank,
                              zero_eigenvalues=zero_eigenvalues,

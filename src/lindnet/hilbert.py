@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, prod
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "DensityMatrix",
     "build_basis",
     "embed_site_operator",
+    "embed_operator_product",
     "basis_state",
     "dicke_state",
     "HERMITICITY_TOL",
@@ -165,12 +166,25 @@ def embed_site_operator(basis: ProductBasis, label: str, op_kind: str) -> np.nda
     op_kind is one of 'lower', 'raise', 'number', 'identity'. There is no
     separate sz kind: on a site of dimension 2s+1, sz = number - s.
     """
-    pos = basis.site_position(label)
-    out = np.array([[1.0 + 0j]])
-    for k, site in enumerate(basis.sites):
-        local = _local_operator(site, op_kind) if k == pos else np.eye(site.dim, dtype=complex)
-        out = np.kron(out, local)
-    return out
+    return embed_operator_product(basis, {label: op_kind})
+
+
+def embed_operator_product(basis: ProductBasis, ops: Mapping[str, str]) -> np.ndarray:
+    """Product of single-site operators, one per named site, in the full space.
+
+    ops maps site labels to op kinds as in embed_site_operator. Operators on
+    distinct sites commute, so the product is one Kronecker chain of the
+    local factors with an identity run over each stretch of sites between
+    them.
+    """
+    factors = sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items())
+    out = np.ones((1, 1), dtype=complex)
+    start = 0
+    for pos, kind in factors:
+        out = np.kron(out, np.eye(prod(basis.dims[start:pos])))
+        out = np.kron(out, _local_operator(basis.sites[pos], kind))
+        start = pos + 1
+    return np.kron(out, np.eye(prod(basis.dims[start:])))
 
 
 @dataclass(frozen=True)

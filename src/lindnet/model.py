@@ -20,6 +20,7 @@ from lindnet.hilbert import (
     SiteDescriptor,
     basis_state,
     dicke_state,
+    embed_operator_product,
     embed_site_operator,
 )
 
@@ -219,7 +220,7 @@ def build_hamiltonian(spec: NetworkSpec, basis: ProductBasis | None = None) -> n
     D = basis.dimension
     H = np.zeros((D, D), dtype=complex)
     for a, b, amp in spec.hoppings:
-        term = embed_site_operator(basis, a, "lower") @ embed_site_operator(basis, b, "raise")
+        term = embed_operator_product(basis, {a: "lower", b: "raise"})
         H += amp * (term + term.conj().T)
     for lbl, eps in spec.onsite:
         H += eps * embed_site_operator(basis, lbl, "number")
@@ -233,8 +234,7 @@ def build_jump_operators(spec: NetworkSpec, basis: ProductBasis | None = None) -
     for j in spec.jumps:
         root = np.sqrt(j.rate)
         if isinstance(j, Transfer):
-            L = embed_site_operator(basis, j.source, "lower") @ embed_site_operator(
-                basis, j.target, "raise")
+            L = embed_operator_product(basis, {j.source: "lower", j.target: "raise"})
         elif isinstance(j, Injection):
             L = embed_site_operator(basis, j.site, "raise")
         elif isinstance(j, (Extraction, Dissipation)):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestRun:
         header, rows = read_tsv(out / "coh.tsv")
         assert header == ["t", "population_1", "coherence_1_2_re", "coherence_1_2_im"]
         assert len(rows[0]) == 4
+
+    def test_readme_preset_example_runs(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = readme.read_text(encoding="utf-8").split("A preset configuration:", 1)[1]
+        payload = yaml.safe_load(example.split("```yaml\n", 1)[1].split("```", 1)[0])
+        payload["times"] = {"start": 0.0, "stop": 0.5, "num": 3}
+        cfg = write_config(tmp_path / "readme.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, _ = read_tsv(out / "readme.tsv")
+        assert header == ["t", "population_1", "population_2", "coherence_1_2_re",
+                          "coherence_1_2_im", "purity"]
 
     def test_dt_override_is_recorded(self, tmp_path, pump_config):
         out = tmp_path / "out"

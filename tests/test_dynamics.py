@@ -10,6 +10,9 @@ from lindnet.dynamics import (
     InvariantViolation,
     LindbladGenerator,
     PropagationConfig,
+    _reachable_block,
+    _reachable_entries,
+    _superoperator_csr,
     build_superoperator,
     lindblad_apply,
     propagate,
@@ -325,6 +328,39 @@ class TestSectorFilter:
                                            atol=1e-10)
             np.testing.assert_allclose(np.array(on.snapshots), np.array(off.snapshots),
                                        atol=1e-10)
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_state_restriction_matches_full_search(self, data):
+        # raw 2-3 qubit generators: sparse H, jumps with two columns feeding
+        # one row (so L^dag L has off-diagonal entries), and initial vectors
+        # whose coherences need not sit on occupied diagonal entries
+        D = 2 ** data.draw(st.integers(2, 3), label="qubits")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pair = st.tuples(st.integers(0, D - 1), st.integers(0, D - 1))
+
+        def sparse(pairs):
+            M = np.zeros((D, D), dtype=complex)
+            for i, j in pairs:
+                M[i, j] = complex(*rng.normal(size=2))
+            return M
+
+        A = sparse(data.draw(st.lists(pair, max_size=D), label="H"))
+        jumps = []
+        for _ in range(data.draw(st.integers(1, 2), label="jumps")):
+            row = data.draw(st.integers(0, D - 1), label="row")
+            cols = data.draw(st.lists(st.integers(0, D - 1), min_size=2, max_size=2,
+                                      unique=True), label="cols")
+            jumps.append(sparse([(row, c) for c in cols]
+                                + data.draw(st.lists(pair, max_size=2), label="L")))
+        gen = LindbladGenerator(A + A.conj().T, tuple(jumps))
+        rho = sparse(data.draw(st.lists(pair, min_size=1, max_size=3), label="support"))
+
+        S_full = _superoperator_csr(gen)
+        R_full = _reachable_entries(S_full, rho.ravel(order="F"))
+        block, R = _reachable_block(gen, rho)
+        np.testing.assert_array_equal(R, R_full)
+        assert np.array_equal(block.toarray(), S_full[R_full][:, R_full].toarray())
 
     def test_declines_for_number_changing_jumps(self):
         spec = NetworkSpec(

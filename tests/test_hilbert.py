@@ -13,6 +13,7 @@ from lindnet.hilbert import (
     basis_state,
     build_basis,
     dicke_state,
+    embed_operator_product,
     embed_site_operator,
 )
 
@@ -133,6 +134,40 @@ class TestEmbeddedOperators:
         ra = embed_site_operator(basis, "a", "raise")
         lb = embed_site_operator(basis, "b", "lower")
         np.testing.assert_allclose(ra @ lb, lb @ ra, atol=1e-15)
+
+    @pytest.mark.parametrize("op_kind", ["lower", "raise", "number", "identity"])
+    def test_matches_kron_chain_bitwise(self, op_kind):
+        basis = build_basis([qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)])
+        for pos, site in enumerate(basis.sites):
+            ref = np.array([[1.0 + 0j]])
+            for k, other in enumerate(basis.sites):
+                local = local_operator(other, op_kind) if k == pos else np.eye(other.dim)
+                ref = np.kron(ref, local)
+            assert np.array_equal(embed_site_operator(basis, site.label, op_kind), ref)
+
+    def test_product_matches_matmul_bitwise(self):
+        basis = build_basis([qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)])
+        labels = [s.label for s in basis.sites]
+        for first in labels:
+            for second in labels:
+                if first == second:
+                    continue
+                ref = (embed_site_operator(basis, first, "lower")
+                       @ embed_site_operator(basis, second, "raise"))
+                got = embed_operator_product(basis, {first: "lower", second: "raise"})
+                assert np.array_equal(got, ref)
+
+
+def local_operator(site, op_kind):
+    # S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>; s = 1/2 gives the qubit's 1
+    d = site.dim
+    s = (d - 1) / 2
+    low = np.zeros((d, d), dtype=complex)
+    for eta in range(d - 1):
+        low[eta, eta + 1] = np.sqrt((eta + 1) * (2 * s - eta))
+    return {"lower": low, "raise": low.conj().T,
+            "number": np.diag(np.arange(d, dtype=float)).astype(complex),
+            "identity": np.eye(d, dtype=complex)}[op_kind]
 
 
 class TestStates:

@@ -115,6 +115,36 @@ class TestBuilders:
         comm = L * (n[None, :] - n[:, None])
         assert np.abs(comm).max() == 0.0
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_products_match_matmul_form_bitwise(self, name):
+        # each a_s a_t^dag is one two-site embedding, equal to the product
+        # of the two single-site embeddings
+        spec = preset(name).spec
+        basis = spec.basis()
+
+        def hop(lowered, raised):
+            return (embed_site_operator(basis, lowered, "lower")
+                    @ embed_site_operator(basis, raised, "raise"))
+
+        D = basis.dimension
+        H = np.zeros((D, D), dtype=complex)
+        for a, b, amp in spec.hoppings:
+            term = hop(a, b)
+            H += amp * (term + term.conj().T)
+        for lbl, eps in spec.onsite:
+            H += eps * embed_site_operator(basis, lbl, "number")
+        assert np.array_equal(build_hamiltonian(spec, basis), H)
+        ops = build_jump_operators(spec, basis)
+        assert len(ops) == len(spec.jumps)
+        kinds = {Injection: "raise", Extraction: "lower", Dissipation: "lower",
+                 Dephasing: "number"}
+        for j, L in zip(spec.jumps, ops):
+            if isinstance(j, Transfer):
+                ref = hop(j.source, j.target)
+            else:
+                ref = embed_site_operator(basis, j.site, kinds[type(j)])
+            assert np.array_equal(L, np.sqrt(j.rate) * ref)
+
 
 class TestNoise:
     def test_cosine_profile(self):
