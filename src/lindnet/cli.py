@@ -304,15 +304,25 @@ def _sweep_values(block: dict) -> list[float]:
 
 
 def _sweep_one(task):
-    """One sweep point; module-level so it can cross a process boundary."""
-    cfg, seed, value, at_times, token = task
-    run_cfg = copy.deepcopy(cfg)
-    _set_dotted(run_cfg, run_cfg["sweep"]["path"], value)
-    gen, state, _, _ = _build_run(run_cfg, seed)
-    cols, pairs = _parse_observables([token], gen)
-    times = np.asarray(sorted({0.0, *at_times}), dtype=float)
-    pconfig = _propagation_config(run_cfg, times, pairs, None)
-    traj = propagate(gen, state, pconfig)
+    """One sweep point; module-level so it can cross a process boundary.
+
+    An error names the point as <sweep path>=<value>.
+    """
+    cfg, seed, dt, value, at_times, token = task
+    point = f"{cfg['sweep']['path']}={value!r}"
+    try:
+        run_cfg = copy.deepcopy(cfg)
+        _set_dotted(run_cfg, run_cfg["sweep"]["path"], value)
+        gen, state, _, _ = _build_run(run_cfg, seed)
+        cols, pairs = _parse_observables([token], gen)
+        times = np.asarray(sorted({0.0, *at_times}), dtype=float)
+        pconfig = _propagation_config(run_cfg, times, pairs, dt)
+        traj = propagate(gen, state, pconfig)
+    except InvariantViolation as exc:
+        raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
+                                 point) from exc
+    except (UsageError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{point}: {exc}") from exc
     out = []
     for t in at_times:
         k = int(np.argmin(np.abs(times - t)))
@@ -334,7 +344,7 @@ def _cmd_sweep(args) -> int:
     at_times = [float(t) for t in block["at_times"]]
     token = str(block["observable"])
     cols, _ = _parse_observables([token], None)
-    tasks = [(cfg, args.seed, v, at_times, token) for v in values]
+    tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]
 
     # under the fork start method the pool forks every worker at the first
     # submit, so never ask for more than there are points

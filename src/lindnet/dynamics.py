@@ -11,11 +11,14 @@ fixed-step fourth-order Runge-Kutta and the action of the matrix
 exponential (one expm_multiply per output gap), run exactly on that block
 of S. Each jump of the models here shifts total occupation by a fixed
 amount, so the block stays inside the occupation-difference sectors the
-initial state touches, pumped and lossy runs included. Each sample is
-scattered back into the full density matrix before any observable or
-invariant is read from it. Steady states split the entries of vec(rho)
-into the weakly connected components of the whole sparsity graph of S and
-take each block's null space by a dense SVD.
+initial state touches, pumped and lossy runs included. Observables and
+invariants are read from the reachable entries through index maps built
+once per run: the diagonal, each entry's mirror, the recorded coherences
+and the connected components of the touched basis states, over which rho
+is block diagonal. Only snapshots are scattered into the full density
+matrix. Steady states split the entries of vec(rho) into the weakly
+connected components of the whole sparsity graph of S and take each
+block's null space by a dense SVD.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from lindnet.hilbert import (
@@ -68,21 +70,29 @@ _ZERO_TOL = 1e-10
 
 
 class InvariantViolation(RuntimeError):
-    """A propagated state broke a trace, hermiticity, or positivity bound."""
+    """A propagated state broke a trace, hermiticity, or positivity bound.
 
-    def __init__(self, invariant: str, time: float, value: float, bound: float):
+    point names the sweep point it happened at, as path=value, when there
+    is one.
+    """
+
+    def __init__(self, invariant: str, time: float, value: float, bound: float,
+                 point: str = ""):
         super().__init__(
-            f"{invariant} invariant violated at t={time:.6g}: "
+            (f"{point}: " if point else "")
+            + f"{invariant} invariant violated at t={time:.6g}: "
             f"measured {value:.3e}, bound {bound:.3e}")
         self.invariant = invariant
         self.time = time
         self.value = value
         self.bound = bound
+        self.point = point
 
     def __reduce__(self):
-        # rebuild from the four fields; args holds only the message, so the
+        # rebuild from the fields; args holds only the message, so the
         # default reduction cannot cross a sweep worker's process boundary
-        return (type(self), (self.invariant, self.time, self.value, self.bound))
+        return (type(self),
+                (self.invariant, self.time, self.value, self.bound, self.point))
 
 
 StateLike = Union[DensityMatrix, PureState, np.ndarray]
@@ -286,25 +296,30 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
     return np.array(rho, dtype=complex)
 
 
-def _entry_graph(S: scipy.sparse.csr_matrix,
-                 sources: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
-    """Graph on the entries of vec(rho): an edge j -> i wherever S[i, j] != 0.
+def _entry_graph(S: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """The sparsity pattern of S with unit weights: entry j feeds i where G[i, j] != 0.
 
-    csgraph reads G[a, b] as an edge a -> b. The edges come from the index
-    pattern with unit weights: passing S itself would cast its complex data
-    to real, which zeroes every purely imaginary -iH entry and drops its
-    edge. With sources, a virtual node n gets an edge into each of them.
+    The weights are ones: a product with S itself could cancel to zero, and
+    csgraph would cast its complex data to real, which zeroes every purely
+    imaginary -iH entry and drops its edge.
     """
-    n = S.shape[0]
     T = S.tocoo()
     keep = T.data != 0
-    if sources is None:
-        rows, cols, size = T.col[keep], T.row[keep], n
-    else:
-        rows = np.concatenate([T.col[keep], np.full(sources.size, n)])
-        cols = np.concatenate([T.row[keep], sources])
-        size = n + 1
-    return scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    return scipy.sparse.csr_matrix((np.ones(int(keep.sum())), (T.row[keep], T.col[keep])),
+                                   shape=S.shape)
+
+
+def _closure(G: scipy.sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that the nodes of the start mask reach along edges j -> i of G.
+
+    Breadth-first: one sparse product moves the whole frontier a step.
+    """
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = (G @ frontier > 0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray:
@@ -314,25 +329,16 @@ def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray
     derivative for all time, so propagating only the returned entries is
     exact.
     """
-    from scipy.sparse.csgraph import breadth_first_order
-
-    n = S.shape[0]
-    G = _entry_graph(S, sources=np.flatnonzero(v0))
-    order = breadth_first_order(G, n, directed=True, return_predecessors=False)
-    return np.sort(order[1:])
+    return np.flatnonzero(_closure(_entry_graph(S), v0 != 0))
 
 
-def _reachable_block(gen: LindbladGenerator,
-                     rho: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """The block of S on the vec(rho) entries R that the support of rho reaches, and R.
+def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
+    """Sorted basis states T that the rows and columns of rho's support reach.
 
     S sends rho[k, l] to rows i with H, L or L^dag L nonzero at [i, k] and
-    to columns j with L nonzero at [j, l] or H, L^dag L nonzero at [l, j].
-    The basis states T that the rows and columns of the support reach in
-    that pattern span a block T x T of vec(rho) which S maps into itself,
-    so R is found, and S cut to it, from the assembly of that block alone.
+    to columns j with L nonzero at [j, l] or H, L^dag L nonzero at [l, j],
+    so S maps the block T x T of vec(rho) into itself.
     """
-    D = gen.dimension
     # H and L^dag L act on column kets through their transposes
     sym = np.abs(gen.hamiltonian)
     for LdL in gen._dissipator_products:
@@ -341,8 +347,18 @@ def _reachable_block(gen: LindbladGenerator,
     for L in gen.jump_operators:
         pattern += np.abs(L)
     support = rho != 0
-    T = _reachable_entries(scipy.sparse.csr_matrix(pattern),
-                           support.any(axis=0) | support.any(axis=1))
+    return _reachable_entries(scipy.sparse.csr_matrix(pattern),
+                              support.any(axis=0) | support.any(axis=1))
+
+
+def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
+                     T: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """The block of S on the vec(rho) entries R that the support of rho reaches, and R.
+
+    T is _reachable_states(gen, rho); R is found, and S cut to it, from the
+    assembly of the block T x T alone.
+    """
+    D = gen.dimension
     S = _superoperator_csr(gen, T)
     sub = _reachable_entries(S, rho[np.ix_(T, T)].ravel(order="F"))
     return S[sub][:, sub], T[sub % T.size] + D * T[sub // T.size]
@@ -351,8 +367,12 @@ def _reachable_block(gen: LindbladGenerator,
 class _Recorder:
     """Accumulates observables while the reachable block of vec(rho) marches forward.
 
-    S is the superoperator restricted to the entries R; each sample is
-    scattered back into the full density matrix before it is measured.
+    S is the superoperator restricted to the sorted vec(rho) entries R.
+    Every observable and invariant is read from the block vector through
+    index maps built here once: the positions of the diagonal entries, the
+    position of each entry's mirror (l, k), the position of each recorded
+    coherence, and the connected components of the touched basis states.
+    Only snapshots are scattered into the full density matrix.
     """
 
     def __init__(self, gen: LindbladGenerator, config: PropagationConfig,
@@ -361,9 +381,14 @@ class _Recorder:
         self.S = S
         self.R = R
         self.dim = dim = gen.dimension
-        # rows and columns of rho that no entry of R touches stay zero, so
-        # its spectrum is the touched block's plus that many zeros
-        self.touched = np.union1d(R % dim, R // dim)
+        rows, cols = R % dim, R // dim
+        diag = np.flatnonzero(rows == cols)
+        self.diag_pos, self.diag_state = diag, rows[diag]
+        # position in R of each entry's mirror, and of each coherence; -1
+        # points at the zero that pads the copy of the block vector
+        self.mirror = self._positions(cols + dim * rows)
+        self.padded = np.zeros(R.size + 1, dtype=complex)
+        self._components(rows, cols)
         n = config.times.size
         basis = gen.basis
         if basis is not None:
@@ -382,34 +407,94 @@ class _Recorder:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"coherence index pair {(i, j)} out of range")
         self.coherences = {pair: np.zeros(n, dtype=complex) for pair in config.coherences}
+        self.coherence_pos = self._positions(
+            np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
         self.snapshots: list[np.ndarray] = []
         self.snapshot_times: list[float] = []
 
+    def _positions(self, entries: np.ndarray) -> np.ndarray:
+        """Position of each vec(rho) entry in R, or -1 where R lacks it."""
+        pos = np.searchsorted(self.R, entries)
+        inside = pos < self.R.size
+        inside[inside] = self.R[pos[inside]] == entries[inside]
+        return np.where(inside, pos, -1)
+
+    def _components(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Index maps for lambda_min: rho is block diagonal over the components.
+
+        The graph on the touched basis states has an edge k - l for each
+        entry (k, l) of R; rho[k, l] = 0 between components. Components of
+        equal size m are stacked into one (count, m, m) array, so each size
+        costs one batched eigvalsh. A state no entry touches adds a zero
+        eigenvalue.
+        """
+        dim = self.dim
+        touched = np.union1d(rows, cols)
+        self.untouched = touched.size < dim
+        graph = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                        shape=(dim, dim))
+        graph = graph + graph.T
+        label = np.full(dim, -1)
+        count = 0
+        for state in touched:
+            if label[state] < 0:
+                start = np.zeros(dim, dtype=bool)
+                start[state] = True
+                label[_closure(graph, start)] = count
+                count += 1
+        sizes = np.bincount(label[touched])
+        # local index of each state inside its component, in sorted order
+        order = np.argsort(label[touched], kind="stable")
+        local = np.empty(dim, dtype=np.int64)
+        local[touched[order]] = np.arange(touched.size) - np.repeat(np.cumsum(sizes) - sizes,
+                                                                    sizes)
+        comp = label[rows]
+        self.blocks = []
+        for m in np.unique(sizes):
+            members = np.flatnonzero(sizes == m)
+            slot = np.empty(sizes.size, dtype=np.int64)
+            slot[members] = np.arange(members.size)
+            pos = np.flatnonzero(sizes[comp] == m)
+            dest = (slot[comp[pos]] * m + local[rows[pos]]) * m + local[cols[pos]]
+            self.blocks.append((members.size, int(m), pos, dest))
+        self.positivity_blocks = {"count": count, "largest": int(sizes.max())}
+
     def record(self, k: int, t: float, v: np.ndarray) -> None:
-        """Store observables for slot k; raise InvariantViolation on a broken bound."""
+        """Store observables for slot k; raise InvariantViolation on a broken bound.
+
+        Nothing here keeps a reference to v, which the integrator updates in place.
+        """
         cfg = self.config
-        w = np.zeros(self.dim * self.dim, dtype=complex)
-        w[self.R] = v
-        rho = w.reshape(self.dim, self.dim, order="F")
-        defect = float(np.abs(rho - rho.conj().T).max())
+        dim = self.dim
+        padded = self.padded
+        padded[:-1] = v
+        defect = float(np.abs(padded[:-1] - padded[self.mirror].conj()).max())
         self.hermiticity_defect[k] = defect
-        tr = rho.trace()
+        # the diagonal scattered into a length-D vector sums as rho.trace() does
+        diag = np.zeros(dim, dtype=complex)
+        diag[self.diag_state] = v[self.diag_pos]
+        tr = diag.sum()
         self.trace[k] = tr.real
         if self.occ.shape[1]:
-            self.populations[k] = np.real(np.diag(rho)) @ self.occ
+            self.populations[k] = diag.real @ self.occ
         self.purity[k] = float(np.vdot(v, v).real)
         self.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
-        block = rho[np.ix_(self.touched, self.touched)]
-        lam_min = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
-        if self.touched.size < self.dim:
-            lam_min = min(lam_min, 0.0)
+        lam_min = 0.0 if self.untouched else math.inf
+        for count, m, pos, dest in self.blocks:
+            block = np.zeros(count * m * m, dtype=complex)
+            block[dest] = v[pos]
+            block = block.reshape(count, m, m)
+            lam_min = min(lam_min, float(np.linalg.eigvalsh(
+                0.5 * (block + block.conj().transpose(0, 2, 1))).min()))
         self.min_eigenvalue[k] = lam_min
-        for pair, series in self.coherences.items():
-            series[k] = rho[pair]
+        for series, pos in zip(self.coherences.values(), self.coherence_pos):
+            series[k] = padded[pos]
         want_snap = cfg.snapshots == "all" or (
             cfg.snapshots == "last" and k == cfg.times.size - 1)
         if want_snap:
-            self.snapshots.append(rho)
+            full = np.zeros(dim * dim, dtype=complex)
+            full[self.R] = v
+            self.snapshots.append(full.reshape(dim, dim, order="F"))
             self.snapshot_times.append(t)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
@@ -419,12 +504,21 @@ class _Recorder:
         if lam_min < -POSITIVITY_TOL:
             raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
 
-    def finish(self, method: str, dt: float) -> Trajectory:
+    def finish(self, method: str, dt: float, states: int, rk4_substeps: int,
+               expm_actions: int) -> Trajectory:
+        """The trajectory, with the run's invariant extremes and work counters."""
         meta = {
             "method": method,
             "dt": dt,
             "dimension": self.dim,
             "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
+            "states": states,
+            "nnz": int(self.S.nnz),
+            "rk4_substeps": rk4_substeps,
+            # four per Runge-Kutta substep, one per sample for the purity rate
+            "matvecs": 4 * rk4_substeps + self.config.times.size,
+            "expm_actions": expm_actions,
+            "positivity_blocks": self.positivity_blocks,
             "max_trace_error": float(np.abs(self.trace - 1.0).max()),
             "min_eigenvalue_floor": float(self.min_eigenvalue.min()),
             "max_hermiticity_defect": float(self.hermiticity_defect.max()),
@@ -439,15 +533,41 @@ class _Recorder:
             snapshot_times=self.snapshot_times, metadata=meta)
 
 
+def _rk4_steps(S: scipy.sparse.csr_matrix, v: np.ndarray, h: float, n: int) -> None:
+    """Advance v in place by n classic fourth-order Runge-Kutta steps of size h.
+
+    For dv/dt = S v the four-stage step equals the nested (Horner) form
+    v + hS(v + (h/2)S(v + (h/3)S(v + (h/4)S v))): still four products with
+    S, but one work vector updated in place instead of four stage vectors.
+    """
+    h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
+    for _ in range(n):
+        w = S @ v
+        w *= h4
+        w += v
+        w = S @ w
+        w *= h3
+        w += v
+        w = S @ w
+        w *= h2
+        w += v
+        w = S @ w
+        w *= h
+        v += w
+
+
 def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times."""
     rho = _as_density(gen, state)
     if config.sector_filter == "auto":
-        S, R = _reachable_block(gen, rho)
+        T = _reachable_states(gen, rho)
+        S, R = _reachable_block(gen, rho, T)
+        states = int(T.size)
     else:
         S = _superoperator_csr(gen)
         R = np.arange(rho.size)
+        states = gen.dimension
     v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
@@ -467,21 +587,17 @@ def propagate(gen: LindbladGenerator, state: StateLike,
                 rec.record(k, times[k], v)
         finally:
             np.random.set_state(saved)
-        return rec.finish(config.method, math.nan)
+        return rec.finish(config.method, math.nan, states, 0, times.size - 1)
 
     dt = config.dt
+    substeps = 0
     for k in range(1, times.size):
         gap = float(times[k] - times[k - 1])
         n_sub = max(1, math.ceil(gap / dt))
-        h = gap / n_sub
-        for _ in range(n_sub):
-            k1 = S @ v
-            k2 = S @ (v + (0.5 * h) * k1)
-            k3 = S @ (v + (0.5 * h) * k2)
-            k4 = S @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rk4_steps(S, v, gap / n_sub, n_sub)
+        substeps += n_sub
         rec.record(k, times[k], v)
-    return rec.finish(config.method, dt)
+    return rec.finish(config.method, dt, states, substeps, 0)
 
 
 @dataclass
@@ -534,6 +650,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     superoperator at D = 64; a larger one raises ValueError before any dense
     work.
     """
+    import scipy.linalg
     from scipy.sparse.csgraph import connected_components
 
     D = gen.dimension

@@ -130,6 +130,22 @@ class TestRun:
         meta = json.loads((out / "pump.meta.json").read_text())
         assert meta["propagation"]["dt"] == 5e-4
 
+    def test_meta_reports_engine_counters(self, tmp_path, pump_config):
+        # 8 gaps of 0.25 at dt 1e-3 (each rounds up to 250 or 251 substeps),
+        # four products per substep plus one per sample for the purity rate
+        out = tmp_path / "out"
+        assert main(["run", pump_config, "--output", str(out)]) == 0
+        prop = json.loads((out / "pump.meta.json").read_text())["propagation"]
+        times = np.linspace(0.0, 2.0, 9)
+        substeps = sum(max(1, int(np.ceil(g / 1e-3))) for g in np.diff(times))
+        assert prop["rk4_substeps"] == substeps
+        assert prop["matvecs"] == 4 * substeps + 9
+        assert prop["expm_actions"] == 0
+        assert prop["states"] == 4
+        assert prop["reachable"] == {"entries": 6, "of": 16}
+        assert prop["nnz"] > 0
+        assert prop["positivity_blocks"] == {"count": 3, "largest": 2}
+
     def test_seed_override_on_seeded_preset(self, tmp_path):
         cfg = write_config(tmp_path / "noisy.yaml", {
             "preset": "open_chain_pump",
@@ -288,6 +304,51 @@ class TestSweep:
         })
         assert main(["sweep", cfg, "--output", str(tmp_path),
                      "--workers", workers]) == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_errors_name_the_point(self, tmp_path, workers, capsys):
+        # the first failing point, in value order, is the one reported
+        cfg = write_config(tmp_path / "blowup.yaml", {
+            "preset": "two_site_pump",
+            "dt": 50.0,
+            "sweep": {"path": "params.J", "values": [1.0, 2.0],
+                      "observable": "population:2", "at_times": [50.0]},
+        })
+        assert main(["sweep", cfg, "--output", str(tmp_path),
+                     "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: params.J=1.0: " in err
+        bad = write_config(tmp_path / "bad.yaml", {
+            "preset": "two_site_pump",
+            "sweep": {"path": "params.gamma_in", "values": [0.2, -1.0],
+                      "observable": "population:2", "at_times": [1.0]},
+        })
+        assert main(["sweep", bad, "--output", str(tmp_path),
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert "error: params.gamma_in=-1.0: two_site_pump: need J > 0" in err
+
+    def test_dt_override_reaches_every_point(self, tmp_path):
+        # a sweep point at --dt equals run at --dt on the same grid, and a
+        # coarse substep visibly moves the RK4 result
+        base = {"preset": "four_site_congestion",
+                "params": {"J": 1.0, "gamma": 0.1, "excitations": 1, "gamma_b": 0.5},
+                "observables": ["population:4"]}
+        sweep = write_config(tmp_path / "sw.yaml", {
+            **base, "sweep": {"path": "params.gamma_b", "values": [0.5],
+                              "observable": "population:4", "at_times": [5.0]}})
+        single = write_config(tmp_path / "one.yaml", {**base, "times": [0.0, 5.0]})
+        got = {}
+        for dt in (None, "0.5"):
+            flag = [] if dt is None else ["--dt", dt]
+            out = tmp_path / f"dt{dt}"
+            assert main(["sweep", sweep, "--output", str(out), *flag]) == 0
+            assert main(["run", single, "--output", str(out), *flag]) == 0
+            _, sweep_rows = read_tsv(out / "sw_sweep.tsv")
+            _, run_rows = read_tsv(out / "one.tsv")
+            assert sweep_rows[0][2] == run_rows[1][1]
+            got[dt] = sweep_rows[0][2]
+        assert got[None] != got["0.5"]
 
     def test_logspace_values(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

@@ -1,10 +1,16 @@
 """Tests for superoperators, propagation, the reachable-subspace reduction, and steady states."""
 
+import contextlib
+import math
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import breadth_first_order
 
 from lindnet.dynamics import (
     InvariantViolation,
@@ -12,6 +18,9 @@ from lindnet.dynamics import (
     PropagationConfig,
     _reachable_block,
     _reachable_entries,
+    _reachable_states,
+    _Recorder,
+    _rk4_steps,
     _superoperator_csr,
     build_superoperator,
     lindblad_apply,
@@ -45,6 +54,69 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = A @ A.conj().T
     return rho / rho.trace()
+
+
+def draw_raw_case(data):
+    """A raw 2-3 qubit generator and a sparse initial matrix, drawn with hypothesis.
+
+    H is sparse; each jump has two columns feeding one row (so L^dag L has
+    off-diagonal entries) plus up to two random entries; the initial
+    matrix's coherences need not sit on occupied diagonal entries. The
+    generator carries a qubit basis, which changes neither S nor R.
+    """
+    qubits = data.draw(st.integers(2, 3), label="qubits")
+    D = 2 ** qubits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pair = st.tuples(st.integers(0, D - 1), st.integers(0, D - 1))
+
+    def sparse(pairs):
+        M = np.zeros((D, D), dtype=complex)
+        for i, j in pairs:
+            M[i, j] = complex(*rng.normal(size=2))
+        return M
+
+    A = sparse(data.draw(st.lists(pair, max_size=D), label="H"))
+    jumps = []
+    for _ in range(data.draw(st.integers(1, 2), label="jumps")):
+        row = data.draw(st.integers(0, D - 1), label="row")
+        cols = data.draw(st.lists(st.integers(0, D - 1), min_size=2, max_size=2,
+                                  unique=True), label="cols")
+        jumps.append(sparse([(row, c) for c in cols]
+                            + data.draw(st.lists(pair, max_size=2), label="L")))
+    basis = build_basis([SiteDescriptor(str(k), "qubit", 2) for k in range(qubits)])
+    gen = LindbladGenerator(A + A.conj().T, tuple(jumps), basis)
+    rho = sparse(data.draw(st.lists(pair, min_size=1, max_size=3), label="support"))
+    return gen, rho, rng
+
+
+def reference_record(gen: LindbladGenerator, R: np.ndarray, v: np.ndarray, pairs):
+    """Observables read the plain way: v scattered into the full density matrix."""
+    D = gen.dimension
+    w = np.zeros(D * D, dtype=complex)
+    w[R] = v
+    rho = w.reshape(D, D, order="F")
+    touched = np.union1d(R % D, R // D)
+    block = rho[np.ix_(touched, touched)]
+    lam = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+    if touched.size < D:
+        lam = min(lam, 0.0)
+    return {"defect": float(np.abs(rho - rho.conj().T).max()),
+            "trace": rho.trace().real,
+            "populations": np.real(np.diag(rho)) @ gen.basis.occupation_table,
+            "min_eigenvalue": lam,
+            "coherences": [rho[p] for p in pairs],
+            "snapshot": rho}
+
+
+def classic_rk4(S, v: np.ndarray, h: float, n: int) -> np.ndarray:
+    """n four-stage Runge-Kutta steps written out stage by stage."""
+    for _ in range(n):
+        k1 = S @ v
+        k2 = S @ (v + (0.5 * h) * k1)
+        k3 = S @ (v + (0.5 * h) * k2)
+        k4 = S @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
 
 
 class TestLindbladGenerator:
@@ -231,6 +303,71 @@ class TestPropagation:
                       PropagationConfig(times=np.array([0.0, 1.0]),
                                         coherences=((0, 9),)))
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_horner_step_matches_classic_stages(self, data):
+        # random sparse complex blocks on non-uniform grids, split into
+        # substeps per gap as propagate splits them
+        n = data.draw(st.integers(1, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = data.draw(st.floats(0.1, 1.0), label="density")
+        S = scipy.sparse.random(n, n, density=density, format="csr", rng=rng,
+                                dtype=complex, data_rvs=lambda k: (rng.normal(size=k)
+                                                                   + 1j * rng.normal(size=k)))
+        gaps = data.draw(st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=5), label="gaps")
+        dt = data.draw(st.floats(1e-3, 0.2), label="dt")
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = v.copy()
+        for gap in gaps:
+            n_sub = max(1, math.ceil(gap / dt))
+            _rk4_steps(S, v, gap / n_sub, n_sub)
+            ref = classic_rk4(S, ref, gap / n_sub, n_sub)
+            np.testing.assert_allclose(v, ref, rtol=0,
+                                       atol=1e-12 * max(1.0, float(np.abs(ref).max())))
+
+    @pytest.mark.parametrize("sector_filter", ["auto", "off"])
+    def test_work_counters(self, sector_filter):
+        # substeps are sum over gaps of max(1, ceil(gap / dt)); each takes four
+        # products with S, and each sample one more for the purity rate
+        run = preset("two_site_pump")
+        gen = LindbladGenerator.from_network(run.spec)
+        times = np.array([0.0, 0.05, 0.3, 0.31, 1.0])
+        dt = 0.1
+        substeps = sum(max(1, math.ceil(g / dt)) for g in np.diff(times))
+        assert substeps == 1 + 3 + 1 + 7
+        rk = propagate(gen, run.initial, PropagationConfig(
+            times=times, dt=dt, sector_filter=sector_filter)).metadata
+        ex = propagate(gen, run.initial, PropagationConfig(
+            times=times, method="superoperator_expm", sector_filter=sector_filter)).metadata
+        if sector_filter == "auto":
+            rho0 = run.initial.to_density().matrix
+            T = _reachable_states(gen, rho0)
+            block, _ = _reachable_block(gen, rho0, T)
+            states, nnz = int(T.size), block.nnz
+            # the four populations and the coherence pair of one excitation:
+            # rho is block diagonal over {|00>}, {|10>, |01>} and {|11>}
+            assert states == 4 and rk["reachable"]["entries"] == 6
+            assert rk["positivity_blocks"] == {"count": 3, "largest": 2}
+        else:
+            states, nnz = 4, _superoperator_csr(gen).nnz
+            assert rk["positivity_blocks"] == {"count": 1, "largest": 4}
+        assert rk["states"] == ex["states"] == states
+        assert rk["nnz"] == ex["nnz"] == nnz
+        assert (rk["rk4_substeps"], rk["matvecs"], rk["expm_actions"]) == (
+            substeps, 4 * substeps + times.size, 0)
+        assert (ex["rk4_substeps"], ex["matvecs"], ex["expm_actions"]) == (
+            0, times.size, times.size - 1)
+        assert ex["positivity_blocks"] == rk["positivity_blocks"]
+
+    def test_invariant_violation_pickles_with_its_point(self):
+        exc = InvariantViolation("trace", 1.5, 2e-3, 1e-9, "params.J=2.0")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is InvariantViolation
+        assert str(back) == str(exc)
+        assert str(back).startswith("params.J=2.0: trace invariant violated at t=1.5")
+        assert (back.invariant, back.time, back.value, back.bound, back.point) == (
+            "trace", 1.5, 2e-3, 1e-9, "params.J=2.0")
+
 
 class TestSectorFilter:
     """sector_filter='auto' integrates the reachable entries of vec(rho).
@@ -332,35 +469,73 @@ class TestSectorFilter:
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_state_restriction_matches_full_search(self, data):
-        # raw 2-3 qubit generators: sparse H, jumps with two columns feeding
-        # one row (so L^dag L has off-diagonal entries), and initial vectors
-        # whose coherences need not sit on occupied diagonal entries
-        D = 2 ** data.draw(st.integers(2, 3), label="qubits")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        pair = st.tuples(st.integers(0, D - 1), st.integers(0, D - 1))
-
-        def sparse(pairs):
-            M = np.zeros((D, D), dtype=complex)
-            for i, j in pairs:
-                M[i, j] = complex(*rng.normal(size=2))
-            return M
-
-        A = sparse(data.draw(st.lists(pair, max_size=D), label="H"))
-        jumps = []
-        for _ in range(data.draw(st.integers(1, 2), label="jumps")):
-            row = data.draw(st.integers(0, D - 1), label="row")
-            cols = data.draw(st.lists(st.integers(0, D - 1), min_size=2, max_size=2,
-                                      unique=True), label="cols")
-            jumps.append(sparse([(row, c) for c in cols]
-                                + data.draw(st.lists(pair, max_size=2), label="L")))
-        gen = LindbladGenerator(A + A.conj().T, tuple(jumps))
-        rho = sparse(data.draw(st.lists(pair, min_size=1, max_size=3), label="support"))
-
+        gen, rho, _ = draw_raw_case(data)
         S_full = _superoperator_csr(gen)
         R_full = _reachable_entries(S_full, rho.ravel(order="F"))
-        block, R = _reachable_block(gen, rho)
+        block, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
         np.testing.assert_array_equal(R, R_full)
         assert np.array_equal(block.toarray(), S_full[R_full][:, R_full].toarray())
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_recorder_matches_full_scatter(self, data):
+        # the recorder reads on R through index maps; the reference scatters
+        # each sample into the full matrix. Samples: a diagonally dominant
+        # hermitian matrix cut to R (every block positive, mirrors exact),
+        # the same with small noise, and a random vector
+        gen, rho, rng = draw_raw_case(data)
+        D = gen.dimension
+        S, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
+        A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        X = A + A.conj().T
+        X += np.diag(np.abs(X).sum(axis=1) + 1.0)
+        x = X.ravel(order="F")[R]
+        noise = np.array([1.0, 1j]) @ rng.normal(size=(2, R.size))
+        samples = [x, x + 1e-3 * noise, rng.normal(size=R.size) + 1j * noise]
+        pairs = tuple(data.draw(st.lists(st.tuples(st.integers(0, D - 1),
+                                                   st.integers(0, D - 1)),
+                                         max_size=4, unique=True), label="pairs"))
+        pairs += ((int(R[0] % D), int(R[0] // D)),)
+        config = PropagationConfig(times=np.arange(float(len(samples))),
+                                   coherences=pairs, snapshots="all")
+        rec = _Recorder(gen, config, S, R)
+        for k, v in enumerate(samples):
+            # a sample that breaks a bound is stored before the bound is checked
+            with contextlib.suppress(InvariantViolation):
+                rec.record(k, float(k), v)
+            ref = reference_record(gen, R, v, pairs)
+            assert rec.hermiticity_defect[k] == ref["defect"]
+            assert rec.trace[k] == ref["trace"]
+            assert np.array_equal(rec.populations[k], ref["populations"])
+            assert abs(rec.min_eigenvalue[k] - ref["min_eigenvalue"]) <= 1e-12
+            assert [rec.coherences[p][k] for p in pairs] == ref["coherences"]
+            assert np.array_equal(rec.snapshots[k], ref["snapshot"])
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_reachable_entries_match_breadth_first_order(self, data):
+        # complex patterns with purely imaginary and explicitly stored zero
+        # entries, against csgraph's search from a virtual source node
+        n = data.draw(st.integers(1, 12), label="n")
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.sampled_from([1.0, 1j, -0.5j, 2.0, 0.0])),
+                                   max_size=3 * n, unique_by=lambda c: c[:2]),
+                          label="cells")
+        rows, cols, vals = zip(*cells) if cells else ((), (), ())
+        S = scipy.sparse.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                                    shape=(n, n))
+        v0 = np.zeros(n, dtype=complex)
+        v0[data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                     label="support")] = 1.0
+        T = S.tocoo()
+        keep = T.data != 0
+        sources = np.flatnonzero(v0)
+        G = scipy.sparse.csr_matrix(
+            (np.ones(int(keep.sum()) + sources.size),
+             (np.concatenate([T.col[keep], np.full(sources.size, n)]),
+              np.concatenate([T.row[keep], sources]))), shape=(n + 1, n + 1))
+        order = breadth_first_order(G, n, directed=True, return_predecessors=False)
+        np.testing.assert_array_equal(_reachable_entries(S, v0), np.sort(order[1:]))
 
     def test_declines_for_number_changing_jumps(self):
         spec = NetworkSpec(

@@ -16,16 +16,32 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-def test_cli_import_leaves_graph_and_solver_modules_unloaded():
-    # csgraph and sparse.linalg are imported inside the functions that use
-    # them, so starting the command line does not pay for either
+def _run_python(code: str, cwd=None) -> str:
     import lindnet
 
     src = str(Path(lindnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lindnet.cli; print([m for m in "
-            "('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+                          text=True, check=True, timeout=120, cwd=cwd)
+    return done.stdout.strip().splitlines()[-1]
+
+
+_HEAVY = "('scipy.linalg', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
+
+
+def test_cli_import_leaves_graph_and_solver_modules_unloaded():
+    # scipy.linalg, csgraph and sparse.linalg are imported inside the
+    # functions that use them, so starting the command line pays for none
+    code = f"import sys, lindnet.cli; print([m for m in {_HEAVY} if m in sys.modules])"
+    assert _run_python(code) == "[]"
+
+
+def test_rk4_run_leaves_graph_and_solver_modules_unloaded(tmp_path):
+    # an RK4 run searches, integrates and records with numpy and scipy.sparse only
+    (tmp_path / "short.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 0.5, num: 3}\n", encoding="utf-8")
+    code = ("import sys\nfrom lindnet import cli\n"
+            "assert cli.main(['run', 'short.yaml', '--output', 'out']) == 0\n"
+            f"print([m for m in {_HEAVY} if m in sys.modules])")
+    assert _run_python(code, cwd=tmp_path) == "[]"
