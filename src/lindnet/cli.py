@@ -49,6 +49,10 @@ from lindnet.observables import unitarity_distance
 
 FLOAT_FMT = "%.17g"
 
+# Every top-level key a configuration may hold; any other exits 1.
+CONFIG_KEYS = ("preset", "params", "network", "initial", "times", "observables",
+               "method", "dt", "sweep")
+
 
 class UsageError(Exception):
     """Bad command line or configuration; maps to exit code 1."""
@@ -92,7 +96,21 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a single mapping")
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        raise UsageError(f"config {path}: unknown keys {unknown}; "
+                         f"valid: {', '.join(CONFIG_KEYS)}")
     return data
+
+
+def _numbers(value, key: str) -> list[float]:
+    """The nonempty list of numbers under key, or a UsageError naming it."""
+    try:
+        if not isinstance(value, list) or not value:
+            raise TypeError
+        return [float(v) for v in value]
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be a nonempty list of numbers, got {value!r}") from None
 
 
 def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
@@ -129,7 +147,10 @@ def _build_run(cfg: dict, seed_override: int | None):
         raise UsageError("config must contain exactly one of 'preset' or 'network'")
     if has_preset:
         name = cfg["preset"]
-        params = dict(cfg.get("params", {}))
+        params = cfg.get("params", {})
+        if not isinstance(params, dict):
+            raise UsageError(f"params must be a mapping, got {params!r}")
+        params = dict(params)
         if seed_override is not None:
             if "seed" not in preset_defaults(name):
                 raise UsageError(f"preset {name!r} accepts no seed")
@@ -241,8 +262,6 @@ def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> Pro
             dt=float(dt_override if dt_override is not None else cfg.get("dt", 1e-3)),
             method=cfg.get("method", "fixed_step_rk4"),
             coherences=pairs,
-            snapshots=cfg.get("snapshots", "none"),
-            sector_filter=cfg.get("sector_filter", "auto"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -257,8 +276,10 @@ def _out_base(args, default_stem: str) -> Path:
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     gen, state, times, meta = _build_run(cfg, args.seed)
-    tokens = cfg.get("observables") or _default_observables(gen)
-    cols, pairs = _parse_observables(tokens, gen)
+    tokens = cfg.get("observables")
+    if tokens is not None and not isinstance(tokens, list):
+        raise UsageError(f"observables must be a list of tokens, got {tokens!r}")
+    cols, pairs = _parse_observables(tokens or _default_observables(gen), gen)
     pconfig = _propagation_config(cfg, times, pairs, args.dt)
     traj = propagate(gen, state, pconfig)
 
@@ -294,12 +315,18 @@ def _set_dotted(cfg: dict, path: str, value) -> None:
 
 def _sweep_values(block: dict) -> list[float]:
     if "values" in block:
-        return [float(v) for v in block["values"]]
+        return _numbers(block["values"], "sweep.values")
     if "logspace" in block:
         ls = block["logspace"]
-        return [float(v) for v in np.logspace(math.log10(float(ls["start"])),
-                                              math.log10(float(ls["stop"])),
-                                              int(ls["num"]))]
+        try:
+            start, stop, num = float(ls["start"]), float(ls["stop"]), int(ls["num"])
+        except (KeyError, TypeError, ValueError):
+            raise UsageError(f"sweep.logspace needs numbers start, stop and num, "
+                             f"got {ls!r}") from None
+        if not (start > 0 and stop > 0 and num >= 1):
+            raise UsageError(f"sweep.logspace needs start > 0, stop > 0 and num >= 1, "
+                             f"got {ls!r}")
+        return [float(v) for v in np.logspace(math.log10(start), math.log10(stop), num)]
     raise UsageError("sweep block needs 'values' or 'logspace'")
 
 
@@ -340,8 +367,12 @@ def _cmd_sweep(args) -> int:
     for key in ("path", "observable", "at_times"):
         if key not in block:
             raise UsageError(f"sweep block missing {key!r}")
+    path = block["path"]
+    if not isinstance(path, str) or path.split(".")[0] not in CONFIG_KEYS:
+        raise UsageError(f"sweep.path must be a dotted path under one of "
+                         f"{', '.join(CONFIG_KEYS)}, got {path!r}")
     values = _sweep_values(block)
-    at_times = [float(t) for t in block["at_times"]]
+    at_times = _numbers(block["at_times"], "sweep.at_times")
     token = str(block["observable"])
     cols, _ = _parse_observables([token], None)
     tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]
@@ -355,7 +386,7 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(t) for t in tasks]
 
-    name = block["path"].split(".")[-1]
+    name = path.split(".")[-1]
     header = [name, "t"] + _column_names(cols)
     rows = []
     for chunk in results:
@@ -441,8 +472,7 @@ def _validate_battery() -> tuple[list[str], bool]:
     run = preset("two_site_transfer", gamma=1.0)
     gen = LindbladGenerator.from_network(run.spec)
     times = np.linspace(0.0, 6.0, 61)
-    traj = propagate(gen, rho0, PropagationConfig(times=times, snapshots="all",
-                                                  sector_filter="off"))
+    traj = propagate(gen, rho0, PropagationConfig(times=times, snapshots="all"))
     err = max(float(np.abs(traj.snapshots[k]
                            - oracle.two_site_transfer_map(rho0, 1.0, t)).max())
               for k, t in enumerate(times))

@@ -1,9 +1,10 @@
 """Time evolution and steady states of Lindblad generators.
 
 The generator acts two ways: directly on a density matrix, and as a
-column-stacked sparse superoperator S. Propagation first finds the basis
-states that the rows and columns of the initial state's support reach in
-the sparsity pattern of H, the jump operators L and the products L^dag L,
+column-stacked sparse superoperator S. Propagation has one path, whatever
+the method or the recorded output. It first finds the basis states that
+the rows and columns of the initial state's support reach in the
+sparsity pattern of H, the jump operators L and the products L^dag L,
 and assembles S only on the block of vec(rho) those states span. In that
 block's sparsity graph it finds the entries the initial state can reach.
 Every other entry has zero derivative for all time, so both integrators,
@@ -38,6 +39,7 @@ from lindnet.hilbert import (
     DensityMatrix,
     ProductBasis,
     PureState,
+    check_density,
 )
 from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 
@@ -205,11 +207,9 @@ class PropagationConfig:
     times is the output grid; the initial state is taken at times[0]. dt is
     the integrator substep cap for the Runge-Kutta method. coherences are
     (row, col) index pairs of the full density matrix to record. snapshots is
-    'none', 'last', or 'all'. sector_filter 'auto' integrates only the
-    entries of vec(rho) reachable from the initial state's support in the
-    sparsity graph of the superoperator, which is exact, and assembles the
-    superoperator only on the basis states those entries can involve; 'off'
-    assembles it whole and integrates every entry.
+    'none', 'last', or 'all': which samples to keep as full density matrices.
+    Whatever is recorded, propagate integrates only the entries of vec(rho)
+    that the initial state's support reaches (see the module docstring).
     """
 
     times: np.ndarray
@@ -217,7 +217,6 @@ class PropagationConfig:
     method: str = "fixed_step_rk4"
     coherences: tuple[tuple[int, int], ...] = ()
     snapshots: str = "none"
-    sector_filter: str = "auto"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -236,8 +235,6 @@ class PropagationConfig:
                 "valid: fixed_step_rk4, superoperator_expm")
         if self.snapshots not in ("none", "last", "all"):
             raise ValueError("snapshots must be none, last, or all")
-        if self.sector_filter not in ("auto", "off"):
-            raise ValueError("sector_filter must be auto or off")
         pairs = tuple((int(i), int(j)) for i, j in self.coherences)
         object.__setattr__(self, "coherences", pairs)
 
@@ -256,7 +253,6 @@ class Trajectory:
     hermiticity_defect: np.ndarray
     coherences: dict[tuple[int, int], np.ndarray]
     snapshots: list[np.ndarray]
-    snapshot_times: list[float]
     metadata: dict = field(default_factory=dict)
 
     def population(self, label: str) -> np.ndarray:
@@ -282,14 +278,7 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
         rho = np.asarray(state, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
-        if float(np.abs(rho - rho.conj().T).max()) > HERMITICITY_TOL:
-            raise ValueError("initial state is not hermitian")
-        if abs(rho.trace() - 1.0) > TRACE_TOL:
-            raise ValueError(f"initial state trace {rho.trace():.12g} is not 1")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        if min_eig < -POSITIVITY_TOL:
-            raise ValueError(f"initial state has eigenvalue {min_eig:.3e} "
-                             f"below -{POSITIVITY_TOL}")
+        check_density(rho)
     if rho.shape[0] != gen.dimension:
         raise ValueError(
             f"state dimension {rho.shape[0]} does not match generator {gen.dimension}")
@@ -410,7 +399,6 @@ class _Recorder:
         self.coherence_pos = self._positions(
             np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
         self.snapshots: list[np.ndarray] = []
-        self.snapshot_times: list[float] = []
 
     def _positions(self, entries: np.ndarray) -> np.ndarray:
         """Position of each vec(rho) entry in R, or -1 where R lacks it."""
@@ -495,7 +483,6 @@ class _Recorder:
             full = np.zeros(dim * dim, dtype=complex)
             full[self.R] = v
             self.snapshots.append(full.reshape(dim, dim, order="F"))
-            self.snapshot_times.append(t)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
         if defect > PROPAGATION_HERMITICITY_TOL:
@@ -529,8 +516,7 @@ class _Recorder:
             purity_rate=self.purity_rate, trace=self.trace,
             min_eigenvalue=self.min_eigenvalue,
             hermiticity_defect=self.hermiticity_defect,
-            coherences=self.coherences, snapshots=self.snapshots,
-            snapshot_times=self.snapshot_times, metadata=meta)
+            coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
 
 
 def _rk4_steps(S: scipy.sparse.csr_matrix, v: np.ndarray, h: float, n: int) -> None:
@@ -560,14 +546,8 @@ def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times."""
     rho = _as_density(gen, state)
-    if config.sector_filter == "auto":
-        T = _reachable_states(gen, rho)
-        S, R = _reachable_block(gen, rho, T)
-        states = int(T.size)
-    else:
-        S = _superoperator_csr(gen)
-        R = np.arange(rho.size)
-        states = gen.dimension
+    T = _reachable_states(gen, rho)
+    S, R = _reachable_block(gen, rho, T)
     v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
@@ -587,7 +567,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
                 rec.record(k, times[k], v)
         finally:
             np.random.set_state(saved)
-        return rec.finish(config.method, math.nan, states, 0, times.size - 1)
+        return rec.finish(config.method, math.nan, T.size, 0, times.size - 1)
 
     dt = config.dt
     substeps = 0
@@ -597,7 +577,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
         _rk4_steps(S, v, gap / n_sub, n_sub)
         substeps += n_sub
         rec.record(k, times[k], v)
-    return rec.finish(config.method, dt, states, substeps, 0)
+    return rec.finish(config.method, dt, T.size, substeps, 0)
 
 
 @dataclass

@@ -21,6 +21,7 @@ __all__ = [
     "ProductBasis",
     "PureState",
     "DensityMatrix",
+    "check_density",
     "build_basis",
     "embed_site_operator",
     "embed_operator_product",
@@ -212,11 +213,7 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix over a ProductBasis, validated on construction.
-
-    Hermiticity within 1e-12 (max entry), trace within 1e-9 of one, smallest
-    eigenvalue >= -1e-9.
-    """
+    """Density matrix over a ProductBasis, validated by check_density on construction."""
 
     matrix: np.ndarray
     basis: ProductBasis
@@ -226,21 +223,27 @@ class DensityMatrix:
         D = self.basis.dimension
         if m.shape != (D, D):
             raise ValueError(f"matrix has shape {m.shape}, expected ({D}, {D})")
-        herm_dev = np.abs(m - m.conj().T).max()
-        if herm_dev > HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity deviation {herm_dev:.3e} beyond {HERMITICITY_TOL}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if min_eig < -POSITIVITY_TOL:
-            raise ValueError(f"smallest eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
+        check_density(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
+
+def check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless the square matrix m is a density matrix.
+
+    Hermiticity within 1e-12 (max entry), trace within 1e-9 of one, smallest
+    eigenvalue of the hermitian part >= -1e-9.
+    """
+    herm_dev = np.abs(m - m.conj().T).max()
+    if herm_dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not hermitian: Hermiticity deviation "
+                         f"{herm_dev:.3e} beyond {HERMITICITY_TOL}")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    if min_eig < -POSITIVITY_TOL:
+        raise ValueError(f"smallest eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
 
 
 def basis_state(basis: ProductBasis, occupations: Sequence[int]) -> PureState:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, ClassVar, Mapping, Union
 
 import numpy as np
 
@@ -74,58 +74,46 @@ class Transfer:
 
 
 @dataclass(frozen=True)
-class Injection:
+class _SiteJump:
+    """Jump on one site, L = sqrt(rate) op_kind; op_kind is set per subclass."""
+
+    site: str
+    rate: float
+    op_kind: ClassVar[str]
+
+    def __post_init__(self):
+        _check_rate(self.rate, f"{type(self).__name__.lower()} rate")
+
+
+class Injection(_SiteJump):
     """Incoherent filling of one site, L = sqrt(rate) raise."""
 
-    site: str
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate, "injection rate")
+    op_kind = "raise"
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(_SiteJump):
     """Incoherent draining of one site, L = sqrt(rate) lower."""
 
-    site: str
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate, "extraction rate")
+    op_kind = "lower"
 
 
-@dataclass(frozen=True)
-class Dissipation:
+class Dissipation(_SiteJump):
     """Local loss to the environment, L = sqrt(rate) lower."""
 
-    site: str
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate, "dissipation rate")
+    op_kind = "lower"
 
 
-@dataclass(frozen=True)
-class Dephasing:
+class Dephasing(_SiteJump):
     """Local phase noise, L = sqrt(rate) number."""
 
-    site: str
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate, "dephasing rate")
+    op_kind = "number"
 
 
 JumpProcess = Union[Transfer, Injection, Extraction, Dissipation, Dephasing]
 
-_JUMP_KINDS = {
-    "transfer": Transfer,
-    "injection": Injection,
-    "extraction": Extraction,
-    "dissipation": Dissipation,
-    "dephasing": Dephasing,
-}
+# the config and to_dict name each kind by its lowercased class name
+_JUMP_KINDS = {cls.__name__.lower(): cls
+               for cls in (Transfer, Injection, Extraction, Dissipation, Dephasing)}
 
 
 @dataclass(frozen=True)
@@ -203,6 +191,8 @@ class NetworkSpec:
         onsite = tuple((lbl, float(eps)) for lbl, eps in data.get("onsite", ()))
         jumps = []
         for j in data.get("jumps", ()):
+            if not isinstance(j, Mapping):
+                raise ValueError(f"jumps entry {j!r} must be a mapping with a kind")
             kind = j.get("kind")
             if kind not in _JUMP_KINDS:
                 raise ValueError(f"unknown jump kind {kind!r}")
@@ -235,14 +225,8 @@ def build_jump_operators(spec: NetworkSpec, basis: ProductBasis | None = None) -
         root = np.sqrt(j.rate)
         if isinstance(j, Transfer):
             L = embed_operator_product(basis, {j.source: "lower", j.target: "raise"})
-        elif isinstance(j, Injection):
-            L = embed_site_operator(basis, j.site, "raise")
-        elif isinstance(j, (Extraction, Dissipation)):
-            L = embed_site_operator(basis, j.site, "lower")
-        elif isinstance(j, Dephasing):
-            L = embed_site_operator(basis, j.site, "number")
-        else:  # pragma: no cover - union is closed
-            raise ValueError(f"unknown jump process {j!r}")
+        else:
+            L = embed_site_operator(basis, j.site, j.op_kind)
         ops.append(root * L)
     return ops
 

@@ -66,7 +66,7 @@ def test_criterion_01_transfer_channel_matches_closed_form():
             method = "fixed_step_rk4" if seed == 0 else "superoperator_expm"
             traj = _run(gen, rho0,
                         PropagationConfig(times=times, dt=1e-3, method=method,
-                                          snapshots="all", sector_filter="off"),
+                                          snapshots="all"),
                         "transfer-channel")
             gap = max(
                 float(np.abs(snap - oracle.two_site_transfer_map(rho0, gamma, t)).max())
@@ -455,13 +455,11 @@ def test_criterion_10_integrator_agreement_on_small_presets():
         times = np.linspace(0.0, horizon, 21)
         fixed = propagate(gen, run.initial,
                           PropagationConfig(times=times, dt=1e-3,
-                                            snapshots="last",
-                                            sector_filter="off"))
+                                            snapshots="last"))
         exact = propagate(gen, run.initial,
                           PropagationConfig(times=times,
                                             method="superoperator_expm",
-                                            snapshots="last",
-                                            sector_filter="off"))
+                                            snapshots="last"))
         assert np.abs(fixed.populations - exact.populations).max() <= 1e-8, name
         assert np.abs(fixed.purity - exact.purity).max() <= 1e-8, name
         assert np.abs(fixed.final_snapshot - exact.final_snapshot).max() <= 1e-8, name

@@ -16,6 +16,13 @@ def write_config(path, payload):
     return str(path)
 
 
+def readme_example(marker):
+    """The first yaml block of README.md after the marker text, loaded."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text(encoding="utf-8").split(marker, 1)[1]
+    return yaml.safe_load(example.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
 def read_tsv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split("\t")
@@ -113,9 +120,7 @@ class TestRun:
         assert len(rows[0]) == 4
 
     def test_readme_preset_example_runs(self, tmp_path):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        example = readme.read_text(encoding="utf-8").split("A preset configuration:", 1)[1]
-        payload = yaml.safe_load(example.split("```yaml\n", 1)[1].split("```", 1)[0])
+        payload = readme_example("A preset configuration:")
         payload["times"] = {"start": 0.0, "stop": 0.5, "num": 3}
         cfg = write_config(tmp_path / "readme.yaml", payload)
         out = tmp_path / "out"
@@ -123,6 +128,37 @@ class TestRun:
         header, _ = read_tsv(out / "readme.tsv")
         assert header == ["t", "population_1", "population_2", "coherence_1_2_re",
                           "coherence_1_2_im", "purity"]
+
+    def test_readme_network_example_runs(self, tmp_path):
+        payload = readme_example("An explicit network instead of a preset:")
+        payload["times"] = {"start": 0.0, "stop": 0.5, "num": 3}
+        cfg = write_config(tmp_path / "net.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_tsv(out / "net.tsv")
+        assert header[:4] == ["t", "population_1", "population_2", "population_b"]
+        assert len(rows) == 3
+
+    def test_readme_sweep_example_runs(self, tmp_path):
+        payload = readme_example("A sweep block reruns")
+        payload["sweep"]["logspace"]["num"] = 2
+        cfg = write_config(tmp_path / "sw.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--output", str(out)]) == 0
+        header, rows = read_tsv(out / "sw_sweep.tsv")
+        assert header == ["gamma_b", "t", "population_3"]
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("key", ["mehtod", "sector_filter", "snapshots"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
+        # a typo would otherwise run with the default silently
+        cfg = write_config(tmp_path / "typo.yaml", {
+            "preset": "two_site_pump", "times": [0.0, 0.1], key: "superoperator_expm"})
+        assert main(["run", cfg, "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown keys ['{key}']" in err
+        assert "preset, params, network, initial, times, observables, method, dt, sweep" in err
+        assert not (tmp_path / "typo.tsv").exists()
 
     def test_dt_override_is_recorded(self, tmp_path, pump_config):
         out = tmp_path / "out"
@@ -371,6 +407,42 @@ class TestSweep:
             "sweep": {"path": "params.J", "values": [1.0]},
         })
         assert main(["sweep", cfg, "--output", str(tmp_path)]) == 1
+
+
+_NETWORK = {"sites": [{"label": "1", "kind": "qubit", "dim": 2},
+                      {"label": "2", "kind": "qubit", "dim": 2}]}
+_SWEEP = {"path": "params.J", "values": [1.0], "observable": "population:2",
+          "at_times": [0.5]}
+
+
+class TestConfigValues:
+    """Malformed values exit 1 with an error line that names their key."""
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("run", {"network": {**_NETWORK, "jumps": ["transfer"]},
+                 "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "jumps"),
+        ("run", {"preset": "two_site_pump", "observables": "purity"}, "observables"),
+        ("run", {"preset": "two_site_pump", "params": 5}, "params"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "path": 5}},
+         "sweep.path"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "path": "parms.J"}},
+         "sweep.path"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {
+            **{k: v for k, v in _SWEEP.items() if k != "values"},
+            "logspace": {"start": 0.0, "stop": 1.0, "num": 3}}}, "sweep.logspace"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "values": []}},
+         "sweep.values"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "at_times": 0.5}},
+         "sweep.at_times"),
+    ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
+            "values", "at_times"])
+    def test_names_the_key(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path / "bad.yaml", payload)
+        assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSteady:

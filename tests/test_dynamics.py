@@ -119,6 +119,39 @@ def classic_rk4(S, v: np.ndarray, h: float, n: int) -> np.ndarray:
     return v
 
 
+def full_space_run(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray, pairs,
+                   method: str = "fixed_step_rk4", dt: float = 1e-3) -> dict:
+    """Observables of a run on every entry of vec(rho), with no reduction.
+
+    The whole superoperator is stepped by classic_rk4, split per gap as
+    propagate splits it, or by the dense exponential, and each sample is read
+    by reference_record; nothing is shared with propagate's recorder or
+    integrators.
+    """
+    D = gen.dimension
+    S = _superoperator_csr(gen)
+    v = rho0.ravel(order="F").astype(complex)
+    samples = []
+    for k, t in enumerate(times):
+        if k:
+            gap = float(t - times[k - 1])
+            if method == "superoperator_expm":
+                v = scipy.linalg.expm(gap * S.toarray()) @ v
+            else:
+                n = max(1, math.ceil(gap / dt))
+                v = classic_rk4(S, v, gap / n, n)
+        rec = reference_record(gen, np.arange(D * D), v, pairs)
+        rec["purity"] = float(np.vdot(v, v).real)
+        rec["purity_rate"] = 2.0 * float(np.vdot(v, S @ v).real)
+        samples.append(rec)
+    out = {name: np.array([rec[name] for rec in samples])
+           for name in ("populations", "purity", "purity_rate", "trace", "min_eigenvalue",
+                        "snapshot")}
+    out["coherences"] = {pair: np.array([rec["coherences"][m] for rec in samples])
+                         for m, pair in enumerate(pairs)}
+    return out
+
+
 class TestLindbladGenerator:
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValueError, match="hermitian"):
@@ -176,7 +209,7 @@ class TestPropagationConfig:
             PropagationConfig(times=np.array([0.0, 1.0]), dt=0.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("method", "euler"), ("snapshots", "sometimes"), ("sector_filter", "maybe")])
+        ("method", "euler"), ("snapshots", "sometimes")])
     def test_enum_fields(self, field, value):
         with pytest.raises(ValueError):
             PropagationConfig(times=np.array([0.0, 1.0]), **{field: value})
@@ -232,7 +265,6 @@ class TestPropagation:
         traj = propagate(gen, run.initial,
                          PropagationConfig(times=times, snapshots="last"))
         assert len(traj.snapshots) == 1
-        assert traj.snapshot_times == [2.0]
         assert traj.final_snapshot.shape == (4, 4)
 
     def test_expm_output_ignores_global_rng(self):
@@ -289,8 +321,7 @@ class TestPropagation:
         rho0[2, 2] = rho0[1, 1] = 0.5
         rho0[2, 1] = rho0[1, 2] = 0.5
         times = np.linspace(0.0, 2.0, 9)
-        traj = propagate(gen, rho0, PropagationConfig(times=times, coherences=(pair,),
-                                                      sector_filter="off"))
+        traj = propagate(gen, rho0, PropagationConfig(times=times, coherences=(pair,)))
         # the cross coherence decays at gamma / 2
         expect = 0.5 * np.exp(-0.5 * times)
         np.testing.assert_allclose(traj.coherences[pair].real, expect, atol=1e-9)
@@ -325,8 +356,7 @@ class TestPropagation:
             np.testing.assert_allclose(v, ref, rtol=0,
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
 
-    @pytest.mark.parametrize("sector_filter", ["auto", "off"])
-    def test_work_counters(self, sector_filter):
+    def test_work_counters(self):
         # substeps are sum over gaps of max(1, ceil(gap / dt)); each takes four
         # products with S, and each sample one more for the purity rate
         run = preset("two_site_pump")
@@ -335,22 +365,17 @@ class TestPropagation:
         dt = 0.1
         substeps = sum(max(1, math.ceil(g / dt)) for g in np.diff(times))
         assert substeps == 1 + 3 + 1 + 7
-        rk = propagate(gen, run.initial, PropagationConfig(
-            times=times, dt=dt, sector_filter=sector_filter)).metadata
+        rk = propagate(gen, run.initial, PropagationConfig(times=times, dt=dt)).metadata
         ex = propagate(gen, run.initial, PropagationConfig(
-            times=times, method="superoperator_expm", sector_filter=sector_filter)).metadata
-        if sector_filter == "auto":
-            rho0 = run.initial.to_density().matrix
-            T = _reachable_states(gen, rho0)
-            block, _ = _reachable_block(gen, rho0, T)
-            states, nnz = int(T.size), block.nnz
-            # the four populations and the coherence pair of one excitation:
-            # rho is block diagonal over {|00>}, {|10>, |01>} and {|11>}
-            assert states == 4 and rk["reachable"]["entries"] == 6
-            assert rk["positivity_blocks"] == {"count": 3, "largest": 2}
-        else:
-            states, nnz = 4, _superoperator_csr(gen).nnz
-            assert rk["positivity_blocks"] == {"count": 1, "largest": 4}
+            times=times, method="superoperator_expm")).metadata
+        rho0 = run.initial.to_density().matrix
+        T = _reachable_states(gen, rho0)
+        block, _ = _reachable_block(gen, rho0, T)
+        states, nnz = int(T.size), block.nnz
+        # the four populations and the coherence pair of one excitation:
+        # rho is block diagonal over {|00>}, {|10>, |01>} and {|11>}
+        assert states == 4 and rk["reachable"]["entries"] == 6
+        assert rk["positivity_blocks"] == {"count": 3, "largest": 2}
         assert rk["states"] == ex["states"] == states
         assert rk["nnz"] == ex["nnz"] == nnz
         assert (rk["rk4_substeps"], rk["matvecs"], rk["expm_actions"]) == (
@@ -370,7 +395,9 @@ class TestPropagation:
 
 
 class TestSectorFilter:
-    """sector_filter='auto' integrates the reachable entries of vec(rho).
+    """propagate integrates only the reachable entries of vec(rho).
+
+    full_space_run, which steps every entry, is the reference.
 
     The "declines" cases are those a number-conserving sector could not
     cover; the reachable reduction still applies to each of them.
@@ -392,24 +419,24 @@ class TestSectorFilter:
         inside = (basis.index((1, 0, 0)), basis.index((0, 1, 0)))
         outside = (basis.index((1, 1, 0)), basis.index((0, 0, 0)))
         times = np.linspace(0.0, 5.0, 11)
-        kw = dict(times=times, dt=5e-3, coherences=(inside, outside), snapshots="last")
-        on = propagate(gen, rho0, PropagationConfig(sector_filter="auto", **kw))
-        off = propagate(gen, rho0, PropagationConfig(sector_filter="off", **kw))
+        pairs = (inside, outside)
+        traj = propagate(gen, rho0, PropagationConfig(times=times, dt=5e-3, coherences=pairs,
+                                                    snapshots="last"))
+        ref = full_space_run(gen, rho0.to_density().matrix, times, pairs, dt=5e-3)
         # |100>, |010> and their coherences, plus |001> fed only by the jump
-        assert on.metadata["reachable"] == {"entries": 5, "of": 64}
-        assert off.metadata["reachable"] == {"entries": 64, "of": 64}
-        np.testing.assert_allclose(on.populations, off.populations, atol=1e-10)
-        np.testing.assert_allclose(on.purity, off.purity, atol=1e-10)
+        assert traj.metadata["reachable"] == {"entries": 5, "of": 64}
+        np.testing.assert_allclose(traj.populations, ref["populations"], atol=1e-10)
+        np.testing.assert_allclose(traj.purity, ref["purity"], atol=1e-10)
         # five basis states are never occupied; their zero eigenvalues set the floor
-        np.testing.assert_allclose(on.min_eigenvalue, off.min_eigenvalue, atol=1e-10)
-        np.testing.assert_allclose(on.coherences[inside], off.coherences[inside],
+        np.testing.assert_allclose(traj.min_eigenvalue, ref["min_eigenvalue"], atol=1e-10)
+        np.testing.assert_allclose(traj.coherences[inside], ref["coherences"][inside],
                                    atol=1e-10)
-        assert np.all(on.coherences[outside] == 0.0)
-        np.testing.assert_allclose(on.coherences[outside], off.coherences[outside],
+        assert np.all(traj.coherences[outside] == 0.0)
+        np.testing.assert_allclose(traj.coherences[outside], ref["coherences"][outside],
                                    atol=1e-10)
         # snapshots come back embedded in the full space
-        assert on.final_snapshot.shape == (8, 8)
-        np.testing.assert_allclose(on.final_snapshot, off.final_snapshot, atol=1e-10)
+        assert traj.final_snapshot.shape == (8, 8)
+        np.testing.assert_allclose(traj.final_snapshot, ref["snapshot"][-1], atol=1e-10)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -451,19 +478,18 @@ class TestSectorFilter:
         pairs = ((support[1], 0), (D - 1, 1))
         times = np.linspace(0.0, 2.0, 5)
         for method in ("fixed_step_rk4", "superoperator_expm"):
-            kw = dict(times=times, dt=1e-2, method=method, coherences=pairs,
-                      snapshots="all")
-            on = propagate(gen, rho0, PropagationConfig(sector_filter="auto", **kw))
-            off = propagate(gen, rho0, PropagationConfig(sector_filter="off", **kw))
-            assert on.metadata["reachable"]["entries"] <= bound
+            traj = propagate(gen, rho0, PropagationConfig(
+                times=times, dt=1e-2, method=method, coherences=pairs, snapshots="all"))
+            ref = full_space_run(gen, rho0, times, pairs, method, dt=1e-2)
+            assert traj.metadata["reachable"]["entries"] <= bound
             for name in ("populations", "purity", "purity_rate", "trace",
                          "min_eigenvalue"):
-                np.testing.assert_allclose(getattr(on, name), getattr(off, name),
+                np.testing.assert_allclose(getattr(traj, name), ref[name],
                                            atol=1e-10, err_msg=name)
             for pair in pairs:
-                np.testing.assert_allclose(on.coherences[pair], off.coherences[pair],
+                np.testing.assert_allclose(traj.coherences[pair], ref["coherences"][pair],
                                            atol=1e-10)
-            np.testing.assert_allclose(np.array(on.snapshots), np.array(off.snapshots),
+            np.testing.assert_allclose(np.array(traj.snapshots), ref["snapshot"],
                                        atol=1e-10)
 
     @given(data=st.data())

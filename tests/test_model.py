@@ -36,6 +36,21 @@ class TestJumpProcesses:
         with pytest.raises(ValueError, match="rate"):
             cls("1", -0.1)
 
+    @pytest.mark.parametrize("cls,kind", [(Injection, "injection"), (Extraction, "extraction"),
+                                          (Dissipation, "dissipation"), (Dephasing, "dephasing")])
+    def test_site_jump_identity(self, cls, kind):
+        # the shared base keeps each kind's name, message, equality and dict form
+        jump = cls("1", 0.2)
+        assert repr(jump) == f"{cls.__name__}(site='1', rate=0.2)"
+        assert jump == cls("1", 0.2)
+        assert all(jump != other("1", 0.2)
+                   for other in (Injection, Extraction, Dissipation, Dephasing)
+                   if other is not cls)
+        assert two_qubits(jumps=(jump,)).to_dict()["jumps"] == [
+            {"kind": kind, "site": "1", "rate": 0.2}]
+        with pytest.raises(ValueError, match=f"^{kind} rate must be a finite nonnegative"):
+            cls("1", float("nan"))
+
     def test_transfer_needs_two_sites(self):
         with pytest.raises(ValueError, match="distinct"):
             Transfer("1", "1", 0.5)
