@@ -103,14 +103,22 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _numbers(value, key: str) -> list[float]:
-    """The nonempty list of numbers under key, or a UsageError naming it."""
+def _number(value, key: str) -> float:
+    """value as a finite float, or a UsageError naming key."""
     try:
-        if not isinstance(value, list) or not value:
-            raise TypeError
-        return [float(v) for v in value]
+        x = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a nonempty list of numbers, got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise UsageError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def _numbers(value, key: str) -> list[float]:
+    """The nonempty list of finite numbers under key, or a UsageError naming it."""
+    if not isinstance(value, list) or not value:
+        raise UsageError(f"{key} must be a nonempty list of numbers, got {value!r}")
+    return [_number(v, f"each of {key}") for v in value]
 
 
 def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
@@ -123,9 +131,13 @@ def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
         missing = {"start", "stop", "num"} - set(spec)
         if missing:
             raise UsageError(f"times mapping missing keys: {sorted(missing)}")
-        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
+        num = _number(spec["num"], "times.num")
+        if not num >= 1:
+            raise UsageError(f"times.num must be at least 1, got {spec['num']!r}")
+        return np.linspace(_number(spec["start"], "times.start"),
+                           _number(spec["stop"], "times.stop"), int(num))
+    if isinstance(spec, list):
+        return np.asarray(_numbers(spec, "times"), dtype=float)
     raise UsageError("times must be a list or a {start, stop, num} mapping")
 
 
@@ -168,10 +180,14 @@ def _build_run(cfg: dict, seed_override: int | None):
     if not isinstance(init, dict):
         raise UsageError("network configs need an initial block")
     if "occupations" in init:
-        state = basis_state(basis, tuple(int(o) for o in init["occupations"]))
+        occupations = _numbers(init["occupations"], "initial.occupations")
+        state = basis_state(basis, tuple(int(o) for o in occupations))
     elif "dicke" in init:
         block = init["dicke"]
-        state = dicke_state(basis, list(block["sites"]), int(block["n"]))
+        if not isinstance(block, dict) or not {"sites", "n"} <= set(block):
+            raise UsageError(f"initial.dicke needs sites and n, got {block!r}")
+        state = dicke_state(basis, list(block["sites"]),
+                            int(_number(block["n"], "initial.dicke.n")))
     else:
         raise UsageError("initial block needs 'occupations' or 'dicke'")
     meta["initial"] = _jsonable(init)
@@ -256,13 +272,16 @@ def _write_meta(path: Path, payload: dict) -> None:
 
 
 def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> PropagationConfig:
+    """PropagationConfig with the dt and method that --dt or the config set, else its defaults."""
+    options = {}
+    if dt_override is not None:
+        options["dt"] = dt_override
+    elif "dt" in cfg:
+        options["dt"] = _number(cfg["dt"], "dt")
+    if "method" in cfg:
+        options["method"] = cfg["method"]
     try:
-        return PropagationConfig(
-            times=times,
-            dt=float(dt_override if dt_override is not None else cfg.get("dt", 1e-3)),
-            method=cfg.get("method", "fixed_step_rk4"),
-            coherences=pairs,
-        )
+        return PropagationConfig(times=times, coherences=pairs, **options)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -373,6 +392,9 @@ def _cmd_sweep(args) -> int:
                          f"{', '.join(CONFIG_KEYS)}, got {path!r}")
     values = _sweep_values(block)
     at_times = _numbers(block["at_times"], "sweep.at_times")
+    # every point starts at t = 0; a negative time would move that origin
+    if not all(t >= 0 for t in at_times):
+        raise UsageError(f"sweep.at_times must not be negative, got {block['at_times']!r}")
     token = str(block["observable"])
     cols, _ = _parse_observables([token], None)
     tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]

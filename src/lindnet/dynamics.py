@@ -19,7 +19,9 @@ and the connected components of the touched basis states, over which rho
 is block diagonal. Only snapshots are scattered into the full density
 matrix. Steady states split the entries of vec(rho) into the weakly
 connected components of the whole sparsity graph of S and take each
-block's null space by a dense SVD.
+block's null space by a dense SVD. Their hermitian parts are found on the
+entries of the blocks that hold a null vector, through the recorder's
+position map; only the state and directions are scattered to D x D.
 """
 
 from __future__ import annotations
@@ -353,6 +355,14 @@ def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
     return S[sub][:, sub], T[sub % T.size] + D * T[sub // T.size]
 
 
+def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Position of each vec(rho) entry in the sorted entries R, or -1 where R lacks it."""
+    pos = np.searchsorted(R, entries)
+    inside = pos < R.size
+    inside[inside] = R[pos[inside]] == entries[inside]
+    return np.where(inside, pos, -1)
+
+
 class _Recorder:
     """Accumulates observables while the reachable block of vec(rho) marches forward.
 
@@ -375,7 +385,7 @@ class _Recorder:
         self.diag_pos, self.diag_state = diag, rows[diag]
         # position in R of each entry's mirror, and of each coherence; -1
         # points at the zero that pads the copy of the block vector
-        self.mirror = self._positions(cols + dim * rows)
+        self.mirror = _positions(R, cols + dim * rows)
         self.padded = np.zeros(R.size + 1, dtype=complex)
         self._components(rows, cols)
         n = config.times.size
@@ -396,16 +406,9 @@ class _Recorder:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"coherence index pair {(i, j)} out of range")
         self.coherences = {pair: np.zeros(n, dtype=complex) for pair in config.coherences}
-        self.coherence_pos = self._positions(
-            np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
+        self.coherence_pos = _positions(
+            R, np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
         self.snapshots: list[np.ndarray] = []
-
-    def _positions(self, entries: np.ndarray) -> np.ndarray:
-        """Position of each vec(rho) entry in R, or -1 where R lacks it."""
-        pos = np.searchsorted(self.R, entries)
-        inside = pos < self.R.size
-        inside[inside] = self.R[pos[inside]] == entries[inside]
-        return np.where(inside, pos, -1)
 
     def _components(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Index maps for lambda_min: rho is block diagonal over the components.
@@ -601,22 +604,6 @@ class SteadyStateResult:
     blocks: dict[str, int]
 
 
-def _hermitian_coords(M: np.ndarray, iu: tuple) -> np.ndarray:
-    # isometric real coordinates for hermitian matrices (Frobenius metric)
-    return np.concatenate([np.real(np.diag(M)),
-                           math.sqrt(2.0) * M[iu].real,
-                           math.sqrt(2.0) * M[iu].imag])
-
-
-def _hermitian_from_coords(c: np.ndarray, D: int, iu: tuple) -> np.ndarray:
-    m = iu[0].size
-    out = np.zeros((D, D), dtype=complex)
-    out[iu] = (c[D:D + m] + 1j * c[D + m:]) / math.sqrt(2.0)
-    out = out + out.conj().T
-    out[np.diag_indices(D)] = c[:D]
-    return out
-
-
 def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     """All stationary solutions, solved block by block on the sparse superoperator.
 
@@ -629,6 +616,14 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     most DENSE_DIMENSION_LIMIT**2 = 4096 entries, the size of the whole dense
     superoperator at D = 64; a larger one raises ValueError before any dense
     work.
+
+    The blocks that hold a null vector are closed under the adjoint, since
+    S(X^dag) = S(X)^dag. On their sorted entries E each null vector X gives
+    the hermitian parts (X + X^dag)/2 and (X - X^dag)/2i, reading entry
+    (k, l) of X^dag from the mirror (l, k) in E. The real and imaginary
+    parts of the entries in E are isometric real coordinates for them, in
+    which one SVD gives a real orthonormal basis of the hermitian stationary
+    matrices and the trace is the sum over E's diagonal entries.
     """
     import scipy.linalg
     from scipy.sparse.csgraph import connected_components
@@ -670,7 +665,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
         scale = max(scale, float(sv[0]))
         near = sv <= _ZERO_TOL * max(1.0, bound)
         candidates.append((idx, U[:, near], sv[near], Vh[near]))
-    null_vectors = []
+    held = []
     zero_eigenvalues = []
     for idx, U, sv, Vh in candidates:
         null = sv <= _ZERO_TOL * scale
@@ -679,44 +674,43 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
         # columns of N are null vectors; B N = U diag(sv) on them
         N = Vh[null].conj().T
         zero_eigenvalues.append(scipy.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null])))
-        for col in N.T:
-            v = np.zeros(n, dtype=complex)
-            v[idx] = col
-            null_vectors.append(v)
-    if not null_vectors:
+        held.append((idx, N.T))
+    if not held:
         raise ValueError("generator has no stationary mode within tolerance")
     zero_eigenvalues = np.concatenate(zero_eigenvalues)
 
-    # stationary subspace is closed under the adjoint, so split each null
-    # vector into two hermitian parts and find the real span
-    iu = np.triu_indices(D, 1)
-    rows = []
-    for v in null_vectors:
-        X = v.reshape(D, D, order="F")
-        rows.append(_hermitian_coords(0.5 * (X + X.conj().T), iu))
-        rows.append(_hermitian_coords((X - X.conj().T) / 2j, iu))
-    M = np.array(rows)
+    # row r of X is null vector r on E; a mirror outside E reads the last column's zero
+    entries = np.concatenate([idx for idx, _ in held])
+    E = np.sort(entries)
+    X = np.zeros((sum(len(rows) for _, rows in held), E.size + 1), dtype=complex)
+    X[:, _positions(E, entries)] = scipy.linalg.block_diag(*[rows for _, rows in held])
+    X_adj = X[:, _positions(E, E // D + D * (E % D))].conj()
+    X = X[:, :-1]
+    parts = np.concatenate([0.5 * (X + X_adj), (X - X_adj) / 2j])
+    M = np.concatenate([parts.real, parts.imag], axis=1)
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(sv > _ZERO_TOL * max(1.0, sv[0])))
     if rank == 0:
         raise ValueError("stationary subspace has no hermitian element")
     span = Vt[:rank]
 
-    traces = span[:, :D].sum(axis=1)
+    traces = span[:, :E.size][:, E % D == E // D].sum(axis=1)
     tnorm2 = float(traces @ traces)
     if tnorm2 <= _ZERO_TOL:
         raise ValueError("stationary subspace carries no trace; "
                          "no normalizable steady state")
     g_coords = (traces / tnorm2) @ span
-    state = _hermitian_from_coords(g_coords, D, iu)
-
     kernel = span - np.outer(traces, g_coords)
     _, sv2, Vt2 = np.linalg.svd(kernel, full_matrices=False)
     keep = sv2 > _ZERO_TOL * max(1.0, sv2[0] if sv2.size else 1.0)
-    directions = tuple(_hermitian_from_coords(row, D, iu) for row in Vt2[keep])
+    coords = np.vstack([g_coords, Vt2[keep]])
+    full = np.zeros((len(coords), n), dtype=complex)
+    full[:, E] = coords[:, :E.size] + 1j * coords[:, E.size:]
+    # row-major D x D slices, transposed: each is a column-stacked vec(rho)
+    state, *directions = full.reshape(-1, D, D).transpose(0, 2, 1)
 
     residual = float(np.abs(S @ state.ravel(order="F")[order]).max())
-    return SteadyStateResult(state=state, directions=directions,
+    return SteadyStateResult(state=state, directions=tuple(directions),
                              multiplicity=rank,
                              zero_eigenvalues=zero_eigenvalues,
                              residual=residual,

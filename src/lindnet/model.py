@@ -187,8 +187,14 @@ class NetworkSpec:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid sites entry: {exc}") from exc
-        hoppings = tuple((a, b, float(amp)) for a, b, amp in data.get("hoppings", ()))
-        onsite = tuple((lbl, float(eps)) for lbl, eps in data.get("onsite", ()))
+        try:
+            hoppings = tuple((a, b, float(amp)) for a, b, amp in data.get("hoppings", ()))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid hoppings entry: {exc}") from exc
+        try:
+            onsite = tuple((lbl, float(eps)) for lbl, eps in data.get("onsite", ()))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid onsite entry: {exc}") from exc
         jumps = []
         for j in data.get("jumps", ()):
             if not isinstance(j, Mapping):

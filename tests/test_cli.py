@@ -434,8 +434,25 @@ class TestConfigValues:
          "sweep.values"),
         ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "at_times": 0.5}},
          "sweep.at_times"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "at_times": [-1.0, 0.5]}},
+         "sweep.at_times"),
+        ("run", {"network": _NETWORK, "initial": {"occupations": 5}, "times": [0.0, 1.0]},
+         "initial.occupations"),
+        ("run", {"network": _NETWORK, "initial": {"dicke": {"n": 1}}, "times": [0.0, 1.0]},
+         "initial.dicke"),
+        ("run", {"preset": "two_site_pump", "times": {"start": "a", "stop": 1, "num": 3}},
+         "times.start"),
+        ("run", {"preset": "two_site_pump", "times": [0, "x"]}, "times"),
+        ("run", {"preset": "two_site_pump", "times": {"start": 0, "stop": 1, "num": -2}},
+         "times.num"),
+        ("run", {"preset": "two_site_pump", "dt": "abc"}, "dt"),
+        ("run", {"network": {**_NETWORK, "hoppings": ["x"]},
+                 "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "hoppings"),
+        ("run", {"network": {**_NETWORK, "onsite": [["1"]]},
+                 "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "onsite"),
     ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
-            "values", "at_times"])
+            "values", "at_times", "at_times-negative", "occupations", "dicke", "times-start",
+            "times-list", "times-num", "dt", "hoppings", "onsite"])
     def test_names_the_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path / "bad.yaml", payload)
         assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1

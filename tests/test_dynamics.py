@@ -661,8 +661,28 @@ class TestSteadyStates:
         traces = K[np.arange(D) * (D + 1)].sum(axis=0)
         ref = K @ (traces.conj() / np.vdot(traces, traces).real)
         np.testing.assert_allclose(result.state, ref.reshape(D, D, order="F"), atol=1e-9)
-        for d in result.directions:
+        dirs = result.directions
+        assert len(dirs) == result.multiplicity - 1
+        for d in dirs:
             assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
+            np.testing.assert_allclose(d, d.conj().T, atol=1e-12)
+            assert abs(np.trace(d)) < 1e-10
+        gram = np.array([[np.vdot(a, b).real for b in dirs] for a in dirs])
+        np.testing.assert_allclose(gram.reshape(len(dirs), len(dirs)), np.eye(len(dirs)),
+                                   atol=1e-10)
+
+        # the hermitian parts of K's columns span the hermitian part of the
+        # null space, whose real dimension is K's complex one; state and
+        # directions add nothing to that span and span it themselves
+        def real_rank(mats):
+            rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+            return np.linalg.matrix_rank(rows, tol=1e-8)
+
+        cols = [k.reshape(D, D, order="F") for k in K.T]
+        ref_parts = [0.5 * (c + c.conj().T) for c in cols] + [(c - c.conj().T) / 2j for c in cols]
+        mine = [result.state, *dirs]
+        assert real_rank(ref_parts) == real_rank(ref_parts + mine) == real_rank(mine) \
+            == K.shape[1]
 
     def test_dimension_beyond_dense_limit(self):
         # seven decaying qubits, D = 128: the blocks are labelled by where
