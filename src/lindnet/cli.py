@@ -114,6 +114,14 @@ def _number(value, key: str) -> float:
     return x
 
 
+def _integer(value, key: str) -> int:
+    """value as an int, or a UsageError naming key; a fraction is not truncated."""
+    x = _number(value, key)
+    if not x.is_integer():
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _numbers(value, key: str) -> list[float]:
     """The nonempty list of finite numbers under key, or a UsageError naming it."""
     if not isinstance(value, list) or not value:
@@ -131,11 +139,11 @@ def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
         missing = {"start", "stop", "num"} - set(spec)
         if missing:
             raise UsageError(f"times mapping missing keys: {sorted(missing)}")
-        num = _number(spec["num"], "times.num")
-        if not num >= 1:
+        num = _integer(spec["num"], "times.num")
+        if num < 1:
             raise UsageError(f"times.num must be at least 1, got {spec['num']!r}")
         return np.linspace(_number(spec["start"], "times.start"),
-                           _number(spec["stop"], "times.stop"), int(num))
+                           _number(spec["stop"], "times.stop"), num)
     if isinstance(spec, list):
         return np.asarray(_numbers(spec, "times"), dtype=float)
     raise UsageError("times must be a list or a {start, stop, num} mapping")
@@ -181,13 +189,14 @@ def _build_run(cfg: dict, seed_override: int | None):
         raise UsageError("network configs need an initial block")
     if "occupations" in init:
         occupations = _numbers(init["occupations"], "initial.occupations")
-        state = basis_state(basis, tuple(int(o) for o in occupations))
+        state = basis_state(basis, tuple(_integer(o, "each of initial.occupations")
+                                         for o in occupations))
     elif "dicke" in init:
         block = init["dicke"]
         if not isinstance(block, dict) or not {"sites", "n"} <= set(block):
             raise UsageError(f"initial.dicke needs sites and n, got {block!r}")
         state = dicke_state(basis, list(block["sites"]),
-                            int(_number(block["n"], "initial.dicke.n")))
+                            _integer(block["n"], "initial.dicke.n"))
     else:
         raise UsageError("initial block needs 'occupations' or 'dicke'")
     meta["initial"] = _jsonable(init)
@@ -337,11 +346,12 @@ def _sweep_values(block: dict) -> list[float]:
         return _numbers(block["values"], "sweep.values")
     if "logspace" in block:
         ls = block["logspace"]
-        try:
-            start, stop, num = float(ls["start"]), float(ls["stop"]), int(ls["num"])
-        except (KeyError, TypeError, ValueError):
+        if not isinstance(ls, dict) or not {"start", "stop", "num"} <= set(ls):
             raise UsageError(f"sweep.logspace needs numbers start, stop and num, "
-                             f"got {ls!r}") from None
+                             f"got {ls!r}")
+        start = _number(ls["start"], "sweep.logspace.start")
+        stop = _number(ls["stop"], "sweep.logspace.stop")
+        num = _integer(ls["num"], "sweep.logspace.num")
         if not (start > 0 and stop > 0 and num >= 1):
             raise UsageError(f"sweep.logspace needs start > 0, stop > 0 and num >= 1, "
                              f"got {ls!r}")
@@ -403,6 +413,11 @@ def _cmd_sweep(args) -> int:
     # submit, so never ask for more than there are points
     workers = min(args.workers, len(tasks))
     if workers > 1:
+        # forked workers inherit the parent's modules: import the SciPy parts
+        # propagate uses once here instead of once in every worker
+        import scipy.sparse  # noqa: F401
+        if cfg.get("method") == "superoperator_expm":
+            import scipy.sparse.linalg  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

@@ -1,27 +1,37 @@
 """Time evolution and steady states of Lindblad generators.
 
 The generator acts two ways: directly on a density matrix, and as a
-column-stacked sparse superoperator S. Propagation has one path, whatever
-the method or the recorded output. It first finds the basis states that
-the rows and columns of the initial state's support reach in the
-sparsity pattern of H, the jump operators L and the products L^dag L,
-and assembles S only on the block of vec(rho) those states span. In that
-block's sparsity graph it finds the entries the initial state can reach.
-Every other entry has zero derivative for all time, so both integrators,
-fixed-step fourth-order Runge-Kutta and the action of the matrix
-exponential (one expm_multiply per output gap), run exactly on that block
-of S. Each jump of the models here shifts total occupation by a fixed
-amount, so the block stays inside the occupation-difference sectors the
-initial state touches, pumped and lossy runs included. Observables and
-invariants are read from the reachable entries through index maps built
-once per run: the diagonal, each entry's mirror, the recorded coherences
-and the connected components of the touched basis states, over which rho
-is block diagonal. Only snapshots are scattered into the full density
-matrix. Steady states split the entries of vec(rho) into the weakly
-connected components of the whole sparsity graph of S and take each
-block's null space by a dense SVD. Their hermitian parts are found on the
-entries of the blocks that hold a null vector, through the recorder's
-position map; only the state and directions are scattered to D x D.
+column-stacked sparse superoperator S. S is assembled in NumPy as
+canonical CSR arrays: each Kronecker term from the nonzeros of its two
+factors among H, the jump operators L and the products L^dag L, and the
+terms summed on the union of their patterns. No module here imports SciPy
+when it is loaded; only propagate imports it, for its products with S.
+
+Propagation has one path, whatever the method or the recorded output. It
+first finds the basis states that the rows and columns of the initial
+state's support reach in the sparsity pattern of H, every L and every
+L^dag L, and assembles S only on the block of vec(rho) those states span.
+In that block's sparsity graph it finds the entries the initial state can
+reach. Every other entry has zero derivative for all time, so both
+integrators, fixed-step fourth-order Runge-Kutta and the action of the
+matrix exponential (one expm_multiply per output gap), run exactly on
+that block of S, wrapped in a SciPy CSR matrix. Each jump of the models
+here shifts total occupation by a fixed amount, so the block stays inside
+the occupation-difference sectors the initial state touches, pumped and
+lossy runs included. Observables and invariants are read from the
+reachable entries through index maps built once per run: the diagonal,
+each entry's mirror, the recorded coherences and the connected components
+of the touched basis states, over which rho is block diagonal. Only
+snapshots are scattered into the full density matrix. The graph searches
+step a frontier with gathers and scatters over the edge arrays, and
+connected components come from min-label propagation.
+
+Steady states split the entries of vec(rho) into the weakly connected
+components of the whole sparsity graph of S and take each block's null
+space by a dense NumPy SVD, so they load no SciPy at all. Their hermitian
+parts are found on the entries of the blocks that hold a null vector,
+through the recorder's position map; only the state and directions are
+scattered to D x D.
 """
 
 from __future__ import annotations
@@ -29,10 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
-import scipy.sparse
 
 from lindnet.hilbert import (
     HERMITICITY_TOL,
@@ -153,10 +162,75 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _superoperator_csr(gen: LindbladGenerator,
-                       states: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+class _Csr(NamedTuple):
+    """A square sparse matrix as CSR arrays.
+
+    _superoperator_csr builds them canonical: sorted column indices, no
+    stored zeros. As a 3-tuple it is what scipy.sparse.csr_matrix takes.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+
+# A sparse term while S is assembled: sorted keys row * n + col of its
+# stored entries, and their values
+_Term = tuple[np.ndarray, np.ndarray]
+
+
+def _nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries of a dense matrix."""
+    rows, cols = np.nonzero(M)
+    return rows, cols, M[rows, cols]
+
+
+def _kron(a, b, d: int) -> _Term:
+    """kron(A, B) of two d x d factors, from the nonzeros of each."""
+    rows = (a[0][:, None] * d + b[0]).ravel()
+    cols = (a[1][:, None] * d + b[1]).ravel()
+    keys = rows * (d * d) + cols
+    order = np.argsort(keys)
+    return keys[order], (a[2][:, None] * b[2]).ravel()[order]
+
+
+def _combine(x: _Term, y: _Term, op) -> _Term:
+    """op(x, y) entrywise on the union pattern, as SciPy's CSR binop does it.
+
+    An entry absent from one side reads as 0, and exact zeros of the result
+    are dropped.
+    """
+    both = np.concatenate([x[0], y[0]])
+    # two sorted runs: the stable (merge) sort is linear here
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    first = np.ones(both.size, dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    slot = np.empty(both.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    keys = merged[first]
+    dtype = np.result_type(x[1], y[1])
+    a = np.zeros(keys.size, dtype=dtype)
+    b = np.zeros(keys.size, dtype=dtype)
+    a[slot[:x[0].size]] = x[1]
+    b[slot[x[0].size:]] = y[1]
+    out = op(a, b)
+    keep = out != 0
+    return keys[keep], out[keep]
+
+
+def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None) -> _Csr:
     """Column-stacked superoperator: d vec(rho)/dt = S vec(rho).
 
+    S = -i(I (x) H - H^T (x) I) plus, per jump, conj(L) (x) L - (I (x) L^dag L
+    + (L^dag L)^T (x) I)/2. Each Kronecker term is built from the nonzeros of
+    its two factors, and the terms are combined in that order and grouping,
+    each combination on the union of their patterns with exact zeros dropped.
     With a sorted array of basis states T, only the block on the entries
     rho[T[p], T[q]], indexed p + len(T) * q, is assembled from H, every L
     and every L^dag L cut to T x T. When S maps that block into itself,
@@ -171,24 +245,30 @@ def _superoperator_csr(gen: LindbladGenerator,
         jumps = [L[cut] for L in jumps]
         products = [LdL[cut] for LdL in products]
     D = H.shape[0]
-    eye = scipy.sparse.identity(D, dtype=complex, format="csr")
-    Hs = scipy.sparse.csr_matrix(H)
-    S = -1j * (scipy.sparse.kron(eye, Hs, format="csr")
-               - scipy.sparse.kron(Hs.T, eye, format="csr"))
+    n = D * D
+    eye = (np.arange(D), np.arange(D), np.ones(D, dtype=complex))
+
+    def sandwich(M, op):
+        # I (x) M op M^T (x) I
+        rows, cols, vals = _nonzeros(M)
+        return _combine(_kron(eye, (rows, cols, vals), D),
+                        _kron((cols, rows, vals), eye, D), op)
+
+    keys, vals = sandwich(H, np.subtract)
+    S = keys, vals * -1j
     for L, LdL in zip(jumps, products):
         # conj(L) (x) L from real products: NumPy may round a complex product
         # differently on its vector and scalar loops, so a complex kron of the
         # cut could differ in the last bit from the whole space's
-        Lr = scipy.sparse.csr_matrix(L.real)
-        Li = scipy.sparse.csr_matrix(L.imag)
-        S = S + (scipy.sparse.kron(Lr, Lr, format="csr")
-                 + scipy.sparse.kron(Li, Li, format="csr")
-                 + 1j * (scipy.sparse.kron(Lr, Li, format="csr")
-                         - scipy.sparse.kron(Li, Lr, format="csr")))
-        LdL = scipy.sparse.csr_matrix(LdL)
-        S = S - 0.5 * (scipy.sparse.kron(eye, LdL, format="csr")
-                       + scipy.sparse.kron(LdL.T, eye, format="csr"))
-    return S.tocsr()
+        Lr, Li = _nonzeros(L.real), _nonzeros(L.imag)
+        keys, vals = _combine(_kron(Lr, Li, D), _kron(Li, Lr, D), np.subtract)
+        gain = _combine(_combine(_kron(Lr, Lr, D), _kron(Li, Li, D), np.add),
+                        (keys, vals * 1j), np.add)
+        S = _combine(S, gain, np.add)
+        keys, vals = sandwich(LdL, np.add)
+        S = _combine(S, (keys, vals * 0.5), np.subtract)
+    keys, vals = S
+    return _Csr(vals, keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
 
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
@@ -199,7 +279,10 @@ def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
             f"dense superoperator for dimension {D} exceeds the "
             f"{DENSE_DIMENSION_LIMIT} limit; "
             "use the sparse propagation path instead")
-    return _superoperator_csr(gen).toarray()
+    S = _superoperator_csr(gen)
+    dense = np.zeros((D * D, D * D), dtype=complex)
+    dense[S.rows, S.indices] = S.data
+    return dense
 
 
 @dataclass(frozen=True)
@@ -287,40 +370,64 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
     return np.array(rho, dtype=complex)
 
 
-def _entry_graph(S: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """The sparsity pattern of S with unit weights: entry j feeds i where G[i, j] != 0.
-
-    The weights are ones: a product with S itself could cancel to zero, and
-    csgraph would cast its complex data to real, which zeroes every purely
-    imaginary -iH entry and drops its edge.
-    """
-    T = S.tocoo()
-    keep = T.data != 0
-    return scipy.sparse.csr_matrix((np.ones(int(keep.sum())), (T.row[keep], T.col[keep])),
-                                   shape=S.shape)
+def _entry_graph(S: _Csr) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (j, i) of the sparsity pattern of S: entry j feeds entry i where S[i, j] != 0."""
+    keep = S.data != 0
+    return S.indices[keep], S.rows[keep]
 
 
-def _closure(G: scipy.sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
-    """Mask of the nodes that the nodes of the start mask reach along edges j -> i of G.
+def _closure(src: np.ndarray, dst: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that the nodes of the start mask reach along the edges src -> dst.
 
-    Breadth-first: one sparse product moves the whole frontier a step.
+    Breadth-first: one gather over the edges' sources and one scatter to
+    their ends move the whole frontier a step.
     """
     seen = start.copy()
     frontier = start
     while frontier.any():
-        frontier = (G @ frontier > 0) & ~seen
+        reached = np.zeros_like(seen)
+        reached[dst[frontier[src]]] = True
+        frontier = reached & ~seen
         seen |= frontier
     return seen
 
 
-def _reachable_entries(S: scipy.sparse.csr_matrix, v0: np.ndarray) -> np.ndarray:
+def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count and labels of the weakly connected components of a graph on n nodes.
+
+    Components are numbered by their smallest node, as SciPy's
+    connected_components(..., connection="weak") numbers them. Min-label
+    propagation: each edge hooks the root of its larger end under the
+    smaller root, and pointer jumping then points every node at its root,
+    until no edge joins two roots. A root is the smallest node of its tree.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[src], root[dst]
+        low = np.minimum(a, b)
+        hooked = root.copy()
+        np.minimum.at(hooked, a, low)
+        np.minimum.at(hooked, b, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    first = root == np.arange(n)
+    return int(first.sum()), (np.cumsum(first) - 1)[root]
+
+
+def _reachable_entries(S: _Csr, v0: np.ndarray) -> np.ndarray:
     """Sorted vec(rho) entries that the support of v0 reaches under S.
 
     An entry that no path reaches from the initial support has zero
     derivative for all time, so propagating only the returned entries is
     exact.
     """
-    return np.flatnonzero(_closure(_entry_graph(S), v0 != 0))
+    return np.flatnonzero(_closure(*_entry_graph(S), v0 != 0))
 
 
 def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -338,12 +445,22 @@ def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     for L in gen.jump_operators:
         pattern += np.abs(L)
     support = rho != 0
-    return _reachable_entries(scipy.sparse.csr_matrix(pattern),
-                              support.any(axis=0) | support.any(axis=1))
+    dst, src = np.nonzero(pattern)
+    return np.flatnonzero(_closure(src, dst, support.any(axis=0) | support.any(axis=1)))
+
+
+def _cut(S: _Csr, sub: np.ndarray) -> _Csr:
+    """S restricted to the rows and columns of the sorted entries sub."""
+    pos = np.full(S.indptr.size - 1, -1)
+    pos[sub] = np.arange(sub.size)
+    rows, cols = pos[S.rows], pos[S.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    return _Csr(S.data[keep], cols[keep],
+                np.searchsorted(rows[keep], np.arange(sub.size + 1)))
 
 
 def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
-                     T: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+                     T: np.ndarray) -> tuple[_Csr, np.ndarray]:
     """The block of S on the vec(rho) entries R that the support of rho reaches, and R.
 
     T is _reachable_states(gen, rho); R is found, and S cut to it, from the
@@ -352,7 +469,7 @@ def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
     D = gen.dimension
     S = _superoperator_csr(gen, T)
     sub = _reachable_entries(S, rho[np.ix_(T, T)].ravel(order="F"))
-    return S[sub][:, sub], T[sub % T.size] + D * T[sub // T.size]
+    return _cut(S, sub), T[sub % T.size] + D * T[sub // T.size]
 
 
 def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -374,8 +491,7 @@ class _Recorder:
     Only snapshots are scattered into the full density matrix.
     """
 
-    def __init__(self, gen: LindbladGenerator, config: PropagationConfig,
-                 S: scipy.sparse.csr_matrix, R: np.ndarray):
+    def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S, R: np.ndarray):
         self.config = config
         self.S = S
         self.R = R
@@ -422,18 +538,12 @@ class _Recorder:
         dim = self.dim
         touched = np.union1d(rows, cols)
         self.untouched = touched.size < dim
-        graph = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
-                                        shape=(dim, dim))
-        graph = graph + graph.T
-        label = np.full(dim, -1)
-        count = 0
-        for state in touched:
-            if label[state] < 0:
-                start = np.zeros(dim, dtype=bool)
-                start[state] = True
-                label[_closure(graph, start)] = count
-                count += 1
+        _, label = _weak_components(dim, rows, cols)
+        # components are numbered by their smallest state; renumbered over
+        # the touched states, they keep that order
+        label[touched] = np.unique(label[touched], return_inverse=True)[1]
         sizes = np.bincount(label[touched])
+        count = sizes.size
         # local index of each state inside its component, in sorted order
         order = np.argsort(label[touched], kind="stable")
         local = np.empty(dim, dtype=np.int64)
@@ -522,7 +632,7 @@ class _Recorder:
             coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
 
 
-def _rk4_steps(S: scipy.sparse.csr_matrix, v: np.ndarray, h: float, n: int) -> None:
+def _rk4_steps(S, v: np.ndarray, h: float, n: int) -> None:
     """Advance v in place by n classic fourth-order Runge-Kutta steps of size h.
 
     For dv/dt = S v the four-stage step equals the nested (Horner) form
@@ -547,10 +657,16 @@ def _rk4_steps(S: scipy.sparse.csr_matrix, v: np.ndarray, h: float, n: int) -> N
 
 def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
-    """Integrate the master equation and record observables on config.times."""
+    """Integrate the master equation and record observables on config.times.
+
+    The reachable block is wrapped in a SciPy CSR matrix for its products.
+    """
+    import scipy.sparse
+
     rho = _as_density(gen, state)
     T = _reachable_states(gen, rho)
-    S, R = _reachable_block(gen, rho, T)
+    block, R = _reachable_block(gen, rho, T)
+    S = scipy.sparse.csr_matrix(block, shape=(R.size, R.size))
     v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
@@ -625,14 +741,11 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     which one SVD gives a real orthonormal basis of the hermitian stationary
     matrices and the trace is the sum over E's diagonal entries.
     """
-    import scipy.linalg
-    from scipy.sparse.csgraph import connected_components
-
     D = gen.dimension
     n = D * D
     S = _superoperator_csr(gen)
-    n_blocks, labels = connected_components(_entry_graph(S), directed=True,
-                                            connection="weak")
+    rows = S.rows
+    n_blocks, labels = _weak_components(n, *_entry_graph(S))
     sizes = np.bincount(labels)
     largest = int(sizes.max())
     cap = DENSE_DIMENSION_LIMIT * DENSE_DIMENSION_LIMIT
@@ -644,24 +757,23 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     # the largest singular value over all blocks is the 2-norm of S, at most
     # sqrt(|S|_1 |S|_inf); rows of Vh below the threshold for that bound are
     # the only candidates, so no block's full factors need to be kept
-    bound = math.sqrt(float(abs(S).sum(axis=0).max())
-                      * float(abs(S).sum(axis=1).max()))
-    # renumbered in stable label order, each block is a contiguous run of
-    # entries, so it is one diagonal slice of S. A row's entries all lie in
-    # its own block, so renumbering the column indices of the row-permuted S
-    # keeps them sorted and in their order: products with S sum as before.
-    # This also spares the temporaries of S[order][:, order].
+    size = np.abs(S.data)
+    bound = math.sqrt(float(np.bincount(S.indices, size, n).max())
+                      * float(np.bincount(rows, size, n).max()))
+    # grouped in stable label order, each block's entries come sorted, and so
+    # do the stored entries of S in its rows; local is an entry's place in its block
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
-    rank = np.empty(n, dtype=S.indices.dtype)
-    rank[order] = np.arange(n)
-    S = S[order]
-    S = scipy.sparse.csr_matrix((S.data, rank[S.indices], S.indptr), shape=(n, n))
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
+    stored = np.argsort(labels[rows], kind="stable")
+    stored_ends = np.cumsum(np.bincount(labels[rows], minlength=n_blocks))
     candidates = []
     scale = 1.0
-    for start, end in zip(ends - sizes, ends):
-        idx = order[start:end]
-        U, sv, Vh = scipy.linalg.svd(S[start:end, start:end].toarray())
+    for idx, k in zip(np.split(order, ends[:-1]), np.split(stored, stored_ends[:-1])):
+        block = np.zeros((idx.size, idx.size), dtype=complex)
+        block[local[rows[k]], local[S.indices[k]]] = S.data[k]
+        U, sv, Vh = np.linalg.svd(block)
         scale = max(scale, float(sv[0]))
         near = sv <= _ZERO_TOL * max(1.0, bound)
         candidates.append((idx, U[:, near], sv[near], Vh[near]))
@@ -673,7 +785,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
             continue
         # columns of N are null vectors; B N = U diag(sv) on them
         N = Vh[null].conj().T
-        zero_eigenvalues.append(scipy.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null])))
+        zero_eigenvalues.append(np.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null])))
         held.append((idx, N.T))
     if not held:
         raise ValueError("generator has no stationary mode within tolerance")
@@ -682,8 +794,11 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     # row r of X is null vector r on E; a mirror outside E reads the last column's zero
     entries = np.concatenate([idx for idx, _ in held])
     E = np.sort(entries)
-    X = np.zeros((sum(len(rows) for _, rows in held), E.size + 1), dtype=complex)
-    X[:, _positions(E, entries)] = scipy.linalg.block_diag(*[rows for _, rows in held])
+    X = np.zeros((sum(len(null) for _, null in held), E.size + 1), dtype=complex)
+    top = 0
+    for idx, null in held:
+        X[top:top + len(null), _positions(E, idx)] = null
+        top += len(null)
     X_adj = X[:, _positions(E, E // D + D * (E % D))].conj()
     X = X[:, :-1]
     parts = np.concatenate([0.5 * (X + X_adj), (X - X_adj) / 2j])
@@ -709,7 +824,9 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     # row-major D x D slices, transposed: each is a column-stacked vec(rho)
     state, *directions = full.reshape(-1, D, D).transpose(0, 2, 1)
 
-    residual = float(np.abs(S @ state.ravel(order="F")[order]).max())
+    terms = S.data * state.ravel(order="F")[S.indices]
+    residual = float(np.abs(np.bincount(rows, terms.real, n)
+                            + 1j * np.bincount(rows, terms.imag, n)).max())
     return SteadyStateResult(state=state, directions=tuple(directions),
                              multiplicity=rank,
                              zero_eigenvalues=zero_eigenvalues,

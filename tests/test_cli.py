@@ -450,9 +450,20 @@ class TestConfigValues:
                  "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "hoppings"),
         ("run", {"network": {**_NETWORK, "onsite": [["1"]]},
                  "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "onsite"),
+        # counts are not truncated: [0.6, 0] would start from the vacuum
+        ("run", {"network": _NETWORK, "initial": {"occupations": [0.6, 0]},
+                 "times": [0.0, 1.0]}, "initial.occupations"),
+        ("run", {"network": _NETWORK, "initial": {"dicke": {"sites": ["1", "2"], "n": 1.5}},
+                 "times": [0.0, 1.0]}, "initial.dicke.n"),
+        ("run", {"preset": "two_site_pump", "times": {"start": 0, "stop": 1, "num": 2.5}},
+         "times.num"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {
+            **{k: v for k, v in _SWEEP.items() if k != "values"},
+            "logspace": {"start": 0.1, "stop": 1.0, "num": 2.5}}}, "sweep.logspace.num"),
     ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
             "values", "at_times", "at_times-negative", "occupations", "dicke", "times-start",
-            "times-list", "times-num", "dt", "hoppings", "onsite"])
+            "times-list", "times-num", "dt", "hoppings", "onsite", "occupations-fraction",
+            "dicke-n-fraction", "times-num-fraction", "logspace-num-fraction"])
     def test_names_the_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path / "bad.yaml", payload)
         assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1

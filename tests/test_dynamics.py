@@ -10,18 +10,21 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from lindnet.dynamics import (
     InvariantViolation,
     LindbladGenerator,
     PropagationConfig,
+    _closure,
+    _Csr,
     _reachable_block,
     _reachable_entries,
     _reachable_states,
     _Recorder,
     _rk4_steps,
     _superoperator_csr,
+    _weak_components,
     build_superoperator,
     lindblad_apply,
     propagate,
@@ -36,7 +39,51 @@ from lindnet.model import (
     NetworkSpec,
     Transfer,
     preset,
+    preset_names,
 )
+
+
+def as_scipy(S: _Csr) -> scipy.sparse.csr_matrix:
+    n = S.indptr.size - 1
+    return scipy.sparse.csr_matrix(S, shape=(n, n))
+
+
+def scipy_superoperator(gen: LindbladGenerator,
+                        states: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+    """The superoperator assembled from SciPy's sparse kron and CSR sums, in
+    the same order and grouping as _superoperator_csr."""
+    H = gen.hamiltonian
+    jumps = gen.jump_operators
+    products = gen._dissipator_products
+    if states is not None:
+        cut = np.ix_(states, states)
+        H = H[cut]
+        jumps = [L[cut] for L in jumps]
+        products = [LdL[cut] for LdL in products]
+    D = H.shape[0]
+    eye = scipy.sparse.identity(D, dtype=complex, format="csr")
+    Hs = scipy.sparse.csr_matrix(H)
+    S = -1j * (scipy.sparse.kron(eye, Hs, format="csr")
+               - scipy.sparse.kron(Hs.T, eye, format="csr"))
+    for L, LdL in zip(jumps, products):
+        Lr = scipy.sparse.csr_matrix(L.real)
+        Li = scipy.sparse.csr_matrix(L.imag)
+        S = S + (scipy.sparse.kron(Lr, Lr, format="csr")
+                 + scipy.sparse.kron(Li, Li, format="csr")
+                 + 1j * (scipy.sparse.kron(Lr, Li, format="csr")
+                         - scipy.sparse.kron(Li, Lr, format="csr")))
+        LdL = scipy.sparse.csr_matrix(LdL)
+        S = S - 0.5 * (scipy.sparse.kron(eye, LdL, format="csr")
+                       + scipy.sparse.kron(LdL.T, eye, format="csr"))
+    return S.tocsr()
+
+
+def assert_same_csr(S: _Csr, ref: scipy.sparse.csr_matrix) -> None:
+    """Equal arrays, and equal bits in the data, so signed zeros match too."""
+    assert np.array_equal(S.data, ref.data)
+    assert np.array_equal(S.data.view(np.int64), ref.data.view(np.int64))
+    assert np.array_equal(S.indices, ref.indices)
+    assert np.array_equal(S.indptr, ref.indptr)
 
 
 def random_generator(seed: int, dim: int, n_jumps: int) -> LindbladGenerator:
@@ -129,7 +176,7 @@ def full_space_run(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray, 
     integrators.
     """
     D = gen.dimension
-    S = _superoperator_csr(gen)
+    S = as_scipy(_superoperator_csr(gen))
     v = rho0.ravel(order="F").astype(complex)
     samples = []
     for k, t in enumerate(times):
@@ -192,6 +239,22 @@ class TestSuperoperator:
         # vec(identity) is a left null vector of any Lindblad superoperator
         left = np.eye(4).ravel(order="F")
         assert np.abs(left @ S).max() < 1e-12
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_matches_scipy_assembly_on_presets(self, name):
+        run = preset(name)
+        gen = LindbladGenerator.from_network(run.spec)
+        T = _reachable_states(gen, run.initial.to_density().matrix)
+        assert_same_csr(_superoperator_csr(gen), scipy_superoperator(gen))
+        assert_same_csr(_superoperator_csr(gen, T), scipy_superoperator(gen, T))
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scipy_assembly_on_raw_generators(self, data):
+        gen, rho, _ = draw_raw_case(data)
+        T = _reachable_states(gen, rho)
+        assert_same_csr(_superoperator_csr(gen), scipy_superoperator(gen))
+        assert_same_csr(_superoperator_csr(gen, T), scipy_superoperator(gen, T))
 
     def test_dimension_bound(self):
         # D = 65 is one past the dense limit; refused before anything is built
@@ -371,7 +434,7 @@ class TestPropagation:
         rho0 = run.initial.to_density().matrix
         T = _reachable_states(gen, rho0)
         block, _ = _reachable_block(gen, rho0, T)
-        states, nnz = int(T.size), block.nnz
+        states, nnz = int(T.size), block.data.size
         # the four populations and the coherence pair of one excitation:
         # rho is block diagonal over {|00>}, {|10>, |01>} and {|11>}
         assert states == 4 and rk["reachable"]["entries"] == 6
@@ -500,7 +563,7 @@ class TestSectorFilter:
         R_full = _reachable_entries(S_full, rho.ravel(order="F"))
         block, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
         np.testing.assert_array_equal(R, R_full)
-        assert np.array_equal(block.toarray(), S_full[R_full][:, R_full].toarray())
+        assert_same_csr(block, as_scipy(S_full)[R_full][:, R_full])
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -524,7 +587,7 @@ class TestSectorFilter:
         pairs += ((int(R[0] % D), int(R[0] // D)),)
         config = PropagationConfig(times=np.arange(float(len(samples))),
                                    coherences=pairs, snapshots="all")
-        rec = _Recorder(gen, config, S, R)
+        rec = _Recorder(gen, config, as_scipy(S), R)
         for k, v in enumerate(samples):
             # a sample that breaks a bound is stored before the bound is checked
             with contextlib.suppress(InvariantViolation):
@@ -550,6 +613,7 @@ class TestSectorFilter:
         rows, cols, vals = zip(*cells) if cells else ((), (), ())
         S = scipy.sparse.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
                                     shape=(n, n))
+        assert S.has_canonical_format and S.nnz == len(cells)  # zeros stay stored
         v0 = np.zeros(n, dtype=complex)
         v0[data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
                      label="support")] = 1.0
@@ -561,7 +625,35 @@ class TestSectorFilter:
              (np.concatenate([T.col[keep], np.full(sources.size, n)]),
               np.concatenate([T.row[keep], sources]))), shape=(n + 1, n + 1))
         order = breadth_first_order(G, n, directed=True, return_predecessors=False)
-        np.testing.assert_array_equal(_reachable_entries(S, v0), np.sort(order[1:]))
+        np.testing.assert_array_equal(_reachable_entries(_Csr(S.data, S.indices, S.indptr), v0),
+                                      np.sort(order[1:]))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_graph_searches_match_csgraph(self, data):
+        # random directed graphs with isolated nodes, self-loops and
+        # duplicate edges
+        n = data.draw(st.integers(1, 30), label="n")
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=2 * n), label="edges")
+        src, dst = (np.array(e, dtype=np.int64) for e in zip(*edges)) if edges else (
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        G = scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+        count, labels = connected_components(G, directed=True, connection="weak")
+        mine = _weak_components(n, src, dst)
+        assert mine[0] == count
+        np.testing.assert_array_equal(mine[1], labels)
+        starts = data.draw(st.lists(node, min_size=1, unique=True), label="start")
+        start = np.zeros(n, dtype=bool)
+        start[starts] = True
+        # csgraph's search from a virtual source n joined to every start node
+        H = scipy.sparse.csr_matrix(
+            (np.ones(src.size + len(starts)),
+             (np.concatenate([src, np.full(len(starts), n)]),
+              np.concatenate([dst, starts]))), shape=(n + 1, n + 1))
+        reach = breadth_first_order(H, n, directed=True, return_predecessors=False)
+        np.testing.assert_array_equal(np.flatnonzero(_closure(src, dst, start)),
+                                      np.sort(reach[1:]))
 
     def test_declines_for_number_changing_jumps(self):
         spec = NetworkSpec(
@@ -709,6 +801,6 @@ class TestSteadyStates:
         def no_svd(*args, **kwargs):
             raise AssertionError("dense work started")
 
-        monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         with pytest.raises(ValueError, match=r"4225 entries, above the cap of 4096"):
             steady_states(gen)

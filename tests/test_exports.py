@@ -1,5 +1,6 @@
 """Every name a module lists in __all__ must exist in it, and the CLI imports lightly."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -31,17 +32,51 @@ _HEAVY = "('scipy.linalg', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
 
 
 def test_cli_import_leaves_graph_and_solver_modules_unloaded():
-    # scipy.linalg, csgraph and sparse.linalg are imported inside the
-    # functions that use them, so starting the command line pays for none
+    # SciPy is imported only inside propagate and a sweep's worker start, so
+    # starting the command line pays for none of it
     code = f"import sys, lindnet.cli; print([m for m in {_HEAVY} if m in sys.modules])"
     assert _run_python(code) == "[]"
 
 
 def test_rk4_run_leaves_graph_and_solver_modules_unloaded(tmp_path):
-    # an RK4 run searches, integrates and records with numpy and scipy.sparse only
+    # an RK4 run searches with NumPy and integrates and records with scipy.sparse only
     (tmp_path / "short.yaml").write_text(
         "preset: two_site_pump\ntimes: {start: 0.0, stop: 0.5, num: 3}\n", encoding="utf-8")
     code = ("import sys\nfrom lindnet import cli\n"
             "assert cli.main(['run', 'short.yaml', '--output', 'out']) == 0\n"
             f"print([m for m in {_HEAVY} if m in sys.modules])")
     assert _run_python(code, cwd=tmp_path) == "[]"
+
+
+def test_steady_loads_no_scipy(tmp_path):
+    # the steady solve assembles, searches and factors with NumPy alone
+    (tmp_path / "pump.yaml").write_text("preset: two_site_pump\n", encoding="utf-8")
+    code = ("import sys\nfrom lindnet import cli\n"
+            "assert cli.main(['steady', 'pump.yaml', '--output', 'out']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code, cwd=tmp_path) == "[]"
+
+
+def _import_time_nodes(node):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_level_scipy_import():
+    import lindnet
+
+    found = []
+    for path in sorted(Path(lindnet.__file__).parent.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
