@@ -483,12 +483,13 @@ def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
 class _Recorder:
     """Accumulates observables while the reachable block of vec(rho) marches forward.
 
-    S is the superoperator restricted to the sorted vec(rho) entries R.
-    Every observable and invariant is read from the block vector through
-    index maps built here once: the positions of the diagonal entries, the
-    position of each entry's mirror (l, k), the position of each recorded
-    coherence, and the connected components of the touched basis states.
-    Only snapshots are scattered into the full density matrix.
+    S is the superoperator restricted to the sorted vec(rho) entries R, as a
+    SciPy CSR matrix. Every observable and invariant is read from the block
+    vector through index maps built here once: the positions of the
+    diagonal entries, the position of each entry's mirror (l, k), the
+    position of each recorded coherence, and the connected components of
+    the touched basis states. Only snapshots are scattered into the full
+    density matrix.
     """
 
     def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S, R: np.ndarray):
