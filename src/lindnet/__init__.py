@@ -13,7 +13,6 @@ from lindnet.hilbert import (
     PureState,
     SiteDescriptor,
     basis_state,
-    build_basis,
     dicke_state,
     embed_site_operator,
 )

@@ -203,81 +203,68 @@ def _build_run(cfg: dict, seed_override: int | None):
     return gen, state, _resolve_times(cfg, None), meta
 
 
+_SCALARS = ("purity", "purity_rate", "trace", "min_eigenvalue", "hermiticity_defect")
+
+
 def _parse_observables(tokens, gen: LindbladGenerator | None):
-    """Returns (column specs, coherence index pairs). gen=None skips label checks."""
+    """Returns (columns, coherence index pairs) for the observable tokens.
+
+    Each column is (name, reader), where reader(traj) is that TSV column's
+    series in a Trajectory. No tokens means every site population, then
+    purity, purity_rate, trace and min_eigenvalue. gen=None skips label checks.
+    """
+    labels = tuple(s.label for s in gen.basis.sites) if gen is not None else None
+    if not tokens:
+        tokens = [f"population:{label}" for label in labels] + list(_SCALARS[:4])
     cols = []
     pairs = []
-    simple = {"purity", "purity_rate", "trace", "min_eigenvalue", "hermiticity_defect"}
-    labels = tuple(s.label for s in gen.basis.sites) if gen is not None and gen.basis else None
-    for tok in tokens:
-        tok = str(tok)
-        if tok in simple:
-            cols.append(("simple", tok))
+    for tok in map(str, tokens):
+        if tok in _SCALARS:
+            cols.append((tok, lambda traj, name=tok: getattr(traj, name)))
         elif tok.startswith("population:"):
             label = tok.split(":", 1)[1]
             if labels is not None and label not in labels:
                 raise UsageError(f"observable {tok!r}: no site labelled {label!r}")
-            cols.append(("population", label))
+            cols.append((f"population_{label}",
+                         lambda traj, label=label: traj.population(label)))
         elif tok.startswith("coherence:"):
             body = tok.split(":", 1)[1]
             try:
                 i, j = (int(part) for part in body.split(","))
             except ValueError:
                 raise UsageError(f"observable {tok!r}: expected coherence:<i>,<j>") from None
-            cols.append(("coherence", (i, j)))
+            cols.append((f"coherence_{i}_{j}_re",
+                         lambda traj, pair=(i, j): traj.coherences[pair].real))
+            cols.append((f"coherence_{i}_{j}_im",
+                         lambda traj, pair=(i, j): traj.coherences[pair].imag))
             pairs.append((i, j))
         else:
             raise UsageError(f"unknown observable {tok!r}")
     return cols, tuple(pairs)
 
 
-_DEFAULT_OBSERVABLES = ["purity", "purity_rate", "trace", "min_eigenvalue"]
+def _rows(cols, traj, samples) -> list[list[str]]:
+    """The formatted cells of cols at each sample index."""
+    series = [read(traj) for _, read in cols]
+    return [[_fmt(s[k]) for s in series] for k in samples]
 
 
-def _default_observables(gen: LindbladGenerator) -> list[str]:
-    front = [f"population:{s.label}" for s in gen.basis.sites] if gen.basis else []
-    return front + _DEFAULT_OBSERVABLES
-
-
-def _column_names(cols) -> list[str]:
-    names = []
-    for kind, arg in cols:
-        if kind == "simple":
-            names.append(arg)
-        elif kind == "population":
-            names.append(f"population_{arg}")
-        else:
-            i, j = arg
-            names.append(f"coherence_{i}_{j}_re")
-            names.append(f"coherence_{i}_{j}_im")
-    return names
-
-
-def _column_values(cols, traj, k: int) -> list[str]:
-    row = []
-    for kind, arg in cols:
-        if kind == "simple":
-            row.append(_fmt(getattr(traj, arg)[k]))
-        elif kind == "population":
-            row.append(_fmt(traj.population(arg)[k]))
-        else:
-            z = traj.coherences[arg][k]
-            row.append(_fmt(z.real))
-            row.append(_fmt(z.imag))
-    return row
-
-
-def _write_tsv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_outputs(args, suffix: str, cfg: dict, header: list[str], rows,
+                   meta: dict) -> None:
+    """Write <config stem><suffix>.tsv and .meta.json under --output; print the TSV path."""
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    base = outdir / (Path(args.config).stem + suffix)
+    tsv = base.with_suffix(".tsv")
+    with open(tsv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
-
-
-def _write_meta(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    payload = {"command": args.command, "version": __version__, "config": cfg, **meta}
+    with open(base.with_suffix(".meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"wrote {tsv}")
 
 
 def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> PropagationConfig:
@@ -295,37 +282,18 @@ def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> Pro
         raise UsageError(str(exc)) from exc
 
 
-def _out_base(args, default_stem: str) -> Path:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / default_stem
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     gen, state, times, meta = _build_run(cfg, args.seed)
     tokens = cfg.get("observables")
     if tokens is not None and not isinstance(tokens, list):
         raise UsageError(f"observables must be a list of tokens, got {tokens!r}")
-    cols, pairs = _parse_observables(tokens or _default_observables(gen), gen)
-    pconfig = _propagation_config(cfg, times, pairs, args.dt)
-    traj = propagate(gen, state, pconfig)
-
-    base = _out_base(args, Path(args.config).stem)
-    header = ["t"] + _column_names(cols)
-    rows = ([_fmt(traj.times[k])] + _column_values(cols, traj, k)
-            for k in range(traj.times.size))
-    tsv = base.with_suffix(".tsv")
-    _write_tsv(tsv, header, rows)
-    _write_meta(base.with_suffix(".meta.json"), {
-        "command": "run",
-        "version": __version__,
-        "config": cfg,
-        "columns": header,
-        "run_metadata": meta,
-        "propagation": traj.metadata,
-    })
-    print(f"wrote {tsv}")
+    cols, pairs = _parse_observables(tokens, gen)
+    traj = propagate(gen, state, _propagation_config(cfg, times, pairs, args.dt))
+    cols = [("t", lambda traj: traj.times)] + cols
+    header = [name for name, _ in cols]
+    _write_outputs(args, "", cfg, header, _rows(cols, traj, range(times.size)),
+                   {"columns": header, "run_metadata": meta, "propagation": traj.metadata})
     return 0
 
 
@@ -379,11 +347,9 @@ def _sweep_one(task):
                                  point) from exc
     except (UsageError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{point}: {exc}") from exc
-    out = []
-    for t in at_times:
-        k = int(np.argmin(np.abs(times - t)))
-        out.append((value, float(times[k]), _column_values(cols, traj, k)))
-    return out
+    samples = [int(np.argmin(np.abs(times - t))) for t in at_times]
+    return [[_fmt(value), _fmt(times[k])] + cells
+            for k, cells in zip(samples, _rows(cols, traj, samples))]
 
 
 def _cmd_sweep(args) -> int:
@@ -406,6 +372,7 @@ def _cmd_sweep(args) -> int:
     if not all(t >= 0 for t in at_times):
         raise UsageError(f"sweep.at_times must not be negative, got {block['at_times']!r}")
     token = str(block["observable"])
+    # the header's names only; each point parses the token against its own generator
     cols, _ = _parse_observables([token], None)
     tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]
 
@@ -423,23 +390,10 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(t) for t in tasks]
 
-    name = path.split(".")[-1]
-    header = [name, "t"] + _column_names(cols)
-    rows = []
-    for chunk in results:
-        for value, t, payload in chunk:
-            rows.append([_fmt(value), _fmt(t)] + payload)
-    base = _out_base(args, Path(args.config).stem + "_sweep")
-    tsv = base.with_suffix(".tsv")
-    _write_tsv(tsv, header, rows)
-    _write_meta(base.with_suffix(".meta.json"), {
-        "command": "sweep",
-        "version": __version__,
-        "config": cfg,
-        "columns": header,
-        "n_points": len(values),
-    })
-    print(f"wrote {tsv}")
+    header = [path.split(".")[-1], "t"] + [name for name, _ in cols]
+    rows = [row for chunk in results for row in chunk]
+    _write_outputs(args, "_sweep", cfg, header, rows,
+                   {"columns": header, "n_points": len(values)})
     return 0
 
 
@@ -450,21 +404,13 @@ def _cmd_steady(args) -> int:
     else:
         gen, meta = _network_gen(cfg, args.seed)
     result = steady_states(gen)
-    labels = tuple(s.label for s in gen.basis.sites) if gen.basis else ()
-    pops = []
-    if labels:
-        occ = gen.basis.occupation_table
-        diag = np.real(np.diag(result.state))
-        pops = [float(diag @ occ[:, k]) for k in range(len(labels))]
-    base = _out_base(args, Path(args.config).stem + "_steady")
-    header = [f"population_{lbl}" for lbl in labels] + ["multiplicity", "residual"]
-    row = [_fmt(p) for p in pops] + [str(result.multiplicity), _fmt(result.residual)]
-    tsv = base.with_suffix(".tsv")
-    _write_tsv(tsv, header, [row])
-    _write_meta(base.with_suffix(".meta.json"), {
-        "command": "steady",
-        "version": __version__,
-        "config": cfg,
+    sites = gen.basis.sites
+    occ = gen.basis.occupation_table
+    diag = np.real(np.diag(result.state))
+    header = [f"population_{s.label}" for s in sites] + ["multiplicity", "residual"]
+    row = ([_fmt(float(diag @ occ[:, k])) for k in range(len(sites))]
+           + [str(result.multiplicity), _fmt(result.residual)])
+    _write_outputs(args, "_steady", cfg, header, [row], {
         "state_re": result.state.real,
         "state_im": result.state.imag,
         "multiplicity": result.multiplicity,
@@ -473,7 +419,6 @@ def _cmd_steady(args) -> int:
         "zero_eigenvalues": [complex(z) for z in result.zero_eigenvalues],
         "run_metadata": meta,
     })
-    print(f"wrote {tsv}")
     return 0
 
 
@@ -597,25 +542,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lindnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("config", help="YAML configuration file")
-        p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="integrator substep override")
-        p.add_argument("--seed", type=int, default=None, help="noise seed override")
-
     p_run = sub.add_parser("run", help="integrate one configuration")
-    common(p_run)
     p_run.set_defaults(func=_cmd_run)
-
     p_sweep = sub.add_parser("sweep", help="step one parameter and tabulate a readout")
-    common(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel sweep processes")
     p_sweep.set_defaults(func=_cmd_sweep)
-
     p_steady = sub.add_parser("steady", help="stationary state of a configuration")
-    common(p_steady)
     p_steady.set_defaults(func=_cmd_steady)
+    for p in (p_run, p_sweep, p_steady):
+        p.add_argument("config", help="YAML configuration file")
+        p.add_argument("--output", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="noise seed override")
+    # the substep only matters where something is integrated
+    for p in (p_run, p_sweep):
+        p.add_argument("--dt", type=float, default=None, help="integrator substep override")
 
     p_val = sub.add_parser("validate", help="cross-check against closed forms")
     p_val.set_defaults(func=_cmd_validate)

@@ -420,6 +420,17 @@ def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.
     return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
+def _grouped(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order that groups the items by label, and each item's place in its group.
+
+    sizes[g] is the number of items labelled g.
+    """
+    order = np.argsort(labels, kind="stable")
+    local = np.empty(labels.size, dtype=np.int64)
+    local[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return order, local
+
+
 def _reachable_entries(S: _Csr, v0: np.ndarray) -> np.ndarray:
     """Sorted vec(rho) entries that the support of v0 reaches under S.
 
@@ -546,10 +557,8 @@ class _Recorder:
         sizes = np.bincount(label[touched])
         count = sizes.size
         # local index of each state inside its component, in sorted order
-        order = np.argsort(label[touched], kind="stable")
         local = np.empty(dim, dtype=np.int64)
-        local[touched[order]] = np.arange(touched.size) - np.repeat(np.cumsum(sizes) - sizes,
-                                                                    sizes)
+        local[touched] = _grouped(label[touched], sizes)[1]
         comp = label[rows]
         self.blocks = []
         for m in np.unique(sizes):
@@ -763,10 +772,8 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
                       * float(np.bincount(rows, size, n).max()))
     # grouped in stable label order, each block's entries come sorted, and so
     # do the stored entries of S in its rows; local is an entry's place in its block
-    order = np.argsort(labels, kind="stable")
+    order, local = _grouped(labels, sizes)
     ends = np.cumsum(sizes)
-    local = np.empty(n, dtype=np.int64)
-    local[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
     stored = np.argsort(labels[rows], kind="stable")
     stored_ends = np.cumsum(np.bincount(labels[rows], minlength=n_blocks))
     candidates = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "check_density",
-    "build_basis",
     "embed_site_operator",
     "embed_operator_product",
     "basis_state",
@@ -128,18 +127,6 @@ class ProductBasis:
                     f"occupation {eta} out of range for site {site.label!r}"
                 )
         return int(np.dot(np.asarray(occupations, dtype=np.int64), self._strides))
-
-
-def build_basis(sites: Iterable[SiteDescriptor | tuple]) -> ProductBasis:
-    """Build a ProductBasis from SiteDescriptors or (label, kind, dim) tuples."""
-    descs = []
-    for s in sites:
-        if isinstance(s, SiteDescriptor):
-            descs.append(s)
-        else:
-            label, kind, dim = s
-            descs.append(SiteDescriptor(label, kind, int(dim)))
-    return ProductBasis(tuple(descs))
 
 
 def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:

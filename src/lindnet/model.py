@@ -557,21 +557,21 @@ def preset_names() -> list[str]:
     return sorted(_PRESETS)
 
 
-def preset_defaults(name: str) -> dict:
+def _lookup(name: str) -> tuple[dict, Any, str]:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {preset_names()}")
-    return dict(_PRESETS[name][0])
+    return _PRESETS[name]
+
+
+def preset_defaults(name: str) -> dict:
+    return dict(_lookup(name)[0])
 
 
 def preset_description(name: str) -> str:
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; valid: {preset_names()}")
-    return _PRESETS[name][2]
+    return _lookup(name)[2]
 
 
 def preset(name: str, /, **overrides: Any) -> PresetRun:
     """Resolve a preset by name; keyword overrides replace its defaults."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; valid: {preset_names()}")
-    defaults, builder, _ = _PRESETS[name]
+    defaults, builder, _ = _lookup(name)
     return builder(_merge(defaults, overrides, name))

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "two_site_transfer_map",
     "spin_battery_rate",
-    "spin_battery_qubit_population",
     "four_site_single_excitation",
     "four_site_two_excitation_n4",
     "TwoSitePumpSolution",
@@ -71,15 +70,6 @@ def spin_battery_rate(gamma: float, s: float, n_tot: int) -> float:
     if not 0 <= n_tot <= dim:
         raise ValueError(f"n_tot must lie in 0..{dim}")
     return gamma * n_tot * (dim - n_tot)
-
-
-def spin_battery_qubit_population(gamma: float, s: float, n_tot: int,
-                                  t: np.ndarray) -> np.ndarray:
-    """Qubit population starting from qubit occupied, battery at n_tot - 1."""
-    if n_tot < 1:
-        raise ValueError("need at least one quantum in play")
-    rate = spin_battery_rate(gamma, s, n_tot)
-    return np.exp(-rate * np.asarray(t, dtype=float))
 
 
 def _coshm1_over_x2(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ import yaml
 
 from lindnet import oracle
 from lindnet.cli import main
+from lindnet.dynamics import LindbladGenerator, PropagationConfig, propagate
+from lindnet.model import preset
 
 
 def write_config(path, payload):
@@ -118,6 +120,43 @@ class TestRun:
         header, rows = read_tsv(out / "coh.tsv")
         assert header == ["t", "population_1", "coherence_1_2_re", "coherence_1_2_im"]
         assert len(rows[0]) == 4
+
+    def test_every_observable_kind_reads_its_series(self, tmp_path):
+        # each column is "%.17g" of its Trajectory series, and a sweep point on
+        # the same grid writes the same cells at 1 and 2 workers
+        scalars = ["purity", "purity_rate", "trace", "min_eigenvalue", "hermiticity_defect"]
+        times = [0.0, 0.5, 1.0, 2.0]
+        cfg = write_config(tmp_path / "all.yaml", {
+            "preset": "two_site_pump", "times": times,
+            "observables": scalars + ["population:2", "coherence:1,2"]})
+        assert main(["run", cfg, "--output", str(tmp_path / "run")]) == 0
+        header, rows = read_tsv(tmp_path / "run" / "all.tsv")
+        assert header == ["t"] + scalars + ["population_2", "coherence_1_2_re",
+                                            "coherence_1_2_im"]
+        run = preset("two_site_pump")
+        traj = propagate(LindbladGenerator.from_network(run.spec), run.initial,
+                         PropagationConfig(times=np.array(times), coherences=((1, 2),)))
+        series = ([traj.times] + [getattr(traj, name) for name in scalars]
+                  + [traj.population("2"), traj.coherences[(1, 2)].real,
+                     traj.coherences[(1, 2)].imag])
+        assert rows == [["%.17g" % s[k] for s in series] for k in range(len(times))]
+        assert float(rows[-1][-1]) != 0.0
+
+        cfg = write_config(tmp_path / "coh.yaml", {
+            "preset": "two_site_pump",
+            "sweep": {"path": "params.gamma_in", "values": [0.2, 0.4],
+                      "observable": "coherence:1,2", "at_times": times[1:]}})
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", cfg, "--output", str(out), "--workers", workers]) == 0
+            tables.append(read_tsv(out / "coh_sweep.tsv"))
+        assert tables[0] == tables[1]
+        header, sweep_rows = tables[0]
+        assert header == ["gamma_in", "t", "coherence_1_2_re", "coherence_1_2_im"]
+        # the preset's default gamma_in is 0.2, so the first point is the run
+        assert [r for r in sweep_rows if r[0] == "0.20000000000000001"] == [
+            ["0.20000000000000001"] + [row[0]] + row[-2:] for row in rows[1:]]
 
     def test_readme_preset_example_runs(self, tmp_path):
         payload = readme_example("A preset configuration:")
@@ -502,6 +541,13 @@ class TestSteady:
         assert main(["steady", cfg, "--output", str(out)]) == 0
         header, rows = read_tsv(out / "net_steady.tsv")
         assert rows[0][2] == "1"
+
+    def test_dt_flag_rejected(self, tmp_path, pump_config, capsys):
+        # nothing is integrated, so a substep would be ignored silently
+        out = tmp_path / "out"
+        assert main(["steady", pump_config, "--output", str(out), "--dt", "0.1"]) == 1
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reports_blocks(self, tmp_path):
         cfg = write_config(tmp_path / "dark.yaml", {"preset": "two_site_transfer"})

@@ -30,7 +30,7 @@ from lindnet.dynamics import (
     propagate,
     steady_states,
 )
-from lindnet.hilbert import SiteDescriptor, basis_state, build_basis
+from lindnet.hilbert import ProductBasis, SiteDescriptor, basis_state
 from lindnet.model import (
     Dephasing,
     Dissipation,
@@ -130,7 +130,7 @@ def draw_raw_case(data):
                                   unique=True), label="cols")
         jumps.append(sparse([(row, c) for c in cols]
                             + data.draw(st.lists(pair, max_size=2), label="L")))
-    basis = build_basis([SiteDescriptor(str(k), "qubit", 2) for k in range(qubits)])
+    basis = ProductBasis(tuple(SiteDescriptor(str(k), "qubit", 2) for k in range(qubits)))
     gen = LindbladGenerator(A + A.conj().T, tuple(jumps), basis)
     rho = sparse(data.draw(st.lists(pair, min_size=1, max_size=3), label="support"))
     return gen, rho, rng
@@ -209,7 +209,7 @@ class TestLindbladGenerator:
             LindbladGenerator(np.eye(2), (np.zeros((3, 3)),))
 
     def test_basis_dimension_mismatch(self):
-        basis = build_basis([SiteDescriptor("a", "qubit", 2)])
+        basis = ProductBasis((SiteDescriptor("a", "qubit", 2),))
         with pytest.raises(ValueError, match="dimension"):
             LindbladGenerator(np.eye(4), (), basis)
 

@@ -11,7 +11,6 @@ from lindnet.hilbert import (
     PureState,
     SiteDescriptor,
     basis_state,
-    build_basis,
     dicke_state,
     embed_operator_product,
     embed_site_operator,
@@ -59,35 +58,35 @@ sites_strategy = st.lists(
 
 class TestProductBasis:
     def test_first_site_most_significant(self):
-        basis = build_basis([qubit("1"), qubit("2")])
+        basis = ProductBasis((qubit("1"), qubit("2")))
         assert basis.index((0, 0)) == 0
         assert basis.index((0, 1)) == 1
         assert basis.index((1, 0)) == 2
         assert basis.index((1, 1)) == 3
 
     def test_mixed_radix(self):
-        basis = build_basis([qubit("q"), spin("b", 3)])
+        basis = ProductBasis((qubit("q"), spin("b", 3)))
         assert basis.dimension == 6
         assert basis.index((1, 2)) == 5
         assert tuple(basis.occupation_table[4]) == (1, 1)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            build_basis([qubit("a"), qubit("a")])
+            ProductBasis((qubit("a"), qubit("a")))
 
     def test_site_position(self):
-        basis = build_basis([qubit("x"), qubit("y")])
+        basis = ProductBasis((qubit("x"), qubit("y")))
         assert basis.site_position("y") == 1
         with pytest.raises(ValueError, match="unknown"):
             basis.site_position("z")
 
     def test_occupation_bounds(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="out of range"):
             basis.index((2,))
 
     def test_occupation_table_readonly(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         with pytest.raises(ValueError):
             basis.occupation_table[0, 0] = 9
 
@@ -103,7 +102,7 @@ class TestProductBasis:
 
 class TestEmbeddedOperators:
     def test_qubit_ladder_algebra(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         low = embed_site_operator(basis, "a", "lower")
         high = embed_site_operator(basis, "a", "raise")
         num = embed_site_operator(basis, "a", "number")
@@ -113,31 +112,31 @@ class TestEmbeddedOperators:
 
     def test_spin_ladder_elements(self):
         # S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>, s = 1
-        basis = build_basis([spin("b", 3)])
+        basis = ProductBasis((spin("b", 3),))
         low = embed_site_operator(basis, "b", "lower")
         assert low[0, 1] == pytest.approx(np.sqrt(2.0))
         assert low[1, 2] == pytest.approx(np.sqrt(2.0))
 
     def test_unknown_kind(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="op_kind"):
             embed_site_operator(basis, "a", "parity")
 
     def test_embedding_slot(self):
-        basis = build_basis([qubit("a"), spin("b", 3), qubit("c")])
+        basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c")))
         num_b = embed_site_operator(basis, "b", "number")
         np.testing.assert_array_equal(np.diag(num_b).real,
                                       basis.occupation_table[:, 1])
 
     def test_different_sites_commute(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         ra = embed_site_operator(basis, "a", "raise")
         lb = embed_site_operator(basis, "b", "lower")
         np.testing.assert_allclose(ra @ lb, lb @ ra, atol=1e-15)
 
     @pytest.mark.parametrize("op_kind", ["lower", "raise", "number", "identity"])
     def test_matches_kron_chain_bitwise(self, op_kind):
-        basis = build_basis([qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)])
+        basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)))
         for pos, site in enumerate(basis.sites):
             ref = np.array([[1.0 + 0j]])
             for k, other in enumerate(basis.sites):
@@ -146,7 +145,7 @@ class TestEmbeddedOperators:
             assert np.array_equal(embed_site_operator(basis, site.label, op_kind), ref)
 
     def test_product_matches_matmul_bitwise(self):
-        basis = build_basis([qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)])
+        basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)))
         labels = [s.label for s in basis.sites]
         for first in labels:
             for second in labels:
@@ -172,45 +171,45 @@ def local_operator(site, op_kind):
 
 class TestStates:
     def test_basis_state(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         psi = basis_state(basis, (1, 0))
         assert psi.amplitudes[2] == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
 
     def test_pure_state_norm_enforced(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]), basis)
 
     def test_to_density_is_projector(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         psi = PureState(np.full(4, 0.5, dtype=complex), basis)
         rho = psi.to_density()
         np.testing.assert_allclose(rho.matrix @ rho.matrix, rho.matrix, atol=1e-14)
         assert rho.matrix.trace() == pytest.approx(1.0)
 
     def test_density_matrix_rejects_nonhermitian(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         m = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermiticity"):
             DensityMatrix(m, basis)
 
     def test_density_matrix_rejects_bad_trace(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex), basis)
 
     def test_density_matrix_rejects_negative(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex), basis)
 
     def test_density_matrix_accepts_tiny_negative(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]).astype(complex), basis)
 
     def test_matrix_is_locked(self):
-        basis = build_basis([qubit("a")])
+        basis = ProductBasis((qubit("a"),))
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), basis)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
@@ -218,7 +217,7 @@ class TestStates:
 
 class TestDickeState:
     def test_equal_weights(self):
-        basis = build_basis([qubit(f"r{k}") for k in range(1, 5)])
+        basis = ProductBasis(tuple(qubit(f"r{k}") for k in range(1, 5)))
         psi = dicke_state(basis, [f"r{k}" for k in range(1, 5)], 2)
         amps = psi.amplitudes
         hot = amps[np.abs(amps) > 0]
@@ -229,24 +228,24 @@ class TestDickeState:
         assert set(occ.sum(axis=1)) == {2}
 
     def test_subset_of_sites(self):
-        basis = build_basis([qubit("r1"), qubit("r2"), qubit("c")])
+        basis = ProductBasis((qubit("r1"), qubit("r2"), qubit("c")))
         psi = dicke_state(basis, ["r1", "r2"], 1)
         # the unnamed site stays empty
         occ = basis.occupation_table[np.abs(psi.amplitudes) > 0]
         assert set(occ[:, 2]) == {0}
 
     def test_vacuum(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         psi = dicke_state(basis, ["a", "b"], 0)
         assert psi.amplitudes[0] == 1.0
 
     def test_range_check(self):
-        basis = build_basis([qubit("a"), qubit("b")])
+        basis = ProductBasis((qubit("a"), qubit("b")))
         with pytest.raises(ValueError, match="out of range"):
             dicke_state(basis, ["a", "b"], 3)
 
     def test_spin_site_rejected(self):
-        basis = build_basis([qubit("a"), spin("b", 3)])
+        basis = ProductBasis((qubit("a"), spin("b", 3)))
         with pytest.raises(ValueError, match="qubit"):
             dicke_state(basis, ["a", "b"], 1)
 

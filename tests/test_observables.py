@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindnet.hilbert import DensityMatrix, SiteDescriptor, build_basis
+from lindnet.hilbert import DensityMatrix, ProductBasis, SiteDescriptor
 from lindnet.observables import (
     detect_asymptotic_unitarity,
     detect_congestion_valley,
@@ -15,7 +15,7 @@ from lindnet.observables import (
 
 
 def two_qubit_basis():
-    return build_basis([SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)])
+    return ProductBasis((SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)))
 
 
 def random_density(seed: int, dim: int) -> np.ndarray:
@@ -39,7 +39,7 @@ class TestPopulation:
             population(state, "zz")
 
     def test_spin_site_counts_all_quanta(self):
-        basis = build_basis([SiteDescriptor("b", "spin", 3)])
+        basis = ProductBasis((SiteDescriptor("b", "spin", 3),))
         state = DensityMatrix(np.diag([0.5, 0.2, 0.3]).astype(complex), basis)
         assert population(state, "b") == pytest.approx(0.2 + 2 * 0.3)
 

@@ -67,13 +67,6 @@ class TestSpinBattery:
     def test_rate(self, gamma, s, n_tot, expect):
         assert oracle.spin_battery_rate(gamma, s, n_tot) == pytest.approx(expect)
 
-    def test_population_decay(self):
-        t = np.linspace(0.0, 5.0, 21)
-        pop = oracle.spin_battery_qubit_population(0.5, 1.0, 1, t)
-        np.testing.assert_allclose(pop, np.exp(-t), atol=1e-15)
-        assert pop[0] == 1.0
-        assert np.all(np.diff(pop) < 0)
-
 
 class TestFourSiteSingleExcitation:
     def test_initial_values(self):
