@@ -166,6 +166,9 @@ def _build_run(cfg: dict, seed_override: int | None):
     if has_preset == has_network:
         raise UsageError("config must contain exactly one of 'preset' or 'network'")
     if has_preset:
+        if "initial" in cfg:
+            raise UsageError("initial: a preset sets its own initial state; "
+                             "only network configs take an initial block")
         name = cfg["preset"]
         params = cfg.get("params", {})
         if not isinstance(params, dict):
@@ -254,14 +257,15 @@ def _write_outputs(args, suffix: str, cfg: dict, header: list[str], rows,
     """Write <config stem><suffix>.tsv and .meta.json under --output; print the TSV path."""
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    base = outdir / (Path(args.config).stem + suffix)
-    tsv = base.with_suffix(".tsv")
+    # concatenated, not with_suffix: a stem with a dot keeps its tail
+    base = str(outdir / (Path(args.config).stem + suffix))
+    tsv = Path(base + ".tsv")
     with open(tsv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
     payload = {"command": args.command, "version": __version__, "config": cfg, **meta}
-    with open(base.with_suffix(".meta.json"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(base + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {tsv}")
@@ -380,11 +384,9 @@ def _cmd_sweep(args) -> int:
     # submit, so never ask for more than there are points
     workers = min(args.workers, len(tasks))
     if workers > 1:
-        # forked workers inherit the parent's modules: import the SciPy parts
+        # forked workers inherit the parent's modules: import the SciPy part
         # propagate uses once here instead of once in every worker
         import scipy.sparse  # noqa: F401
-        if cfg.get("method") == "superoperator_expm":
-            import scipy.sparse.linalg  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

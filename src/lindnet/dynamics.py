@@ -5,7 +5,8 @@ column-stacked sparse superoperator S. S is assembled in NumPy as
 canonical CSR arrays: each Kronecker term from the nonzeros of its two
 factors among H, the jump operators L and the products L^dag L, and the
 terms summed on the union of their patterns. No module here imports SciPy
-when it is loaded; only propagate imports it, for its products with S.
+when it is loaded; only propagation imports scipy.sparse, for its products
+with S.
 
 Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
@@ -14,8 +15,9 @@ L^dag L, and assembles S only on the block of vec(rho) those states span.
 In that block's sparsity graph it finds the entries the initial state can
 reach. Every other entry has zero derivative for all time, so both
 integrators, fixed-step fourth-order Runge-Kutta and the action of the
-matrix exponential (one expm_multiply per output gap), run exactly on
-that block of S, wrapped in a SciPy CSR matrix. Each jump of the models
+matrix exponential (the truncated Taylor action of Al-Mohy and Higham,
+one per output gap), run exactly on that block of S, wrapped in a SciPy
+CSR matrix. Each jump of the models
 here shifts total occupation by a fixed amount, so the block stays inside
 the occupation-difference sectors the initial state touches, pumped and
 lossy runs included. Observables and invariants are read from the
@@ -80,6 +82,29 @@ DENSE_DIMENSION_LIMIT = 64
 
 # Relative size below which steady_states counts a singular value as zero.
 _ZERO_TOL = 1e-10
+
+# theta_m of Al-Mohy and Higham (2011): the largest ||tA/s||_1 at which m
+# Taylor terms per step keep the backward error below 2**-53. m <= 30 is
+# from Higham's Functions of Matrices, Table A.3; the rest from their Table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+_M_MAX = 55
+# the largest p with p(p - 1) <= m_max + 1
+_P_MAX = 8
+# condition (3.13) with one vector and a one-column norm estimate: up to this
+# ||tA||_1, estimating ||A^p||_1 would cost more products than it could save
+_NORM_ONLY = 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
+_UNIT_ROUNDOFF = 2.0 ** -53
+# A gap is refused when its Runge-Kutta substep count, or its ||tA||_1
+# (about ten Taylor products per unit), is not finite or exceeds the largest
+# integer a float holds exactly: such a run could never finish.
+_MAX_STEPS = 2.0 ** 53
 
 
 class InvariantViolation(RuntimeError):
@@ -615,8 +640,11 @@ class _Recorder:
             raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
 
     def finish(self, method: str, dt: float, states: int, rk4_substeps: int,
-               expm_actions: int) -> Trajectory:
-        """The trajectory, with the run's invariant extremes and work counters."""
+               expm_actions: int, products: int) -> Trajectory:
+        """The trajectory, with the run's invariant extremes and work counters.
+
+        products counts the integrator's products with the block.
+        """
         meta = {
             "method": method,
             "dt": dt,
@@ -625,8 +653,8 @@ class _Recorder:
             "states": states,
             "nnz": int(self.S.nnz),
             "rk4_substeps": rk4_substeps,
-            # four per Runge-Kutta substep, one per sample for the purity rate
-            "matvecs": 4 * rk4_substeps + self.config.times.size,
+            # the integrator's, and one per sample for the purity rate
+            "matvecs": products + self.config.times.size,
             "expm_actions": expm_actions,
             "positivity_blocks": self.positivity_blocks,
             "max_trace_error": float(np.abs(self.trace - 1.0).max()),
@@ -665,6 +693,113 @@ def _rk4_steps(S, v: np.ndarray, h: float, n: int) -> None:
         v += w
 
 
+class _TaylorAction:
+    """v -> exp(t S) v for the gaps t of one run, by truncated Taylor series.
+
+    Algorithm 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33 (2011) 488)
+    on one vector. S is shifted once by mu = trace(S)/n to A = S - mu I. A
+    gap t is split into s steps of at most m Taylor terms, and a step ends
+    early once two successive terms fall below the unit roundoff of the
+    partial sum. (m, s) come from the paper's fragment 3.1 with m_max = 55,
+    once per distinct gap. Unless ||tA||_1 satisfies condition (3.13), the
+    fragment needs d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; these are
+    estimated once per run by Hager's one-column 1-norm estimator (Higham and
+    Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000) 1185), which draws no
+    random numbers. products counts every product with A or its adjoint.
+    """
+
+    def __init__(self, S):
+        import scipy.sparse
+
+        n = S.shape[0]
+        self.mu = complex(S.trace()) / n
+        self.A = S - self.mu * scipy.sparse.identity(n, dtype=complex, format="csr")
+        self.norm = float(np.bincount(self.A.indices, np.abs(self.A.data), n).max())
+        self.products = 0
+        self._d: dict[int, float] = {}
+        self._steps: dict[float, tuple[int, int]] = {}
+
+    def _power_norm(self, p: int, AH) -> float:
+        """Hager's estimate of ||A^p||_1 from at most five iterations; a lower bound.
+
+        AH is the adjoint of A, as CSR.
+        """
+        A = self.A
+        n = A.shape[0]
+        x = np.full(n, 1.0 / n, dtype=complex)
+        est, last = 0.0, -1
+        for _ in range(5):
+            y = x
+            for _ in range(p):
+                y = A @ y
+            size = np.abs(y)
+            self.products += p
+            total = float(size.sum())
+            if total <= est:
+                break
+            est = total
+            z = np.divide(y, size, out=np.ones(n, dtype=complex), where=size > 0)
+            for _ in range(p):
+                z = AH @ z
+            self.products += p
+            j = int(np.argmax(np.abs(z)))
+            if j == last or abs(z[j]) <= np.vdot(z, x).real:
+                break
+            last = j
+            x = np.zeros(n, dtype=complex)
+            x[j] = 1.0
+        return est
+
+    def _parameters(self, t: float) -> tuple[int, int]:
+        """Taylor degree m and step count s for the gap t: the paper's fragment 3.1."""
+        norm = t * self.norm
+        if not norm <= _MAX_STEPS:
+            raise ValueError(f"gap {t!r}: the 1-norm of the gap times the generator, "
+                             f"{norm:.6g}, is not finite or above 2**53")
+        if norm == 0.0:
+            return 0, 1
+        if norm <= _NORM_ONLY:
+            # ties go to the smaller m
+            return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
+                       key=lambda ms: ms[0] * ms[1])
+        if not self._d:
+            AH = self.A.conj().T.tocsr()
+            self._d = {p: self._power_norm(p, AH) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
+        best = None
+        for p in range(2, _P_MAX + 1):
+            alpha = t * max(self._d[p], self._d[p + 1])
+            for m, theta in _THETA.items():
+                if m >= p * (p - 1) - 1:
+                    s = math.ceil(alpha / theta)
+                    if best is None or m * s < best[0] * best[1]:
+                        best = m, s
+        return best[0], max(best[1], 1)
+
+    def __call__(self, v: np.ndarray, t: float) -> np.ndarray:
+        """exp(t S) v as a new array."""
+        if t not in self._steps:
+            self._steps[t] = self._parameters(t)
+        m, s = self._steps[t]
+        A = self.A
+        eta = np.exp(t * self.mu / s)
+        f = v
+        for _ in range(s):
+            f = f.copy()
+            c1 = float(np.abs(v).max())
+            for j in range(m):
+                v = A @ v
+                v *= t / (s * (j + 1))
+                self.products += 1
+                c2 = float(np.abs(v).max())
+                f += v
+                if c1 + c2 <= _UNIT_ROUNDOFF * float(np.abs(f).max()):
+                    break
+                c1 = c2
+            f *= eta
+            v = f
+        return f
+
+
 def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times.
@@ -683,30 +818,25 @@ def propagate(gen: LindbladGenerator, state: StateLike,
     rec.record(0, times[0], v)
 
     if config.method == "superoperator_expm":
-        from scipy.sparse.linalg import expm_multiply
-
-        # expm_multiply picks its Taylor degree and step count from 1-norm
-        # estimates (onenormest) that draw from NumPy's legacy global RNG;
-        # pinning it keeps the output's last bits independent of the caller
-        saved = np.random.get_state()
-        np.random.seed(0)
-        try:
-            for k in range(1, times.size):
-                v = expm_multiply(S * float(times[k] - times[k - 1]), v)
-                rec.record(k, times[k], v)
-        finally:
-            np.random.set_state(saved)
-        return rec.finish(config.method, math.nan, T.size, 0, times.size - 1)
+        action = _TaylorAction(S)
+        for k in range(1, times.size):
+            v = action(v, float(times[k] - times[k - 1]))
+            rec.record(k, times[k], v)
+        return rec.finish(config.method, math.nan, T.size, 0, times.size - 1,
+                          action.products)
 
     dt = config.dt
     substeps = 0
     for k in range(1, times.size):
         gap = float(times[k] - times[k - 1])
+        if not gap / dt <= _MAX_STEPS:
+            raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
+                             f"{gap / dt:.6g}, is not finite or above 2**53")
         n_sub = max(1, math.ceil(gap / dt))
         _rk4_steps(S, v, gap / n_sub, n_sub)
         substeps += n_sub
         rec.record(k, times[k], v)
-    return rec.finish(config.method, dt, T.size, substeps, 0)
+    return rec.finish(config.method, dt, T.size, substeps, 0, 4 * substeps)
 
 
 @dataclass

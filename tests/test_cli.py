@@ -306,6 +306,38 @@ class TestRun:
         })
         assert main(["run", cfg, "--output", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("method", ["fixed_step_rk4", "superoperator_expm"])
+    def test_endless_time_span_exits_1(self, tmp_path, capsys, method):
+        # a gap of 5e307 needs more steps than could ever finish, or infinitely many
+        cfg = write_config(tmp_path / "long.yaml", {
+            "preset": "two_site_pump",
+            "times": {"start": 0, "stop": 1.0e308, "num": 3},
+            "method": method,
+        })
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gap 5e+307: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_dotted_stems_keep_one_file_per_command(self, tmp_path):
+        cfg = write_config(tmp_path / "pump.v2.yaml", {
+            "preset": "two_site_pump",
+            "times": {"start": 0.0, "stop": 1.0, "num": 3},
+            "sweep": {"path": "params.J", "values": [1.0], "observable": "population:2",
+                      "at_times": [0.5]},
+        })
+        out = tmp_path / "out"
+        for command in ("run", "sweep", "steady"):
+            assert main([command, cfg, "--output", str(out)]) == 0
+        names = ["pump.v2", "pump.v2_sweep", "pump.v2_steady"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            name + ext for name in names for ext in (".tsv", ".meta.json"))
+        commands = [json.loads((out / f"{name}.meta.json").read_text())["command"]
+                    for name in names]
+        assert commands == ["run", "sweep", "steady"]
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):
@@ -499,10 +531,17 @@ class TestConfigValues:
         ("sweep", {"preset": "two_site_pump", "sweep": {
             **{k: v for k, v in _SWEEP.items() if k != "values"},
             "logspace": {"start": 0.1, "stop": 1.0, "num": 2.5}}}, "sweep.logspace.num"),
+        # a preset brings its own initial state, which an initial block would not change
+        ("run", {"preset": "two_site_pump", "initial": {"occupations": [1, 1]}}, "initial"),
+        ("sweep", {"preset": "two_site_pump", "initial": {"occupations": [1, 1]},
+                   "sweep": _SWEEP}, "initial"),
+        ("steady", {"preset": "two_site_pump", "initial": {"occupations": [1, 1]}},
+         "initial"),
     ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
             "values", "at_times", "at_times-negative", "occupations", "dicke", "times-start",
             "times-list", "times-num", "dt", "hoppings", "onsite", "occupations-fraction",
-            "dicke-n-fraction", "times-num-fraction", "logspace-num-fraction"])
+            "dicke-n-fraction", "times-num-fraction", "logspace-num-fraction",
+            "preset-initial-run", "preset-initial-sweep", "preset-initial-steady"])
     def test_names_the_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path / "bad.yaml", payload)
         assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1

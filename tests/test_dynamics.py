@@ -11,6 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from lindnet.dynamics import (
     InvariantViolation,
@@ -24,6 +25,7 @@ from lindnet.dynamics import (
     _Recorder,
     _rk4_steps,
     _superoperator_csr,
+    _TaylorAction,
     _weak_components,
     build_superoperator,
     lindblad_apply,
@@ -331,8 +333,9 @@ class TestPropagation:
         assert traj.final_snapshot.shape == (4, 4)
 
     def test_expm_output_ignores_global_rng(self):
-        # expm_multiply's norm estimates draw from NumPy's global RNG; left
-        # unpinned, this generator's result moves in its last bits with the seed
+        # the Taylor action's parameters come from deterministic norm
+        # estimates; neither its result nor the caller's global stream may
+        # depend on NumPy's global RNG
         gen = random_generator(0, 8, 2)
         rho0 = random_density(1, 8)
         config = PropagationConfig(times=np.array([0.0, 1.0]),
@@ -419,9 +422,19 @@ class TestPropagation:
             np.testing.assert_allclose(v, ref, rtol=0,
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
 
-    def test_work_counters(self):
+    def test_work_counters(self, monkeypatch):
         # substeps are sum over gaps of max(1, ceil(gap / dt)); each takes four
-        # products with S, and each sample one more for the purity rate
+        # products with S, and each sample one more for the purity rate. The
+        # expm run's matvecs count every product with the block it makes: the
+        # Taylor terms, the norm estimates of the 40-unit gap and the purity rate
+        products = []
+        matmul = scipy.sparse.csr_matrix.__matmul__
+
+        def counted(self, other):
+            products.append(np.ndim(other) == 1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counted)
         run = preset("two_site_pump")
         gen = LindbladGenerator.from_network(run.spec)
         times = np.array([0.0, 0.05, 0.3, 0.31, 1.0])
@@ -429,8 +442,15 @@ class TestPropagation:
         substeps = sum(max(1, math.ceil(g / dt)) for g in np.diff(times))
         assert substeps == 1 + 3 + 1 + 7
         rk = propagate(gen, run.initial, PropagationConfig(times=times, dt=dt)).metadata
+        assert products == [True] * rk["matvecs"]
+        products.clear()
+        expm_times = np.append(times, 41.0)
         ex = propagate(gen, run.initial, PropagationConfig(
-            times=times, method="superoperator_expm")).metadata
+            times=expm_times, method="superoperator_expm")).metadata
+        assert products == [True] * ex["matvecs"]
+        again = propagate(gen, run.initial, PropagationConfig(
+            times=expm_times, method="superoperator_expm")).metadata
+        assert again["matvecs"] == ex["matvecs"]
         rho0 = run.initial.to_density().matrix
         T = _reachable_states(gen, rho0)
         block, _ = _reachable_block(gen, rho0, T)
@@ -443,8 +463,8 @@ class TestPropagation:
         assert rk["nnz"] == ex["nnz"] == nnz
         assert (rk["rk4_substeps"], rk["matvecs"], rk["expm_actions"]) == (
             substeps, 4 * substeps + times.size, 0)
-        assert (ex["rk4_substeps"], ex["matvecs"], ex["expm_actions"]) == (
-            0, times.size, times.size - 1)
+        assert (ex["rk4_substeps"], ex["expm_actions"]) == (0, expm_times.size - 1)
+        assert ex["matvecs"] > expm_times.size
         assert ex["positivity_blocks"] == rk["positivity_blocks"]
 
     def test_invariant_violation_pickles_with_its_point(self):
@@ -455,6 +475,64 @@ class TestPropagation:
         assert str(back).startswith("params.J=2.0: trace invariant violated at t=1.5")
         assert (back.invariant, back.time, back.value, back.bound, back.point) == (
             "trace", 1.5, 2e-3, 1e-9, "params.J=2.0")
+
+
+def assert_close_relative(got: np.ndarray, want: np.ndarray, rtol: float) -> None:
+    """Agreement to rtol in the max norm, relative to the reference's."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestTaylorAction:
+    """The truncated Taylor action against SciPy's dense and sparse exponentials."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_expm(self, data):
+        # random sparse complex non-normal blocks, the all-zero block among
+        # them, some offset on the diagonal so that the trace shift matters,
+        # each applied over several gaps from 1e-6 to 40
+        n = data.draw(st.integers(1, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = data.draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]), label="density")
+        scale = data.draw(st.floats(0.05, 1.0), label="scale")
+        S = scale * scipy.sparse.random(
+            n, n, density=density, format="csr", rng=rng, dtype=complex,
+            data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+        if data.draw(st.booleans(), label="offset"):
+            offset = complex(data.draw(st.floats(-1.0, 0.0), label="decay"),
+                             data.draw(st.floats(-1.0, 1.0), label="frequency"))
+            S = S + offset * scipy.sparse.identity(n, dtype=complex, format="csr")
+        S = scipy.sparse.csr_matrix(S)
+        gaps = data.draw(st.lists(st.one_of(st.sampled_from([1e-6, 40.0]),
+                                            st.floats(1e-6, 40.0)),
+                                  min_size=1, max_size=4), label="gaps")
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        action = _TaylorAction(S)
+        for t in gaps:
+            assert_close_relative(action(v, t), scipy.linalg.expm(t * S.toarray()) @ v,
+                                  1e-12)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_matches_expm_multiply_on_presets(self, name):
+        # every preset's reachable block, at the distinct gaps of its grid and at 40
+        run = preset(name)
+        gen = LindbladGenerator.from_network(run.spec)
+        rho0 = run.initial.to_density().matrix
+        block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
+        S = as_scipy(block)
+        v = rho0.ravel(order="F")[R]
+        action = _TaylorAction(S)
+        for t in [*np.unique(np.diff(run.times)), 40.0]:
+            assert_close_relative(action(v, float(t)), expm_multiply(S * float(t), v), 1e-12)
+
+    def test_powers_set_the_steps(self):
+        # A^2 = 0 while ||tA||_1 = 100: the power norms, not ||A||_1, decide,
+        # and one Taylor term is exact
+        S = scipy.sparse.csr_matrix(([50.0 + 0j], ([0], [1])), shape=(3, 3))
+        action = _TaylorAction(S)
+        assert action._parameters(2.0) == (1, 1)
+        v = np.array([0.5, 1.0 - 2.0j, 3.0])
+        np.testing.assert_array_equal(action(v, 2.0), v + 2.0 * (S @ v))
 
 
 class TestSectorFilter:

@@ -48,6 +48,22 @@ def test_rk4_run_leaves_graph_and_solver_modules_unloaded(tmp_path):
     assert _run_python(code, cwd=tmp_path) == "[]"
 
 
+def test_expm_run_and_sweep_leave_solver_modules_unloaded(tmp_path):
+    # the exponential action is the engine's own Taylor loop over scipy.sparse
+    # products, and a sweep's parent imports only scipy.sparse before it forks
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 40.0, num: 3}\n"
+        "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
+        " at_times: [40.0]}\n", encoding="utf-8")
+    code = ("import sys\nfrom lindnet import cli\n"
+            "assert cli.main(['run', 'expm.yaml', '--output', 'out']) == 0\n"
+            "assert cli.main(['sweep', 'expm.yaml', '--output', 'out',"
+            " '--workers', '2']) == 0\n"
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    assert _run_python(code, cwd=tmp_path) == "[]"
+
+
 def test_steady_loads_no_scipy(tmp_path):
     # the steady solve assembles, searches and factors with NumPy alone
     (tmp_path / "pump.yaml").write_text("preset: two_site_pump\n", encoding="utf-8")
