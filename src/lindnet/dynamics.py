@@ -704,8 +704,9 @@ class _TaylorAction:
     once per distinct gap. Unless ||tA||_1 satisfies condition (3.13), the
     fragment needs d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; these are
     estimated once per run by Hager's one-column 1-norm estimator (Higham and
-    Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000) 1185), which draws no
-    random numbers. products counts every product with A or its adjoint.
+    Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000) 1185), run from two fixed
+    starting vectors, so that it draws no random numbers. products counts
+    every product with A or its adjoint.
     """
 
     def __init__(self, S):
@@ -719,29 +720,48 @@ class _TaylorAction:
         self._d: dict[int, float] = {}
         self._steps: dict[float, tuple[int, int]] = {}
 
-    def _power_norm(self, p: int, AH) -> float:
-        """Hager's estimate of ||A^p||_1 from at most five iterations; a lower bound.
+    def _power(self, M, x: np.ndarray, p: int) -> np.ndarray:
+        """M^p x, counted as p products."""
+        for _ in range(p):
+            x = M @ x
+        self.products += p
+        return x
 
-        AH is the adjoint of A, as CSR.
+    def _power_norm(self, p: int, AH) -> float:
+        """An estimate of ||A^p||_1, a lower bound; AH is the adjoint of A, as CSR.
+
+        The larger of two runs of Hager's estimator, from e/n and from Higham's
+        alternating vector x_i = (-1)^i (1 + i/(n-1)) scaled to unit 1-norm
+        (LAPACK's xLACON). From e/n alone the estimate can stall far below the
+        norm, since e sums each column of A^p and the columns of a closed
+        system's commutator block largely cancel: on a three-level block it
+        read a quarter of ||A^2||_1, and 0 when every row of H has the same
+        sum, so that every row and column of the block sums to zero.
+        """
+        n = self.A.shape[0]
+        alt = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n) + 0j
+        return max(self._hager(p, AH, np.full(n, 1.0 / n, dtype=complex)),
+                   self._hager(p, AH, alt / np.abs(alt).sum()))
+
+    def _hager(self, p: int, AH, x: np.ndarray) -> float:
+        """Hager's estimate of ||A^p||_1 from x, ||x||_1 = 1, in at most five iterations.
+
+        The first iteration always goes on to the adjoint product, with
+        sign(0) = 1: when every row of A^p sums to zero, A^p x = 0 says
+        nothing about A^p.
         """
         A = self.A
         n = A.shape[0]
-        x = np.full(n, 1.0 / n, dtype=complex)
         est, last = 0.0, -1
-        for _ in range(5):
-            y = x
-            for _ in range(p):
-                y = A @ y
+        for k in range(5):
+            y = self._power(A, x, p)
             size = np.abs(y)
-            self.products += p
             total = float(size.sum())
-            if total <= est:
+            if k > 0 and total <= est:
                 break
             est = total
-            z = np.divide(y, size, out=np.ones(n, dtype=complex), where=size > 0)
-            for _ in range(p):
-                z = AH @ z
-            self.products += p
+            z = self._power(AH, np.divide(y, size, out=np.ones(n, dtype=complex),
+                                          where=size > 0), p)
             j = int(np.argmax(np.abs(z)))
             if j == last or abs(z[j]) <= np.vdot(z, x).real:
                 break

@@ -489,15 +489,30 @@ class TestTaylorAction:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_expm(self, data):
         # random sparse complex non-normal blocks, the all-zero block among
-        # them, some offset on the diagonal so that the trace shift matters,
-        # each applied over several gaps from 1e-6 to 40
-        n = data.draw(st.integers(1, 12), label="n")
+        # them, or commutator blocks -i(I x H - H^T x I) of a closed system;
+        # H holds eighths, so that when its rows sum to zero every row and
+        # column of the block does too, exactly. |H_ij| <= 1/4 keeps
+        # ||40 A||_1 below about 70, since a unitary step of norm near
+        # theta_55 ~ 10 loses up to 1e-12 to rounding in its largest Taylor
+        # terms, as in expm_multiply. Some offset on the diagonal makes the
+        # trace shift matter. Each block is applied over several gaps from
+        # 1e-6 to 40
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         density = data.draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]), label="density")
         scale = data.draw(st.floats(0.05, 1.0), label="scale")
-        S = scale * scipy.sparse.random(
-            n, n, density=density, format="csr", rng=rng, dtype=complex,
-            data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+        if data.draw(st.booleans(), label="commutator"):
+            d = data.draw(st.integers(1, 3), label="d")
+            H = np.triu(rng.integers(-2, 3, (d, d)) * (rng.random((d, d)) < density))
+            H = (H + H.T) / 8
+            if data.draw(st.booleans(), label="balanced"):
+                H -= np.diag(H.sum(axis=1))
+            S = scipy.sparse.csr_matrix(-1j * (np.kron(np.eye(d), H) - np.kron(H.T, np.eye(d))))
+            n = d * d
+        else:
+            n = data.draw(st.integers(1, 12), label="n")
+            S = scale * scipy.sparse.random(
+                n, n, density=density, format="csr", rng=rng, dtype=complex,
+                data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
         if data.draw(st.booleans(), label="offset"):
             offset = complex(data.draw(st.floats(-1.0, 0.0), label="decay"),
                              data.draw(st.floats(-1.0, 1.0), label="frequency"))
@@ -524,6 +539,53 @@ class TestTaylorAction:
         action = _TaylorAction(S)
         for t in [*np.unique(np.diff(run.times)), 40.0]:
             assert_close_relative(action(v, float(t)), expm_multiply(S * float(t), v), 1e-12)
+
+    def test_closed_three_level_block(self):
+        # the commutator block of H = -7/8 (|0><2| + |2><0|): from e/n, Hager's
+        # estimate of ||A^2||_1 stalls at a quarter of it, and the steps it
+        # would choose leave an error of about 1e-5
+        H = np.zeros((3, 3))
+        H[0, 2] = H[2, 0] = -0.875
+        S = scipy.sparse.csr_matrix(-1j * (np.kron(np.eye(3), H) - np.kron(H.T, np.eye(3))))
+        action = _TaylorAction(S)
+        AH = S.conj().T.tocsr()
+        assert action._hager(2, AH, np.full(9, 1 / 9 + 0j)) == pytest.approx(0.765625)
+        assert action._power_norm(2, AH) == pytest.approx(3.0625)
+        v = np.arange(1.0, 10.0) - 4.0j
+        assert_close_relative(action(v, 40.0), scipy.linalg.expm(40.0 * S.toarray()) @ v,
+                              1e-12)
+
+    def test_zero_row_sums_go_on_to_the_adjoint(self):
+        # the two nonzero rows are orthogonal to e and to the alternating
+        # vector, so A^p e = 0 exactly; only the adjoint step from sign(0) = 1
+        # finds the nonzero powers. ||40 A||_1 = 100
+        A = np.zeros((4, 4), dtype=complex)
+        A[0] = [0, 11, -2, -9]
+        A[2] = [2, -9, 0, 7]
+        S = scipy.sparse.csr_matrix(A / 8)
+        alt = np.linspace(1.0, 2.0, 4) * (-1.0) ** np.arange(4)
+        assert not np.any(S @ np.ones(4)) and not np.any(S @ alt)
+        action = _TaylorAction(S)
+        AH = S.conj().T.tocsr()
+        for p in range(1, 10):
+            assert 0 < action._hager(p, AH, np.full(4, 0.25 + 0j)) <= np.linalg.norm(
+                np.linalg.matrix_power(A / 8, p), 1)
+        v = np.array([1.0, -2.0j, 0.5, 3.0])
+        assert_close_relative(action(v, 40.0), scipy.linalg.expm(40.0 * S.toarray()) @ v,
+                              1e-12)
+
+    def test_closed_congestion_preset_oscillates(self):
+        # four_site_congestion with both transfer rates 0 is the closed dimer
+        # of splitting J: population_1 = cos^2(J t / 2). Started on one site,
+        # e is an eigenvector of H on the reachable block, so every row and
+        # column of the block sums to zero, yet ||40 A||_1 = 40 needs five steps
+        run = preset("four_site_congestion", gamma=0.0, gamma_b=0.0, excitations=1)
+        gen = LindbladGenerator.from_network(run.spec)
+        times = np.array([0.0, 40.0])
+        traj = propagate(gen, run.initial, PropagationConfig(
+            times=times, method="superoperator_expm"))
+        np.testing.assert_allclose(traj.population("1"), np.cos(times / 2) ** 2,
+                                   rtol=0, atol=1e-12)
 
     def test_powers_set_the_steps(self):
         # A^2 = 0 while ||tA||_1 = 100: the power norms, not ||A||_1, decide,
