@@ -22,6 +22,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -40,6 +41,8 @@ from lindnet.model import (
     Extraction,
     Injection,
     NetworkSpec,
+    _is_number,
+    _is_whole,
     preset,
     preset_defaults,
     preset_description,
@@ -49,12 +52,10 @@ from lindnet.observables import unitarity_distance
 
 FLOAT_FMT = "%.17g"
 
-# Every top-level key a configuration may hold; any other exits 1.
-CONFIG_KEYS = ("preset", "params", "network", "initial", "times", "observables",
-               "method", "dt", "sweep")
+_MAX_COUNT = 10**7  # the most output samples or sweep points a count may ask for
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad command line or configuration; maps to exit code 1."""
 
 
@@ -86,164 +87,209 @@ def _jsonable(obj):
     return obj
 
 
-def _load_config(path: str) -> dict:
+_SCALARS = ("purity", "purity_rate", "trace", "min_eigenvalue", "hermiticity_defect")
+
+
+def _token_columns(tok: str):
+    """(columns, coherence pair or None) of an observable token, or None for no token.
+
+    A column is (name, reader): reader(traj) is its series in a Trajectory.
+    """
+    if tok in _SCALARS:
+        return [(tok, lambda traj: getattr(traj, tok))], None
+    if tok.startswith("population:"):
+        label = tok.split(":", 1)[1]
+        return [(f"population_{label}", lambda traj: traj.population(label))], None
+    if tok.startswith("coherence:"):
+        try:
+            i, j = (int(part) for part in tok.split(":", 1)[1].split(","))
+        except ValueError:
+            return None
+        return [(f"coherence_{i}_{j}_re", lambda traj: traj.coherences[(i, j)].real),
+                (f"coherence_{i}_{j}_im", lambda traj: traj.coherences[(i, j)].imag)], (i, j)
+    return None
+
+
+class _Leaf(NamedTuple):
+    """A schema leaf: what its value must be, and the test of that."""
+
+    what: str
+    test: Callable[[Any], bool]
+
+
+_NUMBER = _Leaf("a finite number", _is_number)
+_WHOLE = _Leaf("a whole number", _is_whole)
+_COUNT = _Leaf(f"a whole number from 1 to {_MAX_COUNT}",
+               lambda v: _is_whole(v) and 1 <= v <= _MAX_COUNT)
+_POSITIVE = _Leaf("a finite number above 0", lambda v: _is_number(v) and v > 0)
+_TEXT = _Leaf("a string", lambda v: isinstance(v, str))
+_TOKEN = _Leaf("an observable token",
+               lambda v: isinstance(v, str) and _token_columns(v) is not None)
+# a preset's parameter takes the type of its default
+_PARAM = {float: _NUMBER, str: _TEXT}
+_INT_OR_NULL = _Leaf("an integer or null", lambda v: v is None or type(v) is int)
+
+# The configuration format. A leaf is checked by its test, a dict is a mapping
+# that takes only its own keys, a one-item list is a nonempty list of such
+# items, and a tuple holds alternatives that the value's own type picks from.
+# NetworkSpec.from_dict checks the network block, each parameter takes the type
+# of its preset's default, and PropagationConfig checks dt, method and times.
+_SCHEMA = {
+    "preset": _Leaf(f"one of {', '.join(preset_names())}",
+                    lambda v: isinstance(v, str) and v in preset_names()),
+    "params": _Leaf("a mapping", lambda v: isinstance(v, dict)),
+    # from_dict's own errors name the key
+    "network": _Leaf("a network block", lambda v: NetworkSpec.from_dict(v) is not None),
+    "initial": {"occupations": [_WHOLE], "dicke": {"sites": [_TEXT], "n": _WHOLE}},
+    "times": ([_NUMBER], {"start": _NUMBER, "stop": _NUMBER, "num": _COUNT}),
+    "observables": _Leaf("a list of observable tokens",
+                         lambda v: isinstance(v, list) and all(map(_TOKEN.test, v))),
+    "method": _TEXT,
+    "dt": _NUMBER,
+    "sweep": {
+        "path": _Leaf("a dotted path under a top-level key",
+                      lambda v: isinstance(v, str) and v.split(".")[0] in _SCHEMA),
+        "values": [_NUMBER],
+        "logspace": {"start": _POSITIVE, "stop": _POSITIVE, "num": _COUNT},
+        "observable": _TOKEN,
+        # every point starts at t = 0
+        "at_times": [_Leaf("a finite number not below 0", lambda v: _is_number(v) and v >= 0)],
+    },
+}
+# The keys each mapping needs, and the pair of which it takes exactly one
+# ("" is the config itself).
+_REQUIRED = {"times": ("start", "stop", "num"), "initial.dicke": ("sites", "n"),
+             "sweep": ("path", "observable", "at_times"),
+             "sweep.logspace": ("start", "stop", "num")}
+_EXACTLY_ONE = {"": ("preset", "network"), "initial": ("occupations", "dicke"),
+                "sweep": ("values", "logspace")}
+
+
+def _walk(node, value, key: str, noun: str = "keys") -> None:
+    """Check value against a schema node; an error names key, its dotted path."""
+    if isinstance(node, _Leaf):
+        if not node.test(value):
+            raise UsageError(f"{key} must be {node.what}, got {value!r}")
+    elif isinstance(node, tuple):
+        alts = [alt for alt in node if isinstance(value, type(alt))]
+        if not alts:
+            raise UsageError(f"{key} must be a list or a mapping, got {value!r}")
+        _walk(alts[0], value, key)
+    elif isinstance(node, list):
+        if not isinstance(value, list) or not value:
+            raise UsageError(f"{key} must be a nonempty list, got {value!r}")
+        for i, item in enumerate(value):
+            _walk(node[0], item, f"{key}[{i}]")
+    else:
+        if not isinstance(value, dict):
+            raise UsageError(f"{key or 'config'} must be a mapping, got {value!r}")
+        unknown = [k for k in value if k not in node]
+        if unknown:
+            raise UsageError(f"{key or 'config'}: unknown {noun} {unknown}; "
+                             f"valid: {', '.join(node)}")
+        for k, v in value.items():
+            _walk(node[k], v, f"{key}.{k}" if key else k)
+        missing = [k for k in _REQUIRED.get(key, ()) if k not in value]
+        if missing:
+            raise UsageError(f"{key}.{missing[0]} is required")
+        pair = [f"{key}.{k}" if key else k for k in _EXACTLY_ONE.get(key, ())]
+        if pair and sum(k.rsplit(".", 1)[-1] in value for k in pair) != 1:
+            raise UsageError(f"config needs exactly one of {pair[0]} and {pair[1]}")
+
+
+def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -> None:
+    """Check a whole config, and the --seed and --dt given with it, for command."""
+    _walk(_SCHEMA, cfg, "")
+    if "preset" in cfg:
+        if "initial" in cfg:
+            raise UsageError("initial: a preset sets its own initial state; "
+                             "only network configs take an initial block")
+        defaults = preset_defaults(cfg["preset"])
+        _walk({k: _PARAM.get(type(v), _INT_OR_NULL) for k, v in defaults.items()},
+              cfg.get("params", {}), "params", "parameters")
+        if seed is not None and "seed" not in defaults:
+            raise UsageError(f"preset {cfg['preset']!r} accepts no seed")
+    else:
+        if "params" in cfg:
+            raise UsageError("params: only preset configs take params")
+        if seed is not None:
+            raise UsageError("network configs accept no seed")
+        for key in ("initial", "times"):
+            if command != "steady" and key not in cfg:
+                raise UsageError(f"{key}: a network config needs one for {command}")
+    if command == "sweep" and "sweep" not in cfg:
+        raise UsageError("config needs a sweep block for the sweep command")
+    if dt is not None:
+        _walk(_SCHEMA["dt"], dt, "--dt")
+    # PropagationConfig owns dt's sign, the method names and the order of times
+    _propagation_config(cfg, _resolve_times(cfg, np.zeros(1)), (), dt)
+
+
+def _load_config(args) -> dict:
+    """The config file of args, checked whole for its command before any work."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config {path} must hold a single mapping")
-    unknown = [key for key in data if key not in CONFIG_KEYS]
-    if unknown:
-        raise UsageError(f"config {path}: unknown keys {unknown}; "
-                         f"valid: {', '.join(CONFIG_KEYS)}")
+        raise UsageError(f"config {args.config} is not valid YAML: {exc}") from exc
+    _check_config(data, args.command, args.seed, getattr(args, "dt", None))
     return data
-
-
-def _number(value, key: str) -> float:
-    """value as a finite float, or a UsageError naming key."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise UsageError(f"{key} must be a finite number, got {value!r}")
-    return x
-
-
-def _integer(value, key: str) -> int:
-    """value as an int, or a UsageError naming key; a fraction is not truncated."""
-    x = _number(value, key)
-    if not x.is_integer():
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return int(x)
-
-
-def _numbers(value, key: str) -> list[float]:
-    """The nonempty list of finite numbers under key, or a UsageError naming it."""
-    if not isinstance(value, list) or not value:
-        raise UsageError(f"{key} must be a nonempty list of numbers, got {value!r}")
-    return [_number(v, f"each of {key}") for v in value]
 
 
 def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
     spec = cfg.get("times")
     if spec is None:
-        if default is None:
-            raise UsageError("config needs a times entry (no preset default here)")
         return default
     if isinstance(spec, dict):
-        missing = {"start", "stop", "num"} - set(spec)
-        if missing:
-            raise UsageError(f"times mapping missing keys: {sorted(missing)}")
-        num = _integer(spec["num"], "times.num")
-        if num < 1:
-            raise UsageError(f"times.num must be at least 1, got {spec['num']!r}")
-        return np.linspace(_number(spec["start"], "times.start"),
-                           _number(spec["stop"], "times.stop"), num)
-    if isinstance(spec, list):
-        return np.asarray(_numbers(spec, "times"), dtype=float)
-    raise UsageError("times must be a list or a {start, stop, num} mapping")
+        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+    return np.asarray(spec, dtype=float)
 
 
-def _network_gen(cfg: dict, seed_override: int | None) -> tuple[LindbladGenerator, dict]:
-    if seed_override is not None:
-        raise UsageError("network configs accept no seed")
-    try:
-        spec = NetworkSpec.from_dict(cfg["network"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad network block: {exc}") from exc
+def _network_gen(cfg: dict) -> tuple[LindbladGenerator, dict]:
+    spec = NetworkSpec.from_dict(cfg["network"])
     return LindbladGenerator.from_network(spec), {"network": spec.to_dict()}
 
 
 def _build_run(cfg: dict, seed_override: int | None):
-    """Returns (generator, initial state, times, metadata)."""
-    has_preset = "preset" in cfg
-    has_network = "network" in cfg
-    if has_preset == has_network:
-        raise UsageError("config must contain exactly one of 'preset' or 'network'")
-    if has_preset:
-        if "initial" in cfg:
-            raise UsageError("initial: a preset sets its own initial state; "
-                             "only network configs take an initial block")
-        name = cfg["preset"]
-        params = cfg.get("params", {})
-        if not isinstance(params, dict):
-            raise UsageError(f"params must be a mapping, got {params!r}")
-        params = dict(params)
+    """Returns (generator, initial state, times, metadata) of a checked config."""
+    if "preset" in cfg:
+        params = dict(cfg.get("params", {}))
         if seed_override is not None:
-            if "seed" not in preset_defaults(name):
-                raise UsageError(f"preset {name!r} accepts no seed")
             params["seed"] = seed_override
-        try:
-            run = preset(name, **params)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        run = preset(cfg["preset"], **params)
         gen = LindbladGenerator.from_network(run.spec)
         return gen, run.initial, _resolve_times(cfg, run.times), dict(run.metadata)
 
-    gen, meta = _network_gen(cfg, seed_override)
-    basis = gen.basis
-    init = cfg.get("initial")
-    if not isinstance(init, dict):
-        raise UsageError("network configs need an initial block")
-    if "occupations" in init:
-        occupations = _numbers(init["occupations"], "initial.occupations")
-        state = basis_state(basis, tuple(_integer(o, "each of initial.occupations")
-                                         for o in occupations))
-    elif "dicke" in init:
-        block = init["dicke"]
-        if not isinstance(block, dict) or not {"sites", "n"} <= set(block):
-            raise UsageError(f"initial.dicke needs sites and n, got {block!r}")
-        state = dicke_state(basis, list(block["sites"]),
-                            _integer(block["n"], "initial.dicke.n"))
-    else:
-        raise UsageError("initial block needs 'occupations' or 'dicke'")
-    meta["initial"] = _jsonable(init)
+    gen, meta = _network_gen(cfg)
+    # the check left exactly one of occupations and dicke
+    (kind, block), = cfg["initial"].items()
+    try:
+        if kind == "occupations":
+            state = basis_state(gen.basis, tuple(int(o) for o in block))
+        else:
+            state = dicke_state(gen.basis, block["sites"], int(block["n"]))
+    except ValueError as exc:
+        raise UsageError(f"initial.{kind}: {exc}") from exc
+    meta["initial"] = _jsonable(cfg["initial"])
     return gen, state, _resolve_times(cfg, None), meta
 
 
-_SCALARS = ("purity", "purity_rate", "trace", "min_eigenvalue", "hermiticity_defect")
+def _parse_observables(tokens, gen: LindbladGenerator):
+    """(columns, coherence index pairs) of checked observable tokens on gen's sites.
 
-
-def _parse_observables(tokens, gen: LindbladGenerator | None):
-    """Returns (columns, coherence index pairs) for the observable tokens.
-
-    Each column is (name, reader), where reader(traj) is that TSV column's
-    series in a Trajectory. No tokens means every site population, then
-    purity, purity_rate, trace and min_eigenvalue. gen=None skips label checks.
+    No tokens means every site population, then purity, purity_rate, trace
+    and min_eigenvalue.
     """
-    labels = tuple(s.label for s in gen.basis.sites) if gen is not None else None
-    if not tokens:
-        tokens = [f"population:{label}" for label in labels] + list(_SCALARS[:4])
-    cols = []
-    pairs = []
-    for tok in map(str, tokens):
-        if tok in _SCALARS:
-            cols.append((tok, lambda traj, name=tok: getattr(traj, name)))
-        elif tok.startswith("population:"):
-            label = tok.split(":", 1)[1]
-            if labels is not None and label not in labels:
-                raise UsageError(f"observable {tok!r}: no site labelled {label!r}")
-            cols.append((f"population_{label}",
-                         lambda traj, label=label: traj.population(label)))
-        elif tok.startswith("coherence:"):
-            body = tok.split(":", 1)[1]
-            try:
-                i, j = (int(part) for part in body.split(","))
-            except ValueError:
-                raise UsageError(f"observable {tok!r}: expected coherence:<i>,<j>") from None
-            cols.append((f"coherence_{i}_{j}_re",
-                         lambda traj, pair=(i, j): traj.coherences[pair].real))
-            cols.append((f"coherence_{i}_{j}_im",
-                         lambda traj, pair=(i, j): traj.coherences[pair].imag))
-            pairs.append((i, j))
-        else:
-            raise UsageError(f"unknown observable {tok!r}")
-    return cols, tuple(pairs)
+    labels = [s.label for s in gen.basis.sites]
+    tokens = tokens or [f"population:{label}" for label in labels] + list(_SCALARS[:4])
+    for tok in tokens:
+        if tok.startswith("population:") and tok[11:] not in labels:
+            raise UsageError(f"observable {tok!r}: no site labelled {tok[11:]!r}")
+    parsed = [_token_columns(tok) for tok in tokens]
+    return ([col for cols, _ in parsed for col in cols],
+            tuple(pair for _, pair in parsed if pair is not None))
 
 
 def _rows(cols, traj, samples) -> list[list[str]]:
@@ -273,26 +319,17 @@ def _write_outputs(args, suffix: str, cfg: dict, header: list[str], rows,
 
 def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> PropagationConfig:
     """PropagationConfig with the dt and method that --dt or the config set, else its defaults."""
-    options = {}
-    if dt_override is not None:
-        options["dt"] = dt_override
-    elif "dt" in cfg:
-        options["dt"] = _number(cfg["dt"], "dt")
-    if "method" in cfg:
-        options["method"] = cfg["method"]
-    try:
-        return PropagationConfig(times=times, coherences=pairs, **options)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    options = {"method": cfg["method"]} if "method" in cfg else {}
+    dt = cfg.get("dt") if dt_override is None else dt_override
+    if dt is not None:
+        options["dt"] = float(dt)
+    return PropagationConfig(times=times, coherences=pairs, **options)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     gen, state, times, meta = _build_run(cfg, args.seed)
-    tokens = cfg.get("observables")
-    if tokens is not None and not isinstance(tokens, list):
-        raise UsageError(f"observables must be a list of tokens, got {tokens!r}")
-    cols, pairs = _parse_observables(tokens, gen)
+    cols, pairs = _parse_observables(cfg.get("observables"), gen)
     traj = propagate(gen, state, _propagation_config(cfg, times, pairs, args.dt))
     cols = [("t", lambda traj: traj.times)] + cols
     header = [name for name, _ in cols]
@@ -302,54 +339,40 @@ def _cmd_run(args) -> int:
 
 
 def _set_dotted(cfg: dict, path: str, value) -> None:
-    parts = path.split(".")
+    *parents, last = path.split(".")
     node = cfg
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    for part in parents:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[last] = value
 
 
 def _sweep_values(block: dict) -> list[float]:
     if "values" in block:
-        return _numbers(block["values"], "sweep.values")
-    if "logspace" in block:
-        ls = block["logspace"]
-        if not isinstance(ls, dict) or not {"start", "stop", "num"} <= set(ls):
-            raise UsageError(f"sweep.logspace needs numbers start, stop and num, "
-                             f"got {ls!r}")
-        start = _number(ls["start"], "sweep.logspace.start")
-        stop = _number(ls["stop"], "sweep.logspace.stop")
-        num = _integer(ls["num"], "sweep.logspace.num")
-        if not (start > 0 and stop > 0 and num >= 1):
-            raise UsageError(f"sweep.logspace needs start > 0, stop > 0 and num >= 1, "
-                             f"got {ls!r}")
-        return [float(v) for v in np.logspace(math.log10(start), math.log10(stop), num)]
-    raise UsageError("sweep block needs 'values' or 'logspace'")
+        return [float(v) for v in block["values"]]
+    ls = block["logspace"]
+    return [float(v) for v in np.logspace(math.log10(float(ls["start"])),
+                                          math.log10(float(ls["stop"])), int(ls["num"]))]
 
 
 def _sweep_one(task):
-    """One sweep point; module-level so it can cross a process boundary.
-
-    An error names the point as <sweep path>=<value>.
-    """
+    """One sweep point, its config checked again; an error names the point as
+    <sweep path>=<value>. Module-level, so it can cross a process boundary."""
     cfg, seed, dt, value, at_times, token = task
     point = f"{cfg['sweep']['path']}={value!r}"
     try:
         run_cfg = copy.deepcopy(cfg)
         _set_dotted(run_cfg, run_cfg["sweep"]["path"], value)
+        _check_config(run_cfg, "sweep", seed, dt)
         gen, state, _, _ = _build_run(run_cfg, seed)
         cols, pairs = _parse_observables([token], gen)
         times = np.asarray(sorted({0.0, *at_times}), dtype=float)
-        pconfig = _propagation_config(run_cfg, times, pairs, dt)
-        traj = propagate(gen, state, pconfig)
+        traj = propagate(gen, state, _propagation_config(run_cfg, times, pairs, dt))
     except InvariantViolation as exc:
         raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
                                  point) from exc
-    except (UsageError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{point}: {exc}") from exc
     samples = [int(np.argmin(np.abs(times - t))) for t in at_times]
     return [[_fmt(value), _fmt(times[k])] + cells
@@ -359,25 +382,13 @@ def _sweep_one(task):
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    cfg = _load_config(args.config)
-    block = cfg.get("sweep")
-    if not isinstance(block, dict):
-        raise UsageError("config needs a sweep block for the sweep command")
-    for key in ("path", "observable", "at_times"):
-        if key not in block:
-            raise UsageError(f"sweep block missing {key!r}")
-    path = block["path"]
-    if not isinstance(path, str) or path.split(".")[0] not in CONFIG_KEYS:
-        raise UsageError(f"sweep.path must be a dotted path under one of "
-                         f"{', '.join(CONFIG_KEYS)}, got {path!r}")
+    cfg = _load_config(args)
+    block = cfg["sweep"]
     values = _sweep_values(block)
-    at_times = _numbers(block["at_times"], "sweep.at_times")
-    # every point starts at t = 0; a negative time would move that origin
-    if not all(t >= 0 for t in at_times):
-        raise UsageError(f"sweep.at_times must not be negative, got {block['at_times']!r}")
-    token = str(block["observable"])
-    # the header's names only; each point parses the token against its own generator
-    cols, _ = _parse_observables([token], None)
+    at_times = [float(t) for t in block["at_times"]]
+    token = block["observable"]
+    # the header's names only; each point reads the token on its own generator
+    cols, _ = _token_columns(token)
     tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]
 
     # under the fork start method the pool forks every worker at the first
@@ -392,7 +403,7 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(t) for t in tasks]
 
-    header = [path.split(".")[-1], "t"] + [name for name, _ in cols]
+    header = [block["path"].split(".")[-1], "t"] + [name for name, _ in cols]
     rows = [row for chunk in results for row in chunk]
     _write_outputs(args, "_sweep", cfg, header, rows,
                    {"columns": header, "n_points": len(values)})
@@ -400,11 +411,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_steady(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if "preset" in cfg:
         gen, _, _, meta = _build_run(cfg, args.seed)
     else:
-        gen, meta = _network_gen(cfg, args.seed)
+        gen, meta = _network_gen(cfg)
     result = steady_states(gen)
     sites = gen.basis.sites
     occ = gen.basis.occupation_table
@@ -573,13 +584,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,6 +59,7 @@ from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 __all__ = [
     "PROPAGATION_HERMITICITY_TOL",
     "DENSE_DIMENSION_LIMIT",
+    "DENSE_OPERATOR_BUDGET",
     "InvariantViolation",
     "LindbladGenerator",
     "PropagationConfig",
@@ -79,6 +80,11 @@ PROPAGATION_HERMITICITY_TOL = 1e-9
 # applies the same bound to its largest block, which may hold at most
 # DENSE_DIMENSION_LIMIT**2 entries whatever D is.
 DENSE_DIMENSION_LIMIT = 64
+
+# Bytes that from_network may give the dense operators it holds: 16 D**2
+# each for H, every L and every L^dag L. lh1_ring with N = 8 (D = 3072,
+# five operators) takes 755 MB of it.
+DENSE_OPERATOR_BUDGET = 2 * 1024**3
 
 # Relative size below which steady_states counts a singular value as zero.
 _ZERO_TOL = 1e-10
@@ -166,6 +172,13 @@ class LindbladGenerator:
     @classmethod
     def from_network(cls, spec: NetworkSpec) -> "LindbladGenerator":
         basis = spec.basis()
+        D = basis.dimension
+        count = 1 + 2 * len(spec.jumps)
+        if 16 * D * D * count > DENSE_OPERATOR_BUDGET:
+            raise ValueError(
+                f"dimension D = {D}: its {count} dense operators (H, every L and every "
+                f"L^dag L) would take {16 * D * D * count} bytes, above the budget of "
+                f"{DENSE_OPERATOR_BUDGET} bytes")
         return cls(build_hamiltonian(spec, basis),
                    tuple(build_jump_operators(spec, basis)), basis)
 
@@ -381,8 +394,9 @@ class Trajectory:
 
 def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
     if isinstance(state, PureState):
-        state = state.to_density()
-    if isinstance(state, DensityMatrix):
+        # the projector of a unit ket is a density matrix by construction
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    elif isinstance(state, DensityMatrix):
         rho = state.matrix
     else:
         rho = np.asarray(state, dtype=complex)

@@ -253,8 +253,8 @@ def dicke_state(basis: ProductBasis, site_labels: Sequence[str], n: int) -> Pure
         if basis.sites[p].kind != "qubit":
             raise ValueError(f"dicke_state needs qubit sites, {basis.sites[p].label!r} is not")
     N = len(positions)
-    if not 0 <= n <= N:
-        raise ValueError(f"excitation count {n} out of range 0..{N}")
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= N:
+        raise ValueError(f"excitation count {n!r} out of range 0..{N}")
     amp = np.zeros(basis.dimension, dtype=complex)
     weight = 1.0 / np.sqrt(comb(N, n))
     for chosen in combinations(positions, n):

@@ -9,6 +9,7 @@ by this package, each with documented parameter conventions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping, Union
 
@@ -181,33 +182,90 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "NetworkSpec":
-        try:
-            sites = tuple(
-                SiteDescriptor(d["label"], d["kind"], int(d["dim"])) for d in data["sites"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"invalid sites entry: {exc}") from exc
-        try:
-            hoppings = tuple((a, b, float(amp)) for a, b, amp in data.get("hoppings", ()))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"invalid hoppings entry: {exc}") from exc
-        try:
-            onsite = tuple((lbl, float(eps)) for lbl, eps in data.get("onsite", ()))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"invalid onsite entry: {exc}") from exc
-        jumps = []
-        for j in data.get("jumps", ()):
-            if not isinstance(j, Mapping):
-                raise ValueError(f"jumps entry {j!r} must be a mapping with a kind")
-            kind = j.get("kind")
-            if kind not in _JUMP_KINDS:
-                raise ValueError(f"unknown jump kind {kind!r}")
-            if kind == "transfer":
-                jumps.append(Transfer(j["source"], j["target"], float(j["rate"])))
-            else:
-                jumps.append(_JUMP_KINDS[kind](j["site"], float(j["rate"])))
-        return cls(sites=sites, hoppings=hoppings, onsite=onsite, jumps=tuple(jumps),
-                   note=str(data.get("note", "")))
+        """The spec of a network block, the form to_dict writes.
+
+        A key the block does not define is refused, and every error is a
+        ValueError that names its key, as network.sites[0].dim.
+        """
+        sites, hoppings, onsite, jumps, note = _entry(data, "network", _BLOCK,
+                                                      required=("sites",))
+
+        def each(entries, name):
+            return [(f"network.{name}[{k}]", v) for k, v in enumerate(entries or ())]
+
+        sites = tuple(_named(key, SiteDescriptor, *_entry(d, key, _SITE))
+                      for key, d in each(sites, "sites"))
+        hoppings = tuple(_row(h, key, (_TEXT, _TEXT, _NUMBER), "[site, site, amplitude]")
+                         for key, h in each(hoppings, "hoppings"))
+        onsite = tuple(_row(o, key, (_TEXT, _NUMBER), "[site, energy]")
+                       for key, o in each(onsite, "onsite"))
+        built = []
+        for key, j in each(jumps, "jumps"):
+            kind = j.get("kind") if isinstance(j, Mapping) else None
+            if not isinstance(kind, str) or kind not in _JUMP_KINDS:
+                raise ValueError(f"{key} must be a mapping whose jump kind is one of "
+                                 f"{', '.join(_JUMP_KINDS)}, got {j!r}")
+            _, *args = _entry(j, key, _TRANSFER if kind == "transfer" else _SITE_JUMP)
+            built.append(_named(key, _JUMP_KINDS[kind], *args))
+        return _named("network", cls, sites, hoppings, onsite, tuple(built), note or "")
+
+
+def _is_number(value) -> bool:
+    """A finite int or float; True and False are not numbers here."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_whole(value) -> bool:
+    """A number with no fractional part, such as 3 or 3.0."""
+    return _is_number(value) and float(value).is_integer()
+
+
+# A field of a network block: (test, what it must be, conversion).
+_TEXT = (lambda v: isinstance(v, str), "a string", str)
+_NUMBER = (_is_number, "a finite number", float)
+_LIST = (lambda v: isinstance(v, list), "a list", list)
+_BLOCK = {"sites": (lambda v: isinstance(v, list) and v, "a nonempty list", list),
+          "hoppings": _LIST, "onsite": _LIST, "jumps": _LIST, "note": _TEXT}
+_SITE = {"label": _TEXT, "kind": _TEXT, "dim": (_is_whole, "a whole number", int)}
+_TRANSFER = {"kind": _TEXT, "source": _TEXT, "target": _TEXT, "rate": _NUMBER}
+_SITE_JUMP = {"kind": _TEXT, "site": _TEXT, "rate": _NUMBER}
+
+
+def _entry(value, key: str, fields: dict, required=None) -> list:
+    """The converted values of a mapping's fields, in the order of fields.
+
+    value may hold no key outside fields, and must hold each of required
+    (every field by default); an absent field reads as None.
+    """
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{key} must be a mapping, got {value!r}")
+    unknown = [k for k in value if k not in fields]
+    if unknown:
+        raise ValueError(f"{key}: unknown keys {unknown}; valid: {', '.join(fields)}")
+    out = []
+    for name, (test, what, convert) in fields.items():
+        if name not in value and (required is None or name in required):
+            raise ValueError(f"{key}.{name} is required")
+        if name in value and not test(value[name]):
+            raise ValueError(f"{key}.{name} must be {what}, got {value[name]!r}")
+        out.append(convert(value[name]) if name in value else None)
+    return out
+
+
+def _row(value, key: str, fields: tuple, what: str) -> tuple:
+    """A list entry such as [site, energy], one item per field, converted."""
+    if not (isinstance(value, (list, tuple)) and len(value) == len(fields)
+            and all(test(v) for (test, _, _), v in zip(fields, value))):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return tuple(convert(v) for (_, _, convert), v in zip(fields, value))
+
+
+def _named(key: str, make, *args):
+    """make(*args), a ValueError from it prefixed with key."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def build_hamiltonian(spec: NetworkSpec, basis: ProductBasis | None = None) -> np.ndarray:

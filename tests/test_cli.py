@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindnet import oracle
-from lindnet.cli import main
+from lindnet.cli import _SCHEMA, _Leaf, _set_dotted, main
 from lindnet.dynamics import LindbladGenerator, PropagationConfig, propagate
 from lindnet.model import preset
 
@@ -472,6 +479,32 @@ class TestSweep:
     def test_missing_sweep_block(self, tmp_path, pump_config):
         assert main(["sweep", pump_config, "--output", str(tmp_path)]) == 1
 
+    def test_config_error_comes_before_the_pool(self, tmp_path, monkeypatch, capsys):
+        # a mistake no point's value changes is reported once, without a
+        # point, and no worker starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool was started")
+
+        monkeypatch.setattr("lindnet.cli.ProcessPoolExecutor", no_pool)
+        cfg = write_config(tmp_path / "init.yaml", {
+            "preset": "two_site_pump", "initial": {"occupations": [1, 1]},
+            "sweep": {"path": "params.J", "values": [1.0, 2.0],
+                      "observable": "population:2", "at_times": [0.5]}})
+        assert main(["sweep", cfg, "--output", str(tmp_path / "out"), "--workers", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: initial: a preset sets its own initial state; "
+            "only network configs take an initial block\n")
+
+    def test_point_config_is_checked_again(self, tmp_path, capsys):
+        # a swept value of the wrong type for its key names the point
+        cfg = write_config(tmp_path / "m.yaml", {
+            "preset": "two_site_pump",
+            "sweep": {"path": "method", "values": [1.0], "observable": "population:2",
+                      "at_times": [0.5]}})
+        assert main(["sweep", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: method=1.0: method must be a string, got 1.0\n")
+
     def test_incomplete_sweep_block(self, tmp_path):
         cfg = write_config(tmp_path / "s.yaml", {
             "preset": "two_site_pump",
@@ -537,11 +570,48 @@ class TestConfigValues:
                    "sweep": _SWEEP}, "initial"),
         ("steady", {"preset": "two_site_pump", "initial": {"occupations": [1, 1]}},
          "initial"),
+        # unknown nested keys, once ignored
+        ("run", {"preset": "two_site_pump", "times": {"start": 0, "stop": 1, "num": 3,
+                                                      "foo": 1}},
+         "times: unknown keys ['foo']"),
+        ("run", {"network": _NETWORK, "initial": {"occupations": [1, 0], "foo": 1},
+                 "times": [0.0, 1.0]}, "initial: unknown keys ['foo']"),
+        ("run", {"network": {**_NETWORK, "foo": 1}, "initial": {"occupations": [1, 0]},
+                 "times": [0.0, 1.0]}, "network: unknown keys ['foo']"),
+        ("sweep", {"preset": "two_site_pump", "sweep": {**_SWEEP, "foo": 1}},
+         "sweep: unknown keys ['foo']"),
+        # keys a config of the other kind would read, once ignored
+        ("run", {"network": _NETWORK, "params": {"J": 1.0},
+                 "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]}, "params"),
+        ("run", {"network": _NETWORK, "initial": {"occupations": [1, 0],
+                                                  "dicke": {"sites": ["1", "2"], "n": 1}},
+                 "times": [0.0, 1.0]}, "initial.dicke"),
+        # True is not a number: it ran as J = 1
+        ("run", {"preset": "two_site_pump", "params": {"J": True}}, "params.J"),
+        # keys that steady does not read are checked all the same
+        ("steady", {"preset": "two_site_pump", "dt": -1}, "dt"),
+        ("steady", {"preset": "two_site_pump", "method": 3}, "method"),
+        ("steady", {"preset": "two_site_pump", "times": [1, 0]}, "times"),
+        ("steady", {"preset": "two_site_pump", "observables": [3]}, "observables"),
+        ("steady", {"preset": "two_site_pump", "sweep": {"path": 3}}, "sweep.path"),
+        # errors that did not name the key
+        ("run", {"preset": "two_site_pump", "params": {"gamma_in": "x"}}, "params.gamma_in"),
+        ("run", {"preset": ["a"]}, "preset"),
+        ("run", {"network": {"sites": [{"label": "1", "kind": "qubit", "dim": "x"}]},
+                 "initial": {"occupations": [1]}, "times": [0.0, 1.0]},
+         "network.sites[0].dim"),
+        ("run", {"network": {**_NETWORK, "jumps": [{"kind": "dissipation", "rate": 0.1}]},
+                 "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]},
+         "network.jumps[0].site"),
     ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
             "values", "at_times", "at_times-negative", "occupations", "dicke", "times-start",
             "times-list", "times-num", "dt", "hoppings", "onsite", "occupations-fraction",
             "dicke-n-fraction", "times-num-fraction", "logspace-num-fraction",
-            "preset-initial-run", "preset-initial-sweep", "preset-initial-steady"])
+            "preset-initial-run", "preset-initial-sweep", "preset-initial-steady",
+            "times-unknown", "initial-unknown", "network-unknown", "sweep-unknown",
+            "network-params", "occupations-and-dicke", "params-bool", "steady-dt",
+            "steady-method", "steady-times", "steady-observables", "steady-sweep-path",
+            "params-type", "preset-type", "site-dim", "jump-site"])
     def test_names_the_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path / "bad.yaml", payload)
         assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
@@ -549,6 +619,101 @@ class TestConfigValues:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        ("nan", "--dt must be a finite number, got nan"),
+        ("-1", "dt must be a positive step size")])
+    def test_dt_flag_is_checked_as_dt(self, tmp_path, capsys, flag, message):
+        cfg = write_config(tmp_path / "c.yaml", {"preset": "two_site_pump", "sweep": _SWEEP})
+        for command in ("run", "sweep"):
+            assert main([command, cfg, "--output", str(tmp_path / "out"),
+                         f"--dt={flag}"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_dimension_budget(self, tmp_path, capsys):
+        # six spins of dimension 40: D = 40**6, refused before any operator exists
+        sites = [{"label": f"s{k}", "kind": "spin", "dim": 40} for k in range(6)]
+        cfg = write_config(tmp_path / "big.yaml", {
+            "network": {"sites": sites}, "initial": {"occupations": [0] * 6},
+            "times": [0.0, 1.0]})
+        for command in ("run", "steady"):
+            assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: dimension D = 4096000000: its 1 dense operators")
+            assert f"budget of {2 * 1024**3} bytes" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_table_lists_the_schema(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split(
+            "| key | what it must be | read by |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        keys = [row.split("|")[1].strip().strip("`") for row in table.splitlines()]
+        assert keys == [path for path, _ in schema_nodes(_SCHEMA)]
+
+
+def schema_nodes(node, prefix=""):
+    """(dotted key, node) of every key in a schema node, in table order."""
+    if isinstance(node, tuple) and not isinstance(node, _Leaf):
+        return [item for alt in node for item in schema_nodes(alt, prefix)]
+    if not isinstance(node, dict):
+        return []
+    items = []
+    for key, child in node.items():
+        path = f"{prefix}.{key}" if prefix else key
+        items += [(path, child)] + schema_nodes(child, path)
+    return items
+
+
+_FUZZ_BASES = {
+    "preset": {"preset": "two_site_pump", "times": [0, 0.5], "sweep": _SWEEP},
+    "network": {
+        "network": {**_NETWORK, "hoppings": [["1", "2", 0.5]],
+                    "jumps": [{"kind": "extraction", "site": "2", "rate": 0.3}]},
+        "initial": {"occupations": [1, 0]},
+        "times": {"start": 0, "stop": 0.5, "num": 2},
+        "sweep": {"path": "dt", "values": [0.01], "observable": "population:2",
+                  "at_times": [0.5]}},
+}
+# nothing here is a valid value that would take long: no count between 50 and
+# 2**70, and no positive dt below 1e-3
+_FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 1.5, math.nan, math.inf, 1e308, 2**70,
+                [], {}, [1, "x"], {"foo": 1}]
+_FUZZ_PATHS = [path for path, _ in schema_nodes(_SCHEMA)]
+# the mappings an unknown key can be put in: schema mappings (times among
+# them), the preset's parameters and the network block
+_FUZZ_PARENTS = [path for path, node in schema_nodes(_SCHEMA)
+                 if isinstance(node, (dict, tuple)) and not isinstance(node, _Leaf)
+                 ] + ["params", "network"]
+
+
+class TestConfigFuzz:
+    @given(command=st.sampled_from(["run", "sweep", "steady"]),
+           base=st.sampled_from(sorted(_FUZZ_BASES)),
+           path=st.one_of(st.sampled_from(_FUZZ_PATHS),
+                          st.sampled_from(_FUZZ_PARENTS).map(lambda p: p + ".foo")),
+           value=st.sampled_from(_FUZZ_VALUES))
+    @settings(max_examples=300, deadline=None)
+    def test_every_exit_names_its_key(self, command, base, path, value):
+        # one key set to one value: the exit code is documented, there is no
+        # traceback, and an error names the key or a mapping that holds it
+        cfg = copy.deepcopy(_FUZZ_BASES[base])
+        _set_dotted(cfg, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp) / "fuzz.yaml", cfg)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, config, "--output", str(Path(tmp) / "out")])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 1:
+            line = err.splitlines()[0]
+            assert line.startswith("error: ")
+            parts = path.split(".")
+            named = [".".join(parts[:k]) for k in range(1, len(parts) + 1)]
+            assert (any(key in line for key in named) or "budget" in line
+                    or line.startswith("error: gap ")), (path, value, line)
 
 
 class TestSteady:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import expm_multiply
@@ -32,7 +32,13 @@ from lindnet.dynamics import (
     propagate,
     steady_states,
 )
-from lindnet.hilbert import ProductBasis, SiteDescriptor, basis_state
+from lindnet.hilbert import (
+    POSITIVITY_TOL,
+    ProductBasis,
+    PureState,
+    SiteDescriptor,
+    basis_state,
+)
 from lindnet.model import (
     Dephasing,
     Dissipation,
@@ -168,6 +174,16 @@ def classic_rk4(S, v: np.ndarray, h: float, n: int) -> np.ndarray:
     return v
 
 
+def coherent_mixture(D: int, support, seed: int) -> np.ndarray:
+    """A random density matrix of rank len(support) on those basis states."""
+    rng = np.random.default_rng(seed)
+    A = (rng.normal(size=(len(support), len(support)))
+         + 1j * rng.normal(size=(len(support), len(support))))
+    rho = np.zeros((D, D), dtype=complex)
+    rho[np.ix_(support, support)] = A @ A.conj().T
+    return rho / rho.trace()
+
+
 def full_space_run(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray, pairs,
                    method: str = "fixed_step_rk4", dt: float = 1e-3) -> dict:
     """Observables of a run on every entry of vec(rho), with no reduction.
@@ -221,6 +237,18 @@ class TestLindbladGenerator:
         assert gen.dimension == 4
         assert len(gen.jump_operators) == 1
         assert gen.basis is not None
+
+    def test_dense_operator_budget(self, monkeypatch):
+        # two qubits and one jump: H, L and L^dag L, 16 * 4**2 bytes each
+        spec = NetworkSpec(sites=(SiteDescriptor("1", "qubit", 2),
+                                  SiteDescriptor("2", "qubit", 2)),
+                           jumps=(Dissipation("1", 0.1),))
+        monkeypatch.setattr("lindnet.dynamics.DENSE_OPERATOR_BUDGET", 3 * 16 * 4**2)
+        assert LindbladGenerator.from_network(spec).dimension == 4
+        monkeypatch.setattr("lindnet.dynamics.DENSE_OPERATOR_BUDGET", 3 * 16 * 4**2 - 1)
+        with pytest.raises(ValueError, match=r"^dimension D = 4: its 3 dense operators .* "
+                                             r"768 bytes, above the budget of 767 bytes$"):
+            LindbladGenerator.from_network(spec)
 
 
 class TestSuperoperator:
@@ -306,6 +334,23 @@ class TestPropagation:
                          PropagationConfig(times=np.array([0.0, 1.0])))
         assert traj.population("1")[0] == pytest.approx(1.0)
         assert traj.population("2")[0] == pytest.approx(0.0)
+
+    def test_pure_state_needs_no_density_check(self, monkeypatch):
+        # the projector of a unit ket is positive by construction, so a pure
+        # start pays no eigvalsh, and its run equals the density matrix's
+        run = preset("two_site_pump", initial="site1")
+        gen = LindbladGenerator.from_network(run.spec)
+        config = PropagationConfig(times=np.linspace(0.0, 1.0, 3))
+        ref = propagate(gen, run.initial.to_density(), config)
+
+        def refuse(*args):
+            raise AssertionError("density check on a pure state")
+
+        monkeypatch.setattr("lindnet.dynamics.check_density", refuse)
+        monkeypatch.setattr(PureState, "to_density", refuse)
+        traj = propagate(gen, run.initial, config)
+        for name in ("populations", "purity", "purity_rate", "min_eigenvalue"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
 
     def test_population_accessor_unknown_label(self):
         run = preset("two_site_transfer")
@@ -641,6 +686,49 @@ class TestSectorFilter:
         assert traj.final_snapshot.shape == (8, 8)
         np.testing.assert_allclose(traj.final_snapshot, ref["snapshot"][-1], atol=1e-10)
 
+    def assert_matches_full_space(self, gen, support, seed):
+        """propagate against full_space_run at both methods, from a fully
+        coherent mixture on the basis states in support.
+
+        Where the reference's lambda_min first falls below the positivity
+        bound by more than 1e-10, propagate must raise there; a draw whose
+        reference comes within 1e-10 of the bound is rejected, since the
+        two may round to either side of it.
+        """
+        D = gen.dimension
+        rho0 = coherent_mixture(D, support, seed)
+        # each jump shifts both occupations of |a><b| alike, so a reachable
+        # entry keeps an occupation difference the initial support has
+        nvec = gen.basis.occupation_table.sum(axis=1)
+        q = nvec[:, None] - nvec[None, :]
+        bound = int(np.isin(q, q[np.ix_(support, support)]).sum())
+        pairs = ((support[1], 0), (D - 1, 1))
+        times = np.linspace(0.0, 2.0, 5)
+        for method in ("fixed_step_rk4", "superoperator_expm"):
+            config = PropagationConfig(times=times, dt=1e-2, method=method,
+                                       coherences=pairs, snapshots="all")
+            ref = full_space_run(gen, rho0, times, pairs, method, dt=1e-2)
+            low = np.flatnonzero(ref["min_eigenvalue"] < -POSITIVITY_TOL + 1e-10)
+            if low.size:
+                if ref["min_eigenvalue"][low[0]] >= -POSITIVITY_TOL - 1e-10:
+                    reject()
+                with pytest.raises(InvariantViolation) as info:
+                    propagate(gen, rho0, config)
+                assert (info.value.invariant, info.value.time) == ("positivity",
+                                                                   times[low[0]])
+                continue
+            traj = propagate(gen, rho0, config)
+            assert traj.metadata["reachable"]["entries"] <= bound
+            for name in ("populations", "purity", "purity_rate", "trace",
+                         "min_eigenvalue"):
+                np.testing.assert_allclose(getattr(traj, name), ref[name],
+                                           atol=1e-10, err_msg=name)
+            for pair in pairs:
+                np.testing.assert_allclose(traj.coherences[pair], ref["coherences"][pair],
+                                           atol=1e-10)
+            np.testing.assert_allclose(np.array(traj.snapshots), ref["snapshot"],
+                                       atol=1e-10)
+
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_reduction_matches_full_space(self, data):
@@ -662,38 +750,26 @@ class TestSectorFilter:
             jumps=tuple(jumps),
         )
         gen = LindbladGenerator.from_network(spec)
-        D = gen.dimension
-        # the vacuum plus up to three occupied states, fully coherent mixtures
-        extra = data.draw(st.lists(st.integers(1, D - 1), min_size=1, max_size=3,
-                                   unique=True), label="support")
-        support = [0, *extra]
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        A = (rng.normal(size=(len(support), len(support)))
-             + 1j * rng.normal(size=(len(support), len(support))))
-        rho0 = np.zeros((D, D), dtype=complex)
-        rho0[np.ix_(support, support)] = A @ A.conj().T
-        rho0 /= rho0.trace()
-        # each jump shifts both occupations of |a><b| alike, so a reachable
-        # entry keeps an occupation difference the initial support has
-        nvec = gen.basis.occupation_table.sum(axis=1)
-        q = nvec[:, None] - nvec[None, :]
-        bound = int(np.isin(q, q[np.ix_(support, support)]).sum())
-        pairs = ((support[1], 0), (D - 1, 1))
-        times = np.linspace(0.0, 2.0, 5)
-        for method in ("fixed_step_rk4", "superoperator_expm"):
-            traj = propagate(gen, rho0, PropagationConfig(
-                times=times, dt=1e-2, method=method, coherences=pairs, snapshots="all"))
-            ref = full_space_run(gen, rho0, times, pairs, method, dt=1e-2)
-            assert traj.metadata["reachable"]["entries"] <= bound
-            for name in ("populations", "purity", "purity_rate", "trace",
-                         "min_eigenvalue"):
-                np.testing.assert_allclose(getattr(traj, name), ref[name],
-                                           atol=1e-10, err_msg=name)
-            for pair in pairs:
-                np.testing.assert_allclose(traj.coherences[pair], ref["coherences"][pair],
-                                           atol=1e-10)
-            np.testing.assert_allclose(np.array(traj.snapshots), ref["snapshot"],
-                                       atol=1e-10)
+        # the vacuum plus up to three occupied states
+        extra = data.draw(st.lists(st.integers(1, gen.dimension - 1), min_size=1,
+                                   max_size=3, unique=True), label="support")
+        self.assert_matches_full_space(gen, [0, *extra],
+                                       data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def test_rk4_below_the_positivity_bound_raises(self):
+        # a strongly damped draw of the property test above: at dt = 1e-2,
+        # RK4 takes lambda_min to -2.6e-9 at t = 0.5 (the exact value is 0),
+        # in the full-space reference as in the engine
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(str(k), "qubit", 2) for k in range(3)),
+            hoppings=(("0", "1", 0.125), ("1", "2", 2.0)),
+            jumps=(Extraction("0", 1.0), Dissipation("0", 1.0), Dephasing("0", 0.25)),
+        )
+        gen = LindbladGenerator.from_network(spec)
+        with pytest.raises(InvariantViolation, match="positivity invariant violated at t=0.5"):
+            propagate(gen, coherent_mixture(gen.dimension, [0, 1, 2, 5], 0),
+                      PropagationConfig(times=np.linspace(0.0, 2.0, 5), dt=1e-2))
+        self.assert_matches_full_space(gen, [0, 1, 2, 5], 0)
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)

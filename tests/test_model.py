@@ -1,6 +1,7 @@
 """Tests for network declarations, builders, noise profiles, and presets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,34 @@ class TestNetworkSpec:
         data = two_qubits().to_dict()
         data["jumps"] = [{"kind": "teleport", "site": "1", "rate": 1.0}]
         with pytest.raises(ValueError, match="jump kind"):
+            NetworkSpec.from_dict(data)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d.update(foo=1), "network: unknown keys ['foo']"),
+        (lambda d: d.update(sites=[]), "network.sites must be a nonempty list, got []"),
+        (lambda d: d["sites"][0].update(dim="x"),
+         "network.sites[0].dim must be a whole number, got 'x'"),
+        (lambda d: d["sites"][0].pop("label"), "network.sites[0].label is required"),
+        (lambda d: d["sites"][1].update(kind="qutrit"),
+         "network.sites[1]: unknown site kind 'qutrit'"),
+        (lambda d: d["hoppings"].append(["1", "2"]),
+         "network.hoppings[1] must be [site, site, amplitude], got ['1', '2']"),
+        (lambda d: d["onsite"].append(["2", "x"]), "network.onsite[1] must be [site, energy]"),
+        (lambda d: d["jumps"][0].pop("site"), "network.jumps[0].site is required"),
+        (lambda d: d["jumps"][0].update(kind=["injection"]),
+         "network.jumps[0] must be a mapping whose jump kind is one of"),
+        (lambda d: d["jumps"][0].update(rate=True),
+         "network.jumps[0].rate must be a finite number, got True"),
+        (lambda d: d["jumps"][0].update(rate=-1.0),
+         "network.jumps[0]: injection rate must be a finite nonnegative rate"),
+        (lambda d: d["onsite"].append(["9", 1.0]),
+         "network: onsite term references unknown site '9'"),
+    ])
+    def test_from_dict_names_the_key(self, change, message):
+        data = two_qubits(hoppings=(("1", "2", 0.7),), onsite=(("2", -0.3),),
+                          jumps=(Injection("1", 0.2),)).to_dict()
+        change(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             NetworkSpec.from_dict(data)
 
 
