@@ -20,7 +20,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -395,9 +394,9 @@ def _cmd_sweep(args) -> int:
     # submit, so never ask for more than there are points
     workers = min(args.workers, len(tasks))
     if workers > 1:
-        # forked workers inherit the parent's modules: import the SciPy part
-        # propagate uses once here instead of once in every worker
-        import scipy.sparse  # noqa: F401
+        # imported here: run, steady and a serial sweep need no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

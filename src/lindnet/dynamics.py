@@ -4,9 +4,8 @@ The generator acts two ways: directly on a density matrix, and as a
 column-stacked sparse superoperator S. S is assembled in NumPy as
 canonical CSR arrays: each Kronecker term from the nonzeros of its two
 factors among H, the jump operators L and the products L^dag L, and the
-terms summed on the union of their patterns. No module here imports SciPy
-when it is loaded; only propagation imports scipy.sparse, for its products
-with S.
+terms summed on the union of their patterns. No module here imports SciPy:
+the products with S are the engine's own, on S stored as padded rows.
 
 Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
@@ -16,11 +15,11 @@ In that block's sparsity graph it finds the entries the initial state can
 reach. Every other entry has zero derivative for all time, so both
 integrators, fixed-step fourth-order Runge-Kutta and the action of the
 matrix exponential (the truncated Taylor action of Al-Mohy and Higham,
-one per output gap), run exactly on that block of S, wrapped in a SciPy
-CSR matrix. Each jump of the models
-here shifts total occupation by a fixed amount, so the block stays inside
-the occupation-difference sectors the initial state touches, pumped and
-lossy runs included. Observables and invariants are read from the
+one per output gap), run exactly on that block of S, stored as padded
+rows for its products. Each jump of the models here shifts total
+occupation by a fixed amount, so the block stays inside the
+occupation-difference sectors the initial state touches, pumped and lossy
+runs included. Observables and invariants are read from the
 reachable entries through index maps built once per run: the diagonal,
 each entry's mirror, the recorded coherences and the connected components
 of the touched basis states, over which rho is block diagonal. Only
@@ -30,10 +29,9 @@ connected components come from min-label propagation.
 
 Steady states split the entries of vec(rho) into the weakly connected
 components of the whole sparsity graph of S and take each block's null
-space by a dense NumPy SVD, so they load no SciPy at all. Their hermitian
-parts are found on the entries of the blocks that hold a null vector,
-through the recorder's position map; only the state and directions are
-scattered to D x D.
+space by a dense NumPy SVD. Their hermitian parts are found on the
+entries of the blocks that hold a null vector, through the recorder's
+position map; only the state and directions are scattered to D x D.
 """
 
 from __future__ import annotations
@@ -204,7 +202,7 @@ class _Csr(NamedTuple):
     """A square sparse matrix as CSR arrays.
 
     _superoperator_csr builds them canonical: sorted column indices, no
-    stored zeros. As a 3-tuple it is what scipy.sparse.csr_matrix takes.
+    stored zeros. _Padded stores one as padded rows for its products.
     """
 
     data: np.ndarray
@@ -215,6 +213,45 @@ class _Csr(NamedTuple):
     def rows(self) -> np.ndarray:
         """Row index of each stored entry."""
         return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+    def adjoint(self) -> "_Csr":
+        """The conjugate transpose, canonical when this matrix is."""
+        n = self.indptr.size - 1
+        keys = self.indices * n + self.rows
+        order = np.argsort(keys)
+        return _csr(keys[order], self.data[order].conj(), n)
+
+
+def _csr(keys: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
+    """The n x n matrix of the stored entries with sorted keys row * n + col."""
+    return _Csr(vals, keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
+
+
+class _Padded:
+    """A square sparse matrix as K padded rows, K its longest row, for products.
+
+    Slot k of row i holds the row's k-th stored entry, in column order: its
+    column in cols[k, i] and its value in vals[k, i]. A shorter row is padded
+    with slots that hold 0 and point at the row itself, an index always in
+    range whatever the row's entries. S @ x sums each row
+    over its slots in order, starting from 0, as SciPy's CSR kernel does, so
+    real products agree with it bit for bit. A complex product may differ
+    in the last bit where NumPy's vector loop fuses a multiply and an add.
+    """
+
+    def __init__(self, S: _Csr):
+        self.nnz = S.data.size
+        n = S.indptr.size - 1
+        rows = S.rows
+        slot = np.arange(self.nnz) - S.indptr[rows]
+        width = int(np.diff(S.indptr).max(initial=0))
+        self.cols = np.tile(np.arange(n), (width, 1))
+        self.cols[slot, rows] = S.indices
+        self.vals = np.zeros((width, n), dtype=S.data.dtype)
+        self.vals[slot, rows] = S.data
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduce(x[self.cols] * self.vals, axis=0, initial=0)
 
 
 # A sparse term while S is assembled: sorted keys row * n + col of its
@@ -305,8 +342,7 @@ def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None)
         S = _combine(S, gain, np.add)
         keys, vals = sandwich(LdL, np.add)
         S = _combine(S, (keys, vals * 0.5), np.subtract)
-    keys, vals = S
-    return _Csr(vals, keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
+    return _csr(*S, n)
 
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
@@ -533,8 +569,8 @@ def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
 class _Recorder:
     """Accumulates observables while the reachable block of vec(rho) marches forward.
 
-    S is the superoperator restricted to the sorted vec(rho) entries R, as a
-    SciPy CSR matrix. Every observable and invariant is read from the block
+    S is the superoperator restricted to the sorted vec(rho) entries R, as
+    _Padded rows. Every observable and invariant is read from the block
     vector through index maps built here once: the positions of the
     diagonal entries, the position of each entry's mirror (l, k), the
     position of each recorded coherence, and the connected components of
@@ -542,7 +578,8 @@ class _Recorder:
     density matrix.
     """
 
-    def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S, R: np.ndarray):
+    def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S: _Padded,
+                 R: np.ndarray):
         self.config = config
         self.S = S
         self.R = R
@@ -684,7 +721,7 @@ class _Recorder:
             coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
 
 
-def _rk4_steps(S, v: np.ndarray, h: float, n: int) -> None:
+def _rk4_steps(S: _Padded, v: np.ndarray, h: float, n: int) -> None:
     """Advance v in place by n classic fourth-order Runge-Kutta steps of size h.
 
     For dv/dt = S v the four-stage step equals the nested (Horner) form
@@ -723,13 +760,20 @@ class _TaylorAction:
     every product with A or its adjoint.
     """
 
-    def __init__(self, S):
-        import scipy.sparse
-
-        n = S.shape[0]
-        self.mu = complex(S.trace()) / n
-        self.A = S - self.mu * scipy.sparse.identity(n, dtype=complex, format="csr")
-        self.norm = float(np.bincount(self.A.indices, np.abs(self.A.data), n).max())
+    def __init__(self, S: _Csr):
+        self.n = n = S.indptr.size - 1
+        rows = S.rows
+        # the whole diagonal, zeros included: a pairwise sum rounds by its length
+        diag = np.zeros(n, dtype=complex)
+        on = rows == S.indices
+        diag[rows[on]] = S.data[on]
+        self.mu = complex(diag.sum()) / n
+        # A = S - mu I on the union pattern, its exact zeros dropped
+        self.csr = _csr(*_combine((rows * n + S.indices, S.data),
+                                  (np.arange(n) * (n + 1), np.full(n, self.mu)),
+                                  np.subtract), n)
+        self.A = _Padded(self.csr)
+        self.norm = float(np.bincount(self.csr.indices, np.abs(self.csr.data), n).max())
         self.products = 0
         self._d: dict[int, float] = {}
         self._steps: dict[float, tuple[int, int]] = {}
@@ -741,8 +785,8 @@ class _TaylorAction:
         self.products += p
         return x
 
-    def _power_norm(self, p: int, AH) -> float:
-        """An estimate of ||A^p||_1, a lower bound; AH is the adjoint of A, as CSR.
+    def _power_norm(self, p: int, AH: _Padded) -> float:
+        """An estimate of ||A^p||_1, a lower bound; AH is the adjoint of A.
 
         The larger of two runs of Hager's estimator, from e/n and from Higham's
         alternating vector x_i = (-1)^i (1 + i/(n-1)) scaled to unit 1-norm
@@ -752,12 +796,12 @@ class _TaylorAction:
         read a quarter of ||A^2||_1, and 0 when every row of H has the same
         sum, so that every row and column of the block sums to zero.
         """
-        n = self.A.shape[0]
+        n = self.n
         alt = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n) + 0j
         return max(self._hager(p, AH, np.full(n, 1.0 / n, dtype=complex)),
                    self._hager(p, AH, alt / np.abs(alt).sum()))
 
-    def _hager(self, p: int, AH, x: np.ndarray) -> float:
+    def _hager(self, p: int, AH: _Padded, x: np.ndarray) -> float:
         """Hager's estimate of ||A^p||_1 from x, ||x||_1 = 1, in at most five iterations.
 
         The first iteration always goes on to the adjoint product, with
@@ -765,7 +809,7 @@ class _TaylorAction:
         nothing about A^p.
         """
         A = self.A
-        n = A.shape[0]
+        n = self.n
         est, last = 0.0, -1
         for k in range(5):
             y = self._power(A, x, p)
@@ -797,7 +841,7 @@ class _TaylorAction:
             return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
                        key=lambda ms: ms[0] * ms[1])
         if not self._d:
-            AH = self.A.conj().T.tocsr()
+            AH = _Padded(self.csr.adjoint())
             self._d = {p: self._power_norm(p, AH) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
         best = None
         for p in range(2, _P_MAX + 1):
@@ -838,21 +882,19 @@ def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times.
 
-    The reachable block is wrapped in a SciPy CSR matrix for its products.
+    The reachable block is stored as _Padded rows for its products.
     """
-    import scipy.sparse
-
     rho = _as_density(gen, state)
     T = _reachable_states(gen, rho)
     block, R = _reachable_block(gen, rho, T)
-    S = scipy.sparse.csr_matrix(block, shape=(R.size, R.size))
+    S = _Padded(block)
     v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
     rec.record(0, times[0], v)
 
     if config.method == "superoperator_expm":
-        action = _TaylorAction(S)
+        action = _TaylorAction(block)
         for k in range(1, times.size):
             v = action(v, float(times[k] - times[k - 1]))
             rec.record(k, times[k], v)

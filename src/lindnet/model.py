@@ -365,9 +365,12 @@ def _two_site_transfer(p: dict) -> PresetRun:
 
 def _qubit_to_battery(p: dict) -> PresetRun:
     gamma, s, n_tot = p["gamma"], p["s"], p["n_tot"]
-    dim = round(2 * s + 1)
-    if abs(2 * s + 1 - dim) > 1e-12 or dim < 2:
-        raise ValueError("qubit_to_battery: s must be a half-integer >= 1/2")
+    # a finite s can still overflow 2 s + 1, which round() refuses
+    size = 2 * s + 1
+    dim = round(size) if math.isfinite(size) else 0
+    if abs(size - dim) > 1e-12 or dim < 2:
+        raise ValueError(f"qubit_to_battery: params.s must be a half-integer >= 1/2, "
+                         f"got {s!r}")
     if gamma <= 0:
         raise ValueError("qubit_to_battery: gamma must be > 0")
     if not isinstance(n_tot, (int, np.integer)) or not 0 <= n_tot <= dim:
@@ -465,6 +468,9 @@ def _noise_profile(kind: str, amplitude: float, count: int, seed: int) -> list[f
     if kind == "cosine":
         return cosine_noise(amplitude, count)
     if kind == "uniform":
+        # default_rng(None) would draw a fresh profile on every run
+        if seed is None:
+            raise ValueError("params.seed must be an integer for uniform noise, got None")
         return uniform_noise(amplitude, count, seed)
     if kind == "none":
         return [0.0] * count

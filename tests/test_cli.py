@@ -398,7 +398,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("lindnet.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = self.sweep_config(tmp_path)
         assert main(["sweep", cfg, "--output", str(tmp_path), "--workers", "64"]) == 0
         assert sizes == [2]
@@ -485,7 +485,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("the pool was started")
 
-        monkeypatch.setattr("lindnet.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         cfg = write_config(tmp_path / "init.yaml", {
             "preset": "two_site_pump", "initial": {"occupations": [1, 1]},
             "sweep": {"path": "params.J", "values": [1.0, 2.0],
@@ -603,6 +603,11 @@ class TestConfigValues:
         ("run", {"network": {**_NETWORK, "jumps": [{"kind": "dissipation", "rate": 0.1}]},
                  "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0]},
          "network.jumps[0].site"),
+        # a preset builder's own checks: a null seed drew a fresh profile on
+        # every run, and 2 s + 1 overflowed to a traceback
+        ("steady", {"preset": "open_chain_pump",
+                    "params": {"N": 3, "noise": "uniform", "seed": None}}, "params.seed"),
+        ("steady", {"preset": "qubit_to_battery", "params": {"s": 1.0e308}}, "params.s"),
     ], ids=["jumps", "observables", "params", "path-type", "path-key", "logspace",
             "values", "at_times", "at_times-negative", "occupations", "dicke", "times-start",
             "times-list", "times-num", "dt", "hoppings", "onsite", "occupations-fraction",
@@ -611,7 +616,8 @@ class TestConfigValues:
             "times-unknown", "initial-unknown", "network-unknown", "sweep-unknown",
             "network-params", "occupations-and-dicke", "params-bool", "steady-dt",
             "steady-method", "steady-times", "steady-observables", "steady-sweep-path",
-            "params-type", "preset-type", "site-dim", "jump-site"])
+            "params-type", "preset-type", "site-dim", "jump-site", "uniform-seed-null",
+            "battery-s-overflow"])
     def test_names_the_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path / "bad.yaml", payload)
         assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1

@@ -19,6 +19,7 @@ from lindnet.dynamics import (
     PropagationConfig,
     _closure,
     _Csr,
+    _Padded,
     _reachable_block,
     _reachable_entries,
     _reachable_states,
@@ -54,6 +55,14 @@ from lindnet.model import (
 def as_scipy(S: _Csr) -> scipy.sparse.csr_matrix:
     n = S.indptr.size - 1
     return scipy.sparse.csr_matrix(S, shape=(n, n))
+
+
+def as_engine(M) -> _Csr:
+    """The canonical _Csr of a SciPy sparse matrix: sorted columns, no stored zeros."""
+    M = scipy.sparse.csr_matrix(M, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return _Csr(M.data, M.indices.astype(np.int64), M.indptr.astype(np.int64))
 
 
 def scipy_superoperator(gen: LindbladGenerator,
@@ -292,6 +301,50 @@ class TestSuperoperator:
             build_superoperator(LindbladGenerator(np.zeros((65, 65))))
 
 
+class TestPaddedProduct:
+    """The engine's padded-row product against SciPy's CSR product."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_product(self, data):
+        # random canonical blocks: empty rows, the all-zero block, n = 1, and
+        # optionally one full row among sparse ones. Small integers multiply
+        # and add exactly, so any order of the sums agrees bit for bit; on
+        # random complex data each row agrees to 1e-15 of the sum of its
+        # terms' sizes, the room a fused multiply-add leaves per term
+        n = data.draw(st.integers(1, 30), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]), label="density")
+        mask = rng.random((n, n)) < density
+        if data.draw(st.booleans(), label="long_row"):
+            mask[rng.integers(n)] = True
+        small = (rng.integers(-3, 4, (n, n)) * mask).astype(float)
+        x = rng.integers(-3, 4, n).astype(float)
+        M = scipy.sparse.csr_matrix(small)
+        got = _Padded(as_engine(M)) @ x
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, M @ x)
+        M = scipy.sparse.csr_matrix(mask * (rng.normal(size=(n, n))
+                                            + 1j * rng.normal(size=(n, n))))
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got, want = _Padded(as_engine(M)) @ x, M @ x
+        assert np.all(np.abs(got - want) <= 1e-15 * (abs(M) @ np.abs(x)))
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_shift_and_adjoint_match_scipy(self, name):
+        # the Taylor action's A = S - mu I, and its adjoint, bit for bit
+        run = preset(name)
+        gen = LindbladGenerator.from_network(run.spec)
+        rho0 = run.initial.to_density().matrix
+        block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
+        S = as_scipy(block)
+        action = _TaylorAction(block)
+        assert action.mu == complex(S.trace()) / R.size
+        A = S - action.mu * scipy.sparse.identity(R.size, dtype=complex, format="csr")
+        assert_same_csr(action.csr, A)
+        assert_same_csr(action.csr.adjoint(), A.conj().T.tocsr())
+
+
 class TestPropagationConfig:
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -460,9 +513,10 @@ class TestPropagation:
         dt = data.draw(st.floats(1e-3, 0.2), label="dt")
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = v.copy()
+        block = _Padded(as_engine(S))
         for gap in gaps:
             n_sub = max(1, math.ceil(gap / dt))
-            _rk4_steps(S, v, gap / n_sub, n_sub)
+            _rk4_steps(block, v, gap / n_sub, n_sub)
             ref = classic_rk4(S, ref, gap / n_sub, n_sub)
             np.testing.assert_allclose(v, ref, rtol=0,
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
@@ -473,13 +527,13 @@ class TestPropagation:
         # expm run's matvecs count every product with the block it makes: the
         # Taylor terms, the norm estimates of the 40-unit gap and the purity rate
         products = []
-        matmul = scipy.sparse.csr_matrix.__matmul__
+        matmul = _Padded.__matmul__
 
         def counted(self, other):
             products.append(np.ndim(other) == 1)
             return matmul(self, other)
 
-        monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counted)
+        monkeypatch.setattr(_Padded, "__matmul__", counted)
         run = preset("two_site_pump")
         gen = LindbladGenerator.from_network(run.spec)
         times = np.array([0.0, 0.05, 0.3, 0.31, 1.0])
@@ -567,7 +621,7 @@ class TestTaylorAction:
                                             st.floats(1e-6, 40.0)),
                                   min_size=1, max_size=4), label="gaps")
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        action = _TaylorAction(S)
+        action = _TaylorAction(as_engine(S))
         for t in gaps:
             assert_close_relative(action(v, t), scipy.linalg.expm(t * S.toarray()) @ v,
                                   1e-12)
@@ -581,7 +635,7 @@ class TestTaylorAction:
         block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
         S = as_scipy(block)
         v = rho0.ravel(order="F")[R]
-        action = _TaylorAction(S)
+        action = _TaylorAction(block)
         for t in [*np.unique(np.diff(run.times)), 40.0]:
             assert_close_relative(action(v, float(t)), expm_multiply(S * float(t), v), 1e-12)
 
@@ -592,8 +646,8 @@ class TestTaylorAction:
         H = np.zeros((3, 3))
         H[0, 2] = H[2, 0] = -0.875
         S = scipy.sparse.csr_matrix(-1j * (np.kron(np.eye(3), H) - np.kron(H.T, np.eye(3))))
-        action = _TaylorAction(S)
-        AH = S.conj().T.tocsr()
+        action = _TaylorAction(as_engine(S))
+        AH = _Padded(as_engine(S.conj().T))
         assert action._hager(2, AH, np.full(9, 1 / 9 + 0j)) == pytest.approx(0.765625)
         assert action._power_norm(2, AH) == pytest.approx(3.0625)
         v = np.arange(1.0, 10.0) - 4.0j
@@ -610,8 +664,8 @@ class TestTaylorAction:
         S = scipy.sparse.csr_matrix(A / 8)
         alt = np.linspace(1.0, 2.0, 4) * (-1.0) ** np.arange(4)
         assert not np.any(S @ np.ones(4)) and not np.any(S @ alt)
-        action = _TaylorAction(S)
-        AH = S.conj().T.tocsr()
+        action = _TaylorAction(as_engine(S))
+        AH = _Padded(as_engine(S.conj().T))
         for p in range(1, 10):
             assert 0 < action._hager(p, AH, np.full(4, 0.25 + 0j)) <= np.linalg.norm(
                 np.linalg.matrix_power(A / 8, p), 1)
@@ -636,7 +690,7 @@ class TestTaylorAction:
         # A^2 = 0 while ||tA||_1 = 100: the power norms, not ||A||_1, decide,
         # and one Taylor term is exact
         S = scipy.sparse.csr_matrix(([50.0 + 0j], ([0], [1])), shape=(3, 3))
-        action = _TaylorAction(S)
+        action = _TaylorAction(as_engine(S))
         assert action._parameters(2.0) == (1, 1)
         v = np.array([0.5, 1.0 - 2.0j, 3.0])
         np.testing.assert_array_equal(action(v, 2.0), v + 2.0 * (S @ v))
@@ -803,7 +857,7 @@ class TestSectorFilter:
         pairs += ((int(R[0] % D), int(R[0] // D)),)
         config = PropagationConfig(times=np.arange(float(len(samples))),
                                    coherences=pairs, snapshots="all")
-        rec = _Recorder(gen, config, as_scipy(S), R)
+        rec = _Recorder(gen, config, _Padded(S), R)
         for k, v in enumerate(samples):
             # a sample that breaks a bound is stored before the bound is checked
             with contextlib.suppress(InvariantViolation):

@@ -28,39 +28,24 @@ def _run_python(code: str, cwd=None) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
-_HEAVY = "('scipy.linalg', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
-
-
-def test_cli_import_leaves_graph_and_solver_modules_unloaded():
-    # SciPy is imported only inside propagate and a sweep's worker start, so
-    # starting the command line pays for none of it
-    code = f"import sys, lindnet.cli; print([m for m in {_HEAVY} if m in sys.modules])"
-    assert _run_python(code) == "[]"
-
-
-def test_rk4_run_leaves_graph_and_solver_modules_unloaded(tmp_path):
-    # an RK4 run searches with NumPy and integrates and records with scipy.sparse only
-    (tmp_path / "short.yaml").write_text(
-        "preset: two_site_pump\ntimes: {start: 0.0, stop: 0.5, num: 3}\n", encoding="utf-8")
-    code = ("import sys\nfrom lindnet import cli\n"
-            "assert cli.main(['run', 'short.yaml', '--output', 'out']) == 0\n"
-            f"print([m for m in {_HEAVY} if m in sys.modules])")
-    assert _run_python(code, cwd=tmp_path) == "[]"
-
-
-def test_expm_run_and_sweep_leave_solver_modules_unloaded(tmp_path):
-    # the exponential action is the engine's own Taylor loop over scipy.sparse
-    # products, and a sweep's parent imports only scipy.sparse before it forks
-    (tmp_path / "expm.yaml").write_text(
-        "preset: two_site_pump\nmethod: superoperator_expm\n"
-        "times: {start: 0.0, stop: 40.0, num: 3}\n"
+def test_commands_load_no_scipy(tmp_path):
+    # the engine assembles, searches, integrates, records and solves with
+    # NumPy alone, and a sweep's parent starts its pool without SciPy
+    (tmp_path / "pump.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 40.0, num: 3}\n"
         "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
         " at_times: [40.0]}\n", encoding="utf-8")
-    code = ("import sys\nfrom lindnet import cli\n"
-            "assert cli.main(['run', 'expm.yaml', '--output', 'out']) == 0\n"
-            "assert cli.main(['sweep', 'expm.yaml', '--output', 'out',"
-            " '--workers', '2']) == 0\n"
-            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 40.0, num: 3}\n", encoding="utf-8")
+    code = ("import contextlib, io, sys\nfrom lindnet import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['validate'], ['run', 'pump.yaml', '--dt', '0.1'],"
+            " ['run', 'expm.yaml'], ['sweep', 'pump.yaml', '--dt', '0.1', '--workers', '2'],"
+            " ['steady', 'pump.yaml'], ['presets']):\n"
+            "        out = ['--output', 'out'] if argv[0] in ('run', 'sweep', 'steady') else []\n"
+            "        assert cli.main(argv + out) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_python(code, cwd=tmp_path) == "[]"
 
 
@@ -73,20 +58,13 @@ def test_steady_loads_no_scipy(tmp_path):
     assert _run_python(code, cwd=tmp_path) == "[]"
 
 
-def _import_time_nodes(node):
-    """The nodes of a module that run when it is imported: all but function bodies."""
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield child
-            yield from _import_time_nodes(child)
-
-
 def test_no_module_level_scipy_import():
+    # nor one inside a function: the package imports no SciPy at all
     import lindnet
 
     found = []
     for path in sorted(Path(lindnet.__file__).parent.glob("*.py")):
-        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
