@@ -28,6 +28,41 @@ def _run_python(code: str, cwd=None) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
+_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_graph_and_solver_modules_unloaded():
+    # starting the command line imports no SciPy module at all
+    code = f"import sys, lindnet.cli; print({_SCIPY})"
+    assert _run_python(code) == "[]"
+
+
+def test_rk4_run_leaves_graph_and_solver_modules_unloaded(tmp_path):
+    # an RK4 run searches, integrates and records with NumPy alone
+    (tmp_path / "short.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 0.5, num: 3}\n", encoding="utf-8")
+    code = ("import sys\nfrom lindnet import cli\n"
+            "assert cli.main(['run', 'short.yaml', '--output', 'out']) == 0\n"
+            f"print({_SCIPY})")
+    assert _run_python(code, cwd=tmp_path) == "[]"
+
+
+def test_expm_run_and_sweep_leave_solver_modules_unloaded(tmp_path):
+    # the exponential action is the engine's own Taylor loop over its own
+    # sparse product, and a sweep's parent imports no SciPy before it forks
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 40.0, num: 3}\n"
+        "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
+        " at_times: [40.0]}\n", encoding="utf-8")
+    code = ("import sys\nfrom lindnet import cli\n"
+            "assert cli.main(['run', 'expm.yaml', '--output', 'out']) == 0\n"
+            "assert cli.main(['sweep', 'expm.yaml', '--output', 'out',"
+            " '--workers', '2']) == 0\n"
+            f"print({_SCIPY})")
+    assert _run_python(code, cwd=tmp_path) == "[]"
+
+
 def test_commands_load_no_scipy(tmp_path):
     # the engine assembles, searches, integrates, records and solves with
     # NumPy alone, and a sweep's parent starts its pool without SciPy
