@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -40,8 +39,15 @@ from lindnet.model import (
     Extraction,
     Injection,
     NetworkSpec,
-    _is_number,
-    _is_whole,
+    _Either,
+    _Leaf,
+    _List,
+    _Map,
+    _NETWORK,
+    _NUMBER,
+    _TEXT,
+    _WHOLE,
+    _walk,
     preset,
     preset_defaults,
     preset_description,
@@ -109,91 +115,44 @@ def _token_columns(tok: str):
     return None
 
 
-class _Leaf(NamedTuple):
-    """A schema leaf: what its value must be, and the test of that."""
-
-    what: str
-    test: Callable[[Any], bool]
-
-
-_NUMBER = _Leaf("a finite number", _is_number)
-_WHOLE = _Leaf("a whole number", _is_whole)
-_COUNT = _Leaf(f"a whole number from 1 to {_MAX_COUNT}",
-               lambda v: _is_whole(v) and 1 <= v <= _MAX_COUNT)
-_POSITIVE = _Leaf("a finite number above 0", lambda v: _is_number(v) and v > 0)
-_TEXT = _Leaf("a string", lambda v: isinstance(v, str))
-_TOKEN = _Leaf("an observable token",
-               lambda v: isinstance(v, str) and _token_columns(v) is not None)
+_COUNT = _WHOLE.where(f"a whole number from 1 to {_MAX_COUNT}", lambda v: 1 <= v <= _MAX_COUNT)
+_POSITIVE = _NUMBER.where("a finite number above 0", lambda v: v > 0)
+_TOKEN = _TEXT.where("an observable token", lambda v: _token_columns(v) is not None)
 # a preset's parameter takes the type of its default
 _PARAM = {float: _NUMBER, str: _TEXT}
 _INT_OR_NULL = _Leaf("an integer or null", lambda v: v is None or type(v) is int)
 
-# The configuration format. A leaf is checked by its test, a dict is a mapping
-# that takes only its own keys, a one-item list is a nonempty list of such
-# items, and a tuple holds alternatives that the value's own type picks from.
-# NetworkSpec.from_dict checks the network block, each parameter takes the type
-# of its preset's default, and PropagationConfig checks dt, method and times.
-_SCHEMA = {
-    "preset": _Leaf(f"one of {', '.join(preset_names())}",
-                    lambda v: isinstance(v, str) and v in preset_names()),
+# The configuration format, built from the nodes of lindnet.model. Each
+# parameter takes the type of its preset's default, PropagationConfig checks
+# dt, method and times, and NetworkSpec.from_dict what the network block's
+# node cannot: site kinds, site references and duplicate labels.
+_SCHEMA = _Map({
+    "preset": _TEXT.where(f"one of {', '.join(preset_names())}",
+                          lambda v: v in preset_names()),
     "params": _Leaf("a mapping", lambda v: isinstance(v, dict)),
-    # from_dict's own errors name the key
-    "network": _Leaf("a network block", lambda v: NetworkSpec.from_dict(v) is not None),
-    "initial": {"occupations": [_WHOLE], "dicke": {"sites": [_TEXT], "n": _WHOLE}},
-    "times": ([_NUMBER], {"start": _NUMBER, "stop": _NUMBER, "num": _COUNT}),
+    "network": _NETWORK,
+    "initial": _Map({"occupations": _List(_WHOLE),
+                     "dicke": _Map({"sites": _List(_TEXT), "n": _WHOLE}, ("sites", "n"))},
+                    one_of=("occupations", "dicke")),
+    "times": _Either("a list or a mapping", type, {
+        list: _List(_NUMBER),
+        dict: _Map({"start": _NUMBER, "stop": _NUMBER, "num": _COUNT},
+                   ("start", "stop", "num"))}),
     "observables": _Leaf("a list of observable tokens",
                          lambda v: isinstance(v, list) and all(map(_TOKEN.test, v))),
     "method": _TEXT,
     "dt": _NUMBER,
-    "sweep": {
-        "path": _Leaf("a dotted path under a top-level key",
-                      lambda v: isinstance(v, str) and v.split(".")[0] in _SCHEMA),
-        "values": [_NUMBER],
-        "logspace": {"start": _POSITIVE, "stop": _POSITIVE, "num": _COUNT},
+    "sweep": _Map({
+        "path": _TEXT.where("a dotted path under a top-level key",
+                            lambda v: v.split(".")[0] in _SCHEMA.keys),
+        "values": _List(_NUMBER),
+        "logspace": _Map({"start": _POSITIVE, "stop": _POSITIVE, "num": _COUNT},
+                         ("start", "stop", "num")),
         "observable": _TOKEN,
         # every point starts at t = 0
-        "at_times": [_Leaf("a finite number not below 0", lambda v: _is_number(v) and v >= 0)],
-    },
-}
-# The keys each mapping needs, and the pair of which it takes exactly one
-# ("" is the config itself).
-_REQUIRED = {"times": ("start", "stop", "num"), "initial.dicke": ("sites", "n"),
-             "sweep": ("path", "observable", "at_times"),
-             "sweep.logspace": ("start", "stop", "num")}
-_EXACTLY_ONE = {"": ("preset", "network"), "initial": ("occupations", "dicke"),
-                "sweep": ("values", "logspace")}
-
-
-def _walk(node, value, key: str, noun: str = "keys") -> None:
-    """Check value against a schema node; an error names key, its dotted path."""
-    if isinstance(node, _Leaf):
-        if not node.test(value):
-            raise UsageError(f"{key} must be {node.what}, got {value!r}")
-    elif isinstance(node, tuple):
-        alts = [alt for alt in node if isinstance(value, type(alt))]
-        if not alts:
-            raise UsageError(f"{key} must be a list or a mapping, got {value!r}")
-        _walk(alts[0], value, key)
-    elif isinstance(node, list):
-        if not isinstance(value, list) or not value:
-            raise UsageError(f"{key} must be a nonempty list, got {value!r}")
-        for i, item in enumerate(value):
-            _walk(node[0], item, f"{key}[{i}]")
-    else:
-        if not isinstance(value, dict):
-            raise UsageError(f"{key or 'config'} must be a mapping, got {value!r}")
-        unknown = [k for k in value if k not in node]
-        if unknown:
-            raise UsageError(f"{key or 'config'}: unknown {noun} {unknown}; "
-                             f"valid: {', '.join(node)}")
-        for k, v in value.items():
-            _walk(node[k], v, f"{key}.{k}" if key else k)
-        missing = [k for k in _REQUIRED.get(key, ()) if k not in value]
-        if missing:
-            raise UsageError(f"{key}.{missing[0]} is required")
-        pair = [f"{key}.{k}" if key else k for k in _EXACTLY_ONE.get(key, ())]
-        if pair and sum(k.rsplit(".", 1)[-1] in value for k in pair) != 1:
-            raise UsageError(f"config needs exactly one of {pair[0]} and {pair[1]}")
+        "at_times": _List(_NUMBER.where("a finite number not below 0", lambda v: v >= 0)),
+    }, ("path", "observable", "at_times"), ("values", "logspace")),
+}, one_of=("preset", "network"))
 
 
 def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -> None:
@@ -204,11 +163,12 @@ def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -
             raise UsageError("initial: a preset sets its own initial state; "
                              "only network configs take an initial block")
         defaults = preset_defaults(cfg["preset"])
-        _walk({k: _PARAM.get(type(v), _INT_OR_NULL) for k, v in defaults.items()},
+        _walk(_Map({k: _PARAM.get(type(v), _INT_OR_NULL) for k, v in defaults.items()}),
               cfg.get("params", {}), "params", "parameters")
         if seed is not None and "seed" not in defaults:
             raise UsageError(f"preset {cfg['preset']!r} accepts no seed")
     else:
+        NetworkSpec.from_dict(cfg["network"])
         if "params" in cfg:
             raise UsageError("params: only preset configs take params")
         if seed is not None:
@@ -219,7 +179,7 @@ def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -
     if command == "sweep" and "sweep" not in cfg:
         raise UsageError("config needs a sweep block for the sweep command")
     if dt is not None:
-        _walk(_SCHEMA["dt"], dt, "--dt")
+        _walk(_SCHEMA.keys["dt"], dt, "--dt")
     # PropagationConfig owns dt's sign, the method names and the order of times
     _propagation_config(cfg, _resolve_times(cfg, np.zeros(1)), (), dt)
 

@@ -52,6 +52,7 @@ from lindnet.hilbert import (
     PureState,
     check_density,
 )
+from lindnet.model import DENSE_OPERATOR_BUDGET  # exported here too
 from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 
 __all__ = [
@@ -78,11 +79,6 @@ PROPAGATION_HERMITICITY_TOL = 1e-9
 # applies the same bound to its largest block, which may hold at most
 # DENSE_DIMENSION_LIMIT**2 entries whatever D is.
 DENSE_DIMENSION_LIMIT = 64
-
-# Bytes that from_network may give the dense operators it holds: 16 D**2
-# each for H, every L and every L^dag L. lh1_ring with N = 8 (D = 3072,
-# five operators) takes 755 MB of it.
-DENSE_OPERATOR_BUDGET = 2 * 1024**3
 
 # Relative size below which steady_states counts a singular value as zero.
 _ZERO_TOL = 1e-10
@@ -170,13 +166,6 @@ class LindbladGenerator:
     @classmethod
     def from_network(cls, spec: NetworkSpec) -> "LindbladGenerator":
         basis = spec.basis()
-        D = basis.dimension
-        count = 1 + 2 * len(spec.jumps)
-        if 16 * D * D * count > DENSE_OPERATOR_BUDGET:
-            raise ValueError(
-                f"dimension D = {D}: its {count} dense operators (H, every L and every "
-                f"L^dag L) would take {16 * D * D * count} bytes, above the budget of "
-                f"{DENSE_OPERATOR_BUDGET} bytes")
         return cls(build_hamiltonian(spec, basis),
                    tuple(build_jump_operators(spec, basis)), basis)
 
@@ -445,12 +434,6 @@ def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
     return np.array(rho, dtype=complex)
 
 
-def _entry_graph(S: _Csr) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (j, i) of the sparsity pattern of S: entry j feeds entry i where S[i, j] != 0."""
-    keep = S.data != 0
-    return S.indices[keep], S.rows[keep]
-
-
 def _closure(src: np.ndarray, dst: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Mask of the nodes that the nodes of the start mask reach along the edges src -> dst.
 
@@ -513,7 +496,9 @@ def _reachable_entries(S: _Csr, v0: np.ndarray) -> np.ndarray:
     derivative for all time, so propagating only the returned entries is
     exact.
     """
-    return np.flatnonzero(_closure(*_entry_graph(S), v0 != 0))
+    # S is canonical: its stored entries are its nonzeros, entry j feeding
+    # entry i through S[i, j]
+    return np.flatnonzero(_closure(S.indices, S.rows, v0 != 0))
 
 
 def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -961,7 +946,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     n = D * D
     S = _superoperator_csr(gen)
     rows = S.rows
-    n_blocks, labels = _weak_components(n, *_entry_graph(S))
+    n_blocks, labels = _weak_components(n, S.indices, rows)
     sizes = np.bincount(labels)
     largest = int(sizes.max())
     cap = DENSE_DIMENSION_LIMIT * DENSE_DIMENSION_LIMIT

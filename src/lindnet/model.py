@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, ClassVar, Mapping, Union
+from collections import namedtuple
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -53,6 +54,11 @@ HBAR_MEV_PS = 0.6582119
 # An irrational multiple of pi is wanted so the profile never repeats; Euler's
 # number is the documented choice.
 NOISE_PHASE_CONSTANT = math.e
+
+# Bytes that the dense operators of a network may take: 16 D**2 each for H,
+# every L and every L^dag L. lh1_ring with N = 8 (D = 3072, five operators)
+# takes 755 MB of it.
+DENSE_OPERATOR_BUDGET = 2 * 1024**3
 
 
 def _check_rate(rate: float, what: str) -> None:
@@ -161,22 +167,23 @@ class NetworkSpec:
                 need(j.site, "jump")
 
     def basis(self) -> ProductBasis:
-        return ProductBasis(self.sites)
+        """The product basis, refused when its dense operators would pass the budget."""
+        basis = ProductBasis(self.sites)
+        D = basis.dimension
+        count = 1 + 2 * len(self.jumps)
+        if 16 * D * D * count > DENSE_OPERATOR_BUDGET:
+            raise ValueError(
+                f"dimension D = {D}: its {count} dense operators (H, every L and every "
+                f"L^dag L) would take {16 * D * D * count} bytes, above the budget of "
+                f"{DENSE_OPERATOR_BUDGET} bytes")
+        return basis
 
     def to_dict(self) -> dict:
-        jumps = []
-        for j in self.jumps:
-            kind = type(j).__name__.lower()
-            if isinstance(j, Transfer):
-                jumps.append({"kind": kind, "source": j.source, "target": j.target,
-                              "rate": j.rate})
-            else:
-                jumps.append({"kind": kind, "site": j.site, "rate": j.rate})
         return {
-            "sites": [{"label": s.label, "kind": s.kind, "dim": s.dim} for s in self.sites],
-            "hoppings": [[a, b, amp] for a, b, amp in self.hoppings],
-            "onsite": [[lbl, eps] for lbl, eps in self.onsite],
-            "jumps": jumps,
+            "sites": [asdict(s) for s in self.sites],
+            "hoppings": [list(h) for h in self.hoppings],
+            "onsite": [list(o) for o in self.onsite],
+            "jumps": [{"kind": type(j).__name__.lower(), **asdict(j)} for j in self.jumps],
             "note": self.note,
         }
 
@@ -187,83 +194,115 @@ class NetworkSpec:
         A key the block does not define is refused, and every error is a
         ValueError that names its key, as network.sites[0].dim.
         """
-        sites, hoppings, onsite, jumps, note = _entry(data, "network", _BLOCK,
-                                                      required=("sites",))
-
-        def each(entries, name):
-            return [(f"network.{name}[{k}]", v) for k, v in enumerate(entries or ())]
-
-        sites = tuple(_named(key, SiteDescriptor, *_entry(d, key, _SITE))
-                      for key, d in each(sites, "sites"))
-        hoppings = tuple(_row(h, key, (_TEXT, _TEXT, _NUMBER), "[site, site, amplitude]")
-                         for key, h in each(hoppings, "hoppings"))
-        onsite = tuple(_row(o, key, (_TEXT, _NUMBER), "[site, energy]")
-                       for key, o in each(onsite, "onsite"))
-        built = []
-        for key, j in each(jumps, "jumps"):
-            kind = j.get("kind") if isinstance(j, Mapping) else None
-            if not isinstance(kind, str) or kind not in _JUMP_KINDS:
-                raise ValueError(f"{key} must be a mapping whose jump kind is one of "
-                                 f"{', '.join(_JUMP_KINDS)}, got {j!r}")
-            _, *args = _entry(j, key, _TRANSFER if kind == "transfer" else _SITE_JUMP)
-            built.append(_named(key, _JUMP_KINDS[kind], *args))
-        return _named("network", cls, sites, hoppings, onsite, tuple(built), note or "")
+        _walk(_NETWORK, data, "network")
+        sites = tuple(_from_fields(f"network.sites[{k}]", SiteDescriptor, s)
+                      for k, s in enumerate(data["sites"]))
+        jumps = tuple(_from_fields(f"network.jumps[{k}]", _JUMP_KINDS[j["kind"]], j)
+                      for k, j in enumerate(data.get("jumps", ())))
+        return _named("network", cls, sites,
+                      tuple((a, b, float(amp)) for a, b, amp in data.get("hoppings", ())),
+                      tuple((lbl, float(eps)) for lbl, eps in data.get("onsite", ())),
+                      jumps, data.get("note", ""))
 
 
-def _is_number(value) -> bool:
-    """A finite int or float; True and False are not numbers here."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+# ---------------------------------------------------------------------------
+# config schema: the network block here, the rest of the config in cli
 
 
-def _is_whole(value) -> bool:
-    """A number with no fractional part, such as 3 or 3.0."""
-    return _is_number(value) and float(value).is_integer()
+class _Leaf(NamedTuple):
+    what: str
+    test: Callable[[Any], bool]
+
+    def where(self, what: str, test: Callable[[Any], bool]) -> "_Leaf":
+        """A narrower leaf: this one's test, then test."""
+        return _Leaf(what, lambda v: self.test(v) and test(v))
 
 
-# A field of a network block: (test, what it must be, conversion).
-_TEXT = (lambda v: isinstance(v, str), "a string", str)
-_NUMBER = (_is_number, "a finite number", float)
-_LIST = (lambda v: isinstance(v, list), "a list", list)
-_BLOCK = {"sites": (lambda v: isinstance(v, list) and v, "a nonempty list", list),
-          "hoppings": _LIST, "onsite": _LIST, "jumps": _LIST, "note": _TEXT}
-_SITE = {"label": _TEXT, "kind": _TEXT, "dim": (_is_whole, "a whole number", int)}
-_TRANSFER = {"kind": _TEXT, "source": _TEXT, "target": _TEXT, "rate": _NUMBER}
-_SITE_JUMP = {"kind": _TEXT, "site": _TEXT, "rate": _NUMBER}
+# Schema nodes: a _Leaf is what a value must be and its test; a _List checks
+# each item of a list, nonempty unless told otherwise; an _Either checks a
+# value against the option that tag(value) names; a _Map takes only its own
+# keys, and needs each of required and exactly one of the pair one_of, if any.
+_List = namedtuple("_List", "item nonempty", defaults=(True,))
+_Either = namedtuple("_Either", "what tag options")
+_Map = namedtuple("_Map", "keys required one_of", defaults=((), ()))
 
 
-def _entry(value, key: str, fields: dict, required=None) -> list:
-    """The converted values of a mapping's fields, in the order of fields.
+def _walk(node, value, key: str, noun: str = "keys") -> None:
+    """Check value against a schema node; an error names key, its dotted path."""
+    if isinstance(node, _Leaf):
+        if not node.test(value):
+            raise ValueError(f"{key} must be {node.what}, got {value!r}")
+    elif isinstance(node, _Either):
+        option = node.options.get(node.tag(value))
+        if option is None:
+            raise ValueError(f"{key} must be {node.what}, got {value!r}")
+        _walk(option, value, key)
+    elif isinstance(node, _List):
+        if not isinstance(value, list) or (node.nonempty and not value):
+            raise ValueError(f"{key} must be a {'nonempty ' * node.nonempty}list, got {value!r}")
+        for i, item in enumerate(value):
+            _walk(node.item, item, f"{key}[{i}]")
+    else:
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{key or 'config'} must be a mapping, got {value!r}")
+        unknown = [k for k in value if k not in node.keys]
+        if unknown:
+            raise ValueError(f"{key or 'config'}: unknown {noun} {unknown}; "
+                             f"valid: {', '.join(node.keys)}")
+        for k, v in value.items():
+            _walk(node.keys[k], v, f"{key}.{k}" if key else k)
+        missing = [k for k in node.required if k not in value]
+        if missing:
+            raise ValueError(f"{key}.{missing[0]} is required")
+        if node.one_of and sum(k in value for k in node.one_of) != 1:
+            pair = [f"{key}.{k}" if key else k for k in node.one_of]
+            raise ValueError(f"config needs exactly one of {pair[0]} and {pair[1]}")
 
-    value may hold no key outside fields, and must hold each of required
-    (every field by default); an absent field reads as None.
-    """
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{key} must be a mapping, got {value!r}")
-    unknown = [k for k in value if k not in fields]
-    if unknown:
-        raise ValueError(f"{key}: unknown keys {unknown}; valid: {', '.join(fields)}")
-    out = []
-    for name, (test, what, convert) in fields.items():
-        if name not in value and (required is None or name in required):
-            raise ValueError(f"{key}.{name} is required")
-        if name in value and not test(value[name]):
-            raise ValueError(f"{key}.{name} must be {what}, got {value[name]!r}")
-        out.append(convert(value[name]) if name in value else None)
-    return out
+
+_TEXT = _Leaf("a string", lambda v: isinstance(v, str))
+# True and False are not numbers here; a whole number may be written 3 or 3.0
+_NUMBER = _Leaf("a finite number",
+                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_WHOLE = _NUMBER.where("a whole number", lambda v: float(v).is_integer())
+# a dataclass field's annotation: the leaf that checks it and its conversion
+_FIELD_TYPES = {"str": (_TEXT, str), "int": (_WHOLE, int), "float": (_NUMBER, float)}
 
 
-def _row(value, key: str, fields: tuple, what: str) -> tuple:
-    """A list entry such as [site, energy], one item per field, converted."""
-    if not (isinstance(value, (list, tuple)) and len(value) == len(fields)
-            and all(test(v) for (test, _, _), v in zip(fields, value))):
-        raise ValueError(f"{key} must be {what}, got {value!r}")
-    return tuple(convert(v) for (_, _, convert), v in zip(fields, value))
+def _fields_node(cls, **first: _Leaf) -> _Map:
+    """A mapping of the keys first and then cls's fields, every one required."""
+    keys = {**first, **{f.name: _FIELD_TYPES[f.type][0] for f in fields(cls)}}
+    return _Map(keys, tuple(keys))
 
 
-def _named(key: str, make, *args):
-    """make(*args), a ValueError from it prefixed with key."""
+def _from_fields(key: str, cls, entry: Mapping):
+    """cls of a checked entry, each field converted to the type it is annotated with."""
+    return _named(key, cls, **{f.name: _FIELD_TYPES[f.type][1](entry[f.name])
+                               for f in fields(cls)})
+
+
+def _items(*leaves: _Leaf) -> Callable[[Any], bool]:
+    """The test of a list entry such as [site, energy], one item per leaf."""
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(leaves)
+                      and all(leaf.test(x) for leaf, x in zip(leaves, v)))
+
+
+_NETWORK = _Map({
+    "sites": _List(_fields_node(SiteDescriptor)),
+    "hoppings": _List(_Leaf("[site, site, amplitude]", _items(_TEXT, _TEXT, _NUMBER)), False),
+    "onsite": _List(_Leaf("[site, energy]", _items(_TEXT, _NUMBER)), False),
+    "jumps": _List(_Either(
+        f"a mapping whose jump kind is one of {', '.join(_JUMP_KINDS)}",
+        # only a string kind can read as a kind's name; the kind's node checks it is one
+        lambda v: str(v.get("kind")) if isinstance(v, Mapping) else None,
+        {kind: _fields_node(cls, kind=_TEXT) for kind, cls in _JUMP_KINDS.items()}), False),
+    "note": _TEXT,
+}, required=("sites",))
+
+
+def _named(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError from it prefixed with key."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 

@@ -27,8 +27,6 @@ __all__ = [
 def population(state: DensityMatrix, site_label: str) -> float:
     """Mean occupation of one site."""
     basis = state.basis
-    if basis is None:
-        raise ValueError("state carries no basis; population is undefined")
     col = basis.site_position(site_label)
     occ = basis.occupation_table[:, col]
     return float(np.real(np.diag(state.matrix)) @ occ)

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindnet import oracle
-from lindnet.cli import _SCHEMA, _Leaf, _set_dotted, main
+from lindnet.cli import _SCHEMA, _set_dotted, main
 from lindnet.dynamics import LindbladGenerator, PropagationConfig, propagate
-from lindnet.model import preset
+from lindnet.model import _Either, _Map, preset
 
 
 def write_config(path, payload):
@@ -650,6 +650,19 @@ class TestConfigValues:
             assert f"budget of {2 * 1024**3} bytes" in err
         assert not (tmp_path / "out").exists()
 
+    def test_preset_dimension_budget(self, tmp_path, capsys):
+        # a spin of 2e300 + 1 levels: refused before the initial state's vector
+        # exists, which NumPy failed to allocate with an error that named nothing
+        cfg = write_config(tmp_path / "big.yaml",
+                           {"preset": "qubit_to_battery", "params": {"s": 1.0e300}})
+        for command in ("run", "steady"):
+            assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: dimension D = {2 * round(2.0e300 + 1)}: "
+                                  "its 3 dense operators")
+            assert f"budget of {2 * 1024**3} bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_table_lists_the_schema(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         table = readme.read_text(encoding="utf-8").split(
@@ -660,12 +673,12 @@ class TestConfigValues:
 
 def schema_nodes(node, prefix=""):
     """(dotted key, node) of every key in a schema node, in table order."""
-    if isinstance(node, tuple) and not isinstance(node, _Leaf):
-        return [item for alt in node for item in schema_nodes(alt, prefix)]
-    if not isinstance(node, dict):
+    if isinstance(node, _Either):
+        return [item for alt in node.options.values() for item in schema_nodes(alt, prefix)]
+    if not isinstance(node, _Map):
         return []
     items = []
-    for key, child in node.items():
+    for key, child in node.keys.items():
         path = f"{prefix}.{key}" if prefix else key
         items += [(path, child)] + schema_nodes(child, path)
     return items
@@ -686,11 +699,10 @@ _FUZZ_BASES = {
 _FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 1.5, math.nan, math.inf, 1e308, 2**70,
                 [], {}, [1, "x"], {"foo": 1}]
 _FUZZ_PATHS = [path for path, _ in schema_nodes(_SCHEMA)]
-# the mappings an unknown key can be put in: schema mappings (times among
-# them), the preset's parameters and the network block
+# the mappings an unknown key can be put in: schema mappings (times and the
+# network block among them) and the preset's parameters
 _FUZZ_PARENTS = [path for path, node in schema_nodes(_SCHEMA)
-                 if isinstance(node, (dict, tuple)) and not isinstance(node, _Leaf)
-                 ] + ["params", "network"]
+                 if isinstance(node, (_Map, _Either))] + ["params"]
 
 
 class TestConfigFuzz:

@@ -5,7 +5,11 @@ import re
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lindnet.cli import main
 from lindnet.hilbert import SiteDescriptor, embed_site_operator
 from lindnet.model import (
     HBAR_MEV_PS,
@@ -112,12 +116,50 @@ class TestNetworkSpec:
         (lambda d: d["onsite"].append(["9", 1.0]),
          "network: onsite term references unknown site '9'"),
     ])
-    def test_from_dict_names_the_key(self, change, message):
+    def test_from_dict_names_the_key(self, tmp_path, capsys, change, message):
         data = two_qubits(hoppings=(("1", "2", 0.7),), onsite=(("2", -0.3),),
                           jumps=(Injection("1", 0.2),)).to_dict()
         change(data)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}") as exc:
             NetworkSpec.from_dict(data)
+        # the command line checks the block with the same walker: same message
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({"network": data, "initial": {"occupations": [1, 0]},
+                                       "times": [0.0, 1.0]}, sort_keys=False),
+                       encoding="utf-8")
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {exc.value}"
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dict_roundtrip_of_random_specs(self, data):
+        # every jump kind, int and float numbers; from_dict converts each to float,
+        # which the metadata's bytes depend on
+        labels = [str(k) for k in range(data.draw(st.integers(1, 4), label="sites"))]
+        kinds = st.sampled_from([("qubit", 2), ("spin", 2), ("spin", 3)])
+        site = st.sampled_from(labels)
+        pair = st.permutations(labels).map(lambda p: p[:2])
+        number = st.integers(-3, 3) | st.floats(-3, 3)
+        rate = st.integers(0, 3) | st.floats(0, 3)
+        jump = st.builds(lambda cls, s, r: cls(s, r),
+                         st.sampled_from([Injection, Extraction, Dissipation, Dephasing]),
+                         site, rate)
+        hoppings = st.just(())
+        if len(labels) > 1:  # hoppings and transfers need two sites
+            hoppings = st.lists(st.builds(lambda p, x: (*p, x), pair, number), max_size=3)
+            jump |= st.builds(lambda p, r: Transfer(*p, r), pair, rate)
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(lbl, *data.draw(kinds)) for lbl in labels),
+            hoppings=tuple(data.draw(hoppings)),
+            onsite=tuple(data.draw(st.lists(st.tuples(site, number), max_size=3))),
+            jumps=tuple(data.draw(st.lists(jump, max_size=6))),
+            note=data.draw(st.text(max_size=5)))
+        again = NetworkSpec.from_dict(spec.to_dict())
+        assert again == spec
+        out = again.to_dict()
+        numbers = ([j["rate"] for j in out["jumps"]] + [h[2] for h in out["hoppings"]]
+                   + [o[1] for o in out["onsite"]])
+        assert all(type(x) is float for x in numbers)
 
 
 class TestBuilders:
