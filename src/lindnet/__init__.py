@@ -37,8 +37,6 @@ from lindnet.dynamics import (
     PropagationConfig,
     SteadyStateResult,
     Trajectory,
-    build_superoperator,
-    lindblad_apply,
     propagate,
     steady_states,
 )
@@ -46,7 +44,6 @@ from lindnet.observables import (
     EffectReport,
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    population,
     staircase_steps,
     unitarity_distance,
 )

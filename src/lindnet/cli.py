@@ -30,7 +30,7 @@ from lindnet.dynamics import (
     InvariantViolation,
     LindbladGenerator,
     PropagationConfig,
-    build_superoperator,
+    _superoperator_csr,
     propagate,
     steady_states,
 )
@@ -484,8 +484,10 @@ def _calibration_lines() -> list[str]:
             hoppings=(("1", "2", element),),
             jumps=(Injection("1", gin), Extraction("2", gout)),
         )
-        gen = LindbladGenerator.from_network(spec)
-        ev = np.linalg.eigvals(build_superoperator(gen))
+        S = _superoperator_csr(LindbladGenerator.from_network(spec))
+        dense = np.zeros((16, 16), dtype=complex)
+        dense[S.rows, S.indices] = S.data
+        ev = np.linalg.eigvals(dense)
         sel = [e.imag for e in ev if abs(e.real + (gin + gout) / 2.0) < 1e-9]
         got = max(sel) if sel else float("nan")
         mark = "  <- matches closed form, used by presets" \

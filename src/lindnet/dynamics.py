@@ -1,11 +1,11 @@
 """Time evolution and steady states of Lindblad generators.
 
-The generator acts two ways: directly on a density matrix, and as a
-column-stacked sparse superoperator S. S is assembled in NumPy as
-canonical CSR arrays: each Kronecker term from the nonzeros of its two
-factors among H, the jump operators L and the products L^dag L, and the
-terms summed on the union of their patterns. No module here imports SciPy:
-the products with S are the engine's own, on S stored as padded rows.
+The generator acts as the column-stacked sparse superoperator S,
+assembled in NumPy as canonical CSR arrays: each Kronecker term from the
+nonzeros of its two factors among H, the jump operators L and the
+products L^dag L, and the terms summed on the union of their patterns. No
+module here imports SciPy: the products with S are the engine's own, on S
+stored as padded rows.
 
 Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
@@ -52,20 +52,15 @@ from lindnet.hilbert import (
     PureState,
     check_density,
 )
-from lindnet.model import DENSE_OPERATOR_BUDGET  # exported here too
 from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 
 __all__ = [
     "PROPAGATION_HERMITICITY_TOL",
-    "DENSE_DIMENSION_LIMIT",
-    "DENSE_OPERATOR_BUDGET",
     "InvariantViolation",
     "LindbladGenerator",
     "PropagationConfig",
     "Trajectory",
     "SteadyStateResult",
-    "lindblad_apply",
-    "build_superoperator",
     "propagate",
     "steady_states",
 ]
@@ -74,11 +69,8 @@ __all__ = [
 # allowed to drift up to this looser bound before a run is declared invalid.
 PROPAGATION_HERMITICITY_TOL = 1e-9
 
-# Largest Hilbert dimension for which build_superoperator returns the whole
-# dense superoperator; D = 64 means a 4096 x 4096 matrix. steady_states
-# applies the same bound to its largest block, which may hold at most
-# DENSE_DIMENSION_LIMIT**2 entries whatever D is.
-DENSE_DIMENSION_LIMIT = 64
+# Most entries of vec(rho) that steady_states factors densely in one block
+_MAX_BLOCK_ENTRIES = 4096
 
 # Relative size below which steady_states counts a singular value as zero.
 _ZERO_TOL = 1e-10
@@ -176,15 +168,6 @@ class LindbladGenerator:
     @cached_property
     def _dissipator_products(self) -> tuple[np.ndarray, ...]:
         return tuple(L.conj().T @ L for L in self.jump_operators)
-
-
-def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation acting on a density matrix."""
-    H = gen.hamiltonian
-    out = -1j * (H @ rho - rho @ H)
-    for L, LdL in zip(gen.jump_operators, gen._dissipator_products):
-        out += L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
 
 
 class _Csr(NamedTuple):
@@ -334,20 +317,6 @@ def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None)
     return _csr(*S, n)
 
 
-def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
-    """Dense column-stacked superoperator, bounded to keep memory sane."""
-    D = gen.dimension
-    if D > DENSE_DIMENSION_LIMIT:
-        raise ValueError(
-            f"dense superoperator for dimension {D} exceeds the "
-            f"{DENSE_DIMENSION_LIMIT} limit; "
-            "use the sparse propagation path instead")
-    S = _superoperator_csr(gen)
-    dense = np.zeros((D * D, D * D), dtype=complex)
-    dense[S.rows, S.indices] = S.data
-    return dense
-
-
 @dataclass(frozen=True)
 class PropagationConfig:
     """How to integrate and what to record.
@@ -409,12 +378,6 @@ class Trajectory:
         except ValueError:
             raise KeyError(f"no site labelled {label!r} in this trajectory") from None
         return self.populations[:, k]
-
-    @property
-    def final_snapshot(self) -> np.ndarray:
-        if not self.snapshots:
-            raise ValueError("run was recorded with snapshots='none'")
-        return self.snapshots[-1]
 
 
 def _as_density(gen: LindbladGenerator, state: StateLike) -> np.ndarray:
@@ -656,8 +619,15 @@ class _Recorder:
             block = np.zeros(count * m * m, dtype=complex)
             block[dest] = v[pos]
             block = block.reshape(count, m, m)
-            lam_min = min(lam_min, float(np.linalg.eigvalsh(
-                0.5 * (block + block.conj().transpose(0, 2, 1))).min()))
+            try:
+                low = float(np.linalg.eigvalsh(
+                    0.5 * (block + block.conj().transpose(0, 2, 1))).min())
+            except np.linalg.LinAlgError:
+                # no convergence on a non-finite block
+                low = math.nan
+            # min() would drop a NaN
+            if low < lam_min or math.isnan(low):
+                lam_min = low
         self.min_eigenvalue[k] = lam_min
         for series, pos in zip(self.coherences.values(), self.coherence_pos):
             series[k] = padded[pos]
@@ -667,12 +637,13 @@ class _Recorder:
             full = np.zeros(dim * dim, dtype=complex)
             full[self.R] = v
             self.snapshots.append(full.reshape(dim, dim, order="F"))
-        if abs(tr - 1.0) > TRACE_TOL:
+        # each bound is written so that NaN breaks it
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
-        if defect > PROPAGATION_HERMITICITY_TOL:
+        if not defect <= PROPAGATION_HERMITICITY_TOL:
             raise InvariantViolation("hermiticity", t, defect,
                                      PROPAGATION_HERMITICITY_TOL)
-        if lam_min < -POSITIVITY_TOL:
+        if not lam_min >= -POSITIVITY_TOL:
             raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
 
     def finish(self, method: str, dt: float, states: int, rk4_substeps: int,
@@ -930,9 +901,8 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     block is solved densely by SVD: a right singular vector is a null vector
     when its singular value is at most _ZERO_TOL = 1e-10 times max(1, the
     largest singular value over all blocks). The largest block may hold at
-    most DENSE_DIMENSION_LIMIT**2 = 4096 entries, the size of the whole dense
-    superoperator at D = 64; a larger one raises ValueError before any dense
-    work.
+    most _MAX_BLOCK_ENTRIES = 4096 entries; a larger one raises ValueError
+    before any dense work.
 
     The blocks that hold a null vector are closed under the adjoint, since
     S(X^dag) = S(X)^dag. On their sorted entries E each null vector X gives
@@ -949,11 +919,10 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     n_blocks, labels = _weak_components(n, S.indices, rows)
     sizes = np.bincount(labels)
     largest = int(sizes.max())
-    cap = DENSE_DIMENSION_LIMIT * DENSE_DIMENSION_LIMIT
-    if largest > cap:
+    if largest > _MAX_BLOCK_ENTRIES:
         raise ValueError(
             f"largest block of the superoperator has {largest} entries, "
-            f"above the cap of {cap} (DENSE_DIMENSION_LIMIT={DENSE_DIMENSION_LIMIT})")
+            f"above the cap of {_MAX_BLOCK_ENTRIES}")
 
     # the largest singular value over all blocks is the 2-norm of S, at most
     # sqrt(|S|_1 |S|_inf); rows of Vh below the threshold for that bound are

@@ -1,6 +1,6 @@
 """Derived observables and effect detectors.
 
-Measurement helpers work on density matrices and a Hamiltonian;
+unitarity_distance measures a density matrix against a Hamiltonian orbit;
 detectors turn recorded trajectories or parameter sweeps into a
 detected / not-detected verdict with the numbers that justify it.
 """
@@ -12,24 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lindnet.hilbert import DensityMatrix
-
 __all__ = [
-    "population",
     "unitarity_distance",
     "EffectReport",
     "detect_congestion_valley",
     "staircase_steps",
     "detect_asymptotic_unitarity",
 ]
-
-
-def population(state: DensityMatrix, site_label: str) -> float:
-    """Mean occupation of one site."""
-    basis = state.basis
-    col = basis.site_position(site_label)
-    occ = basis.occupation_table[:, col]
-    return float(np.real(np.diag(state.matrix)) @ occ)
 
 
 def unitarity_distance(rho_t: np.ndarray, rho_ref: np.ndarray,

@@ -313,6 +313,39 @@ class TestRun:
         })
         assert main(["run", cfg, "--output", str(tmp_path)]) == 2
 
+    @staticmethod
+    def stiff_config(path, method):
+        # extraction at 1e6: h * rate = 1000 at the default dt, far outside
+        # the stability interval of RK4
+        return write_config(path, {
+            "network": {
+                "sites": [{"label": lbl, "kind": "qubit", "dim": 2} for lbl in ("1", "2")],
+                "hoppings": [["1", "2", 1.0]],
+                "jumps": [{"kind": "extraction", "site": "2", "rate": 1.0e+6}],
+            },
+            "initial": {"occupations": [1, 0]},
+            "times": {"start": 0.0, "stop": 0.5, "num": 6},
+            "method": method,
+        })
+
+    def test_nan_state_breaks_the_audit(self, tmp_path, capsys):
+        # the RK4 state overflows to NaN, which fails the trace bound
+        cfg = self.stiff_config(tmp_path / "stiff.yaml", "fixed_step_rk4")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", cfg, "--output", str(out)]) == 2
+        assert ("trace invariant violated at t=0.1: measured nan"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_stiff_rate_stays_finite_under_expm(self, tmp_path):
+        cfg = self.stiff_config(tmp_path / "stiff.yaml", "superoperator_expm")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        _, rows = read_tsv(out / "stiff.tsv")
+        assert len(rows) == 6
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
     @pytest.mark.parametrize("method", ["fixed_step_rk4", "superoperator_expm"])
     def test_endless_time_span_exits_1(self, tmp_path, capsys, method):
         # a gap of 5e307 needs more steps than could ever finish, or infinitely many
@@ -781,7 +814,7 @@ class TestSteady:
 
     def test_oversized_block_exits_1(self, tmp_path, capsys):
         # an 8-qubit hopping chain: its half-filled block has 70**2 = 4900
-        # entries, above the 64**2 cap
+        # entries, above the cap of 4096
         labels = [str(k) for k in range(8)]
         cfg = write_config(tmp_path / "wide.yaml", {
             "network": {
@@ -790,7 +823,7 @@ class TestSteady:
             },
         })
         assert main(["steady", cfg, "--output", str(tmp_path / "out")]) == 1
-        assert "4900 entries, above the cap of 4096" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("4900 entries, above the cap of 4096\n")
 
 
 class TestInformational:
@@ -816,4 +849,7 @@ class TestInformational:
         text = capsys.readouterr().out
         assert "all checks passed" in text
         assert text.count("PASS") == 5
-        assert "matches closed form" in text
+        # the hopping calibration, from the dense superoperator of each convention
+        assert ("element J/2: slow pair imag 1.999375 (closed form 1.999375)"
+                "  <- matches closed form, used by presets\n") in text
+        assert "element J: slow pair imag 3.999687 " in text

@@ -28,8 +28,6 @@ from lindnet.dynamics import (
     _superoperator_csr,
     _TaylorAction,
     _weak_components,
-    build_superoperator,
-    lindblad_apply,
     propagate,
     steady_states,
 )
@@ -71,7 +69,7 @@ def scipy_superoperator(gen: LindbladGenerator,
     the same order and grouping as _superoperator_csr."""
     H = gen.hamiltonian
     jumps = gen.jump_operators
-    products = gen._dissipator_products
+    products = [L.conj().T @ L for L in jumps]
     if states is not None:
         cut = np.ix_(states, states)
         H = H[cut]
@@ -267,14 +265,18 @@ class TestSuperoperator:
     def test_matches_direct_action(self, seed, dim, n_jumps):
         gen = random_generator(seed, dim, n_jumps)
         rho = random_density(seed + 1, dim)
-        S = build_superoperator(gen)
-        direct = lindblad_apply(gen, rho)
+        S = as_scipy(_superoperator_csr(gen)).toarray()
+        H = gen.hamiltonian
+        direct = -1j * (H @ rho - rho @ H)
+        for L in gen.jump_operators:
+            LdL = L.conj().T @ L
+            direct += L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
         via_vec = (S @ rho.ravel(order="F")).reshape(dim, dim, order="F")
         np.testing.assert_allclose(via_vec, direct, atol=1e-12)
 
     def test_trace_is_conserved_exactly(self):
         gen = random_generator(3, 4, 2)
-        S = build_superoperator(gen)
+        S = as_scipy(_superoperator_csr(gen)).toarray()
         # vec(identity) is a left null vector of any Lindblad superoperator
         left = np.eye(4).ravel(order="F")
         assert np.abs(left @ S).max() < 1e-12
@@ -294,11 +296,6 @@ class TestSuperoperator:
         T = _reachable_states(gen, rho)
         assert_same_csr(_superoperator_csr(gen), scipy_superoperator(gen))
         assert_same_csr(_superoperator_csr(gen, T), scipy_superoperator(gen, T))
-
-    def test_dimension_bound(self):
-        # D = 65 is one past the dense limit; refused before anything is built
-        with pytest.raises(ValueError, match="limit"):
-            build_superoperator(LindbladGenerator(np.zeros((65, 65))))
 
 
 class TestPaddedProduct:
@@ -405,6 +402,13 @@ class TestPropagation:
         for name in ("populations", "purity", "purity_rate", "min_eigenvalue"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
 
+    def test_population_counts_every_quantum_of_a_spin_site(self):
+        basis = ProductBasis((SiteDescriptor("b", "spin", 3),))
+        gen = LindbladGenerator(np.zeros((3, 3)), (), basis)
+        rho = np.diag([0.5, 0.2, 0.3]).astype(complex)
+        traj = propagate(gen, rho, PropagationConfig(times=np.array([0.0])))
+        assert traj.population("b")[0] == pytest.approx(0.2 + 2 * 0.3)
+
     def test_population_accessor_unknown_label(self):
         run = preset("two_site_transfer")
         gen = LindbladGenerator.from_network(run.spec)
@@ -428,7 +432,7 @@ class TestPropagation:
         traj = propagate(gen, run.initial,
                          PropagationConfig(times=times, snapshots="last"))
         assert len(traj.snapshots) == 1
-        assert traj.final_snapshot.shape == (4, 4)
+        assert traj.snapshots[-1].shape == (4, 4)
 
     def test_expm_output_ignores_global_rng(self):
         # the Taylor action's parameters come from deterministic norm
@@ -441,7 +445,7 @@ class TestPropagation:
         finals = []
         for seed in (0, 1, 2, 3):
             np.random.seed(seed)
-            finals.append(propagate(gen, rho0, config).final_snapshot)
+            finals.append(propagate(gen, rho0, config).snapshots[-1])
         assert all(np.array_equal(finals[0], f) for f in finals[1:])
         # and the caller's stream carries on where it was
         np.random.seed(5)
@@ -737,8 +741,8 @@ class TestSectorFilter:
         np.testing.assert_allclose(traj.coherences[outside], ref["coherences"][outside],
                                    atol=1e-10)
         # snapshots come back embedded in the full space
-        assert traj.final_snapshot.shape == (8, 8)
-        np.testing.assert_allclose(traj.final_snapshot, ref["snapshot"][-1], atol=1e-10)
+        assert traj.snapshots[-1].shape == (8, 8)
+        np.testing.assert_allclose(traj.snapshots[-1], ref["snapshot"][-1], atol=1e-10)
 
     def assert_matches_full_space(self, gen, support, seed):
         """propagate against full_space_run at both methods, from a fully
@@ -870,6 +874,22 @@ class TestSectorFilter:
             assert [rec.coherences[p][k] for p in pairs] == ref["coherences"]
             assert np.array_equal(rec.snapshots[k], ref["snapshot"])
 
+    def test_recorder_fails_a_nan_sample(self):
+        # NaN in an off-diagonal entry leaves the trace finite and breaks the
+        # hermiticity bound; eigvalsh does not converge on the 3 x 3 block,
+        # whose minimum is recorded as NaN instead
+        gen = random_generator(0, 3, 1)
+        rho = random_density(1, 3)
+        S, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
+        rec = _Recorder(gen, PropagationConfig(times=np.array([0.0])), _Padded(S), R)
+        v = rho.ravel(order="F")[R]
+        v[1] = np.nan
+        with pytest.raises(InvariantViolation,
+                           match="^hermiticity invariant violated at t=0: measured nan"):
+            rec.record(0, 0.0, v)
+        assert rec.trace[0] == pytest.approx(1.0)
+        assert np.isnan(rec.min_eigenvalue[0])
+
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_reachable_entries_match_breadth_first_order(self, data):
@@ -969,7 +989,7 @@ class TestSteadyStates:
                          PropagationConfig(times=np.array([0.0, 120.0]),
                                            method="superoperator_expm",
                                            snapshots="last"))
-        np.testing.assert_allclose(traj.final_snapshot, result.state, atol=1e-9)
+        np.testing.assert_allclose(traj.snapshots[-1], result.state, atol=1e-9)
 
     def test_degenerate_dark_space(self):
         # pure transfer: |0,0>, |0,1>, |1,1> and their coherences are all dark
@@ -990,7 +1010,7 @@ class TestSteadyStates:
     def test_every_direction_is_stationary(self):
         run = preset("two_site_transfer")
         gen = LindbladGenerator.from_network(run.spec)
-        S = build_superoperator(gen)
+        S = scipy_superoperator(gen).toarray()
         result = steady_states(gen)
         for d in result.directions:
             assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
@@ -1014,7 +1034,7 @@ class TestSteadyStates:
         )
         gen = LindbladGenerator.from_network(spec)
         D = gen.dimension
-        S = build_superoperator(gen)
+        S = scipy_superoperator(gen).toarray()
         K = scipy.linalg.null_space(S)
         result = steady_states(gen)
         assert result.multiplicity == K.shape[1]

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindnet.hilbert import DensityMatrix, ProductBasis, SiteDescriptor
 from lindnet.observables import (
     detect_asymptotic_unitarity,
     detect_congestion_valley,
-    population,
     staircase_steps,
     unitarity_distance,
 )
-
-
-def two_qubit_basis():
-    return ProductBasis((SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)))
 
 
 def random_density(seed: int, dim: int) -> np.ndarray:
@@ -23,25 +17,6 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = A @ A.conj().T
     return rho / rho.trace()
-
-
-class TestPopulation:
-    def test_reads_occupation_weighted_diagonal(self):
-        basis = two_qubit_basis()
-        state = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), basis)
-        assert population(state, "1") == pytest.approx(0.7)
-        assert population(state, "2") == pytest.approx(0.6)
-
-    def test_unknown_site(self):
-        basis = two_qubit_basis()
-        state = DensityMatrix(np.eye(4, dtype=complex) / 4.0, basis)
-        with pytest.raises(ValueError, match="unknown site"):
-            population(state, "zz")
-
-    def test_spin_site_counts_all_quanta(self):
-        basis = ProductBasis((SiteDescriptor("b", "spin", 3),))
-        state = DensityMatrix(np.diag([0.5, 0.2, 0.3]).astype(complex), basis)
-        assert population(state, "b") == pytest.approx(0.2 + 2 * 0.3)
 
 
 class TestUnitarityDistance:
