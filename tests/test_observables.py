@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lindnet.dynamics import LindbladGenerator, PropagationConfig, propagate
+from lindnet.hilbert import DensityMatrix, ProductBasis, SiteDescriptor
 from lindnet.observables import (
     detect_asymptotic_unitarity,
     detect_congestion_valley,
@@ -17,6 +19,16 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = A @ A.conj().T
     return rho / rho.trace()
+
+
+class TestPopulation:
+    def test_unknown_site(self):
+        basis = ProductBasis((SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)))
+        gen = LindbladGenerator(np.zeros((4, 4)), (), basis)
+        state = DensityMatrix(np.eye(4, dtype=complex) / 4.0, basis)
+        traj = propagate(gen, state, PropagationConfig(times=np.array([0.0])))
+        with pytest.raises(KeyError, match="no site labelled 'zz'"):
+            traj.population("zz")
 
 
 class TestUnitarityDistance:
