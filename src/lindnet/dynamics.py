@@ -646,23 +646,19 @@ class _Recorder:
         if not lam_min >= -POSITIVITY_TOL:
             raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
 
-    def finish(self, method: str, dt: float, states: int, rk4_substeps: int,
-               expm_actions: int, products: int) -> Trajectory:
-        """The trajectory, with the run's invariant extremes and work counters.
-
-        products counts the integrator's products with the block.
-        """
+    def finish(self, states: int, step: "_RungeKutta | _TaylorAction") -> Trajectory:
+        """The trajectory, with the run's invariant extremes and the stepper's work counters."""
         meta = {
-            "method": method,
-            "dt": dt,
+            "method": self.config.method,
+            "dt": step.dt,
             "dimension": self.dim,
             "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
             "states": states,
             "nnz": int(self.S.nnz),
-            "rk4_substeps": rk4_substeps,
+            "rk4_substeps": step.substeps,
             # the integrator's, and one per sample for the purity rate
-            "matvecs": products + self.config.times.size,
-            "expm_actions": expm_actions,
+            "matvecs": step.products + self.config.times.size,
+            "expm_actions": step.actions,
             "positivity_blocks": self.positivity_blocks,
             "max_trace_error": float(np.abs(self.trace - 1.0).max()),
             "min_eigenvalue_floor": float(self.min_eigenvalue.min()),
@@ -677,27 +673,53 @@ class _Recorder:
             coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
 
 
-def _rk4_steps(S: _Padded, v: np.ndarray, h: float, n: int) -> None:
-    """Advance v in place by n classic fourth-order Runge-Kutta steps of size h.
+class _RungeKutta:
+    """v -> v advanced over a gap by classic fourth-order Runge-Kutta steps.
 
-    For dv/dt = S v the four-stage step equals the nested (Horner) form
+    A gap is split into the fewest equal steps no longer than dt. For
+    dv/dt = S v the four-stage step equals the nested (Horner) form
     v + hS(v + (h/2)S(v + (h/3)S(v + (h/4)S v))): still four products with
     S, but one work vector updated in place instead of four stage vectors.
+    substeps counts the steps taken.
     """
-    h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
-    for _ in range(n):
-        w = S @ v
-        w *= h4
-        w += v
-        w = S @ w
-        w *= h3
-        w += v
-        w = S @ w
-        w *= h2
-        w += v
-        w = S @ w
-        w *= h
-        v += w
+
+    # the Taylor action's counter, for the stepper-neutral metadata
+    actions = 0
+
+    def __init__(self, S: _Padded, dt: float):
+        self.S = S
+        self.dt = dt
+        self.substeps = 0
+
+    @property
+    def products(self) -> int:
+        return 4 * self.substeps
+
+    def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
+        """v advanced in place by the gap, and returned."""
+        dt = self.dt
+        if not gap / dt <= _MAX_STEPS:
+            raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
+                             f"{gap / dt:.6g}, is not finite or above 2**53")
+        n = max(1, math.ceil(gap / dt))
+        h = gap / n
+        h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
+        S = self.S
+        for _ in range(n):
+            w = S @ v
+            w *= h4
+            w += v
+            w = S @ w
+            w *= h3
+            w += v
+            w = S @ w
+            w *= h2
+            w += v
+            w = S @ w
+            w *= h
+            v += w
+        self.substeps += n
+        return v
 
 
 class _TaylorAction:
@@ -713,8 +735,12 @@ class _TaylorAction:
     estimated once per run by Hager's one-column 1-norm estimator (Higham and
     Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000) 1185), run from two fixed
     starting vectors, so that it draws no random numbers. products counts
-    every product with A or its adjoint.
+    every product with A or its adjoint, and actions the gaps taken.
     """
+
+    # the Runge-Kutta stepper's, for the stepper-neutral metadata
+    dt = math.nan
+    substeps = 0
 
     def __init__(self, S: _Csr):
         self.n = n = S.indptr.size - 1
@@ -731,6 +757,7 @@ class _TaylorAction:
         self.A = _Padded(self.csr)
         self.norm = float(np.bincount(self.csr.indices, np.abs(self.csr.data), n).max())
         self.products = 0
+        self.actions = 0
         self._d: dict[int, float] = {}
         self._steps: dict[float, tuple[int, int]] = {}
 
@@ -814,6 +841,7 @@ class _TaylorAction:
         if t not in self._steps:
             self._steps[t] = self._parameters(t)
         m, s = self._steps[t]
+        self.actions += 1
         A = self.A
         eta = np.exp(t * self.mu / s)
         f = v
@@ -848,27 +876,12 @@ def propagate(gen: LindbladGenerator, state: StateLike,
     rec = _Recorder(gen, config, S, R)
     times = config.times
     rec.record(0, times[0], v)
-
-    if config.method == "superoperator_expm":
-        action = _TaylorAction(block)
-        for k in range(1, times.size):
-            v = action(v, float(times[k] - times[k - 1]))
-            rec.record(k, times[k], v)
-        return rec.finish(config.method, math.nan, T.size, 0, times.size - 1,
-                          action.products)
-
-    dt = config.dt
-    substeps = 0
+    step = (_TaylorAction(block) if config.method == "superoperator_expm"
+            else _RungeKutta(S, config.dt))
     for k in range(1, times.size):
-        gap = float(times[k] - times[k - 1])
-        if not gap / dt <= _MAX_STEPS:
-            raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
-                             f"{gap / dt:.6g}, is not finite or above 2**53")
-        n_sub = max(1, math.ceil(gap / dt))
-        _rk4_steps(S, v, gap / n_sub, n_sub)
-        substeps += n_sub
+        v = step(v, float(times[k] - times[k - 1]))
         rec.record(k, times[k], v)
-    return rec.finish(config.method, dt, T.size, substeps, 0, 4 * substeps)
+    return rec.finish(T.size, step)
 
 
 @dataclass

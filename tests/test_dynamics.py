@@ -24,7 +24,7 @@ from lindnet.dynamics import (
     _reachable_entries,
     _reachable_states,
     _Recorder,
-    _rk4_steps,
+    _RungeKutta,
     _superoperator_csr,
     _TaylorAction,
     _weak_components,
@@ -517,10 +517,10 @@ class TestPropagation:
         dt = data.draw(st.floats(1e-3, 0.2), label="dt")
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = v.copy()
-        block = _Padded(as_engine(S))
+        step = _RungeKutta(_Padded(as_engine(S)), dt)
         for gap in gaps:
             n_sub = max(1, math.ceil(gap / dt))
-            _rk4_steps(block, v, gap / n_sub, n_sub)
+            assert step(v, gap) is v
             ref = classic_rk4(S, ref, gap / n_sub, n_sub)
             np.testing.assert_allclose(v, ref, rtol=0,
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
