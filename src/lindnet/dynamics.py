@@ -3,9 +3,9 @@
 The generator acts as the column-stacked sparse superoperator S,
 assembled in NumPy as canonical CSR arrays: each Kronecker term from the
 nonzeros of its two factors among H, the jump operators L and the
-products L^dag L, and the terms summed on the union of their patterns. No
-module here imports SciPy: the products with S are the engine's own, on S
-stored as padded rows.
+products L^dag L, and the entries of all terms added up by their position
+in one keyed sum. No module here imports SciPy: the products with S are
+the engine's own, on S stored as padded rows.
 
 Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
@@ -189,14 +189,21 @@ class _Csr(NamedTuple):
     def adjoint(self) -> "_Csr":
         """The conjugate transpose, canonical when this matrix is."""
         n = self.indptr.size - 1
-        keys = self.indices * n + self.rows
-        order = np.argsort(keys)
-        return _csr(keys[order], self.data[order].conj(), n)
+        return _summed(self.indices * n + self.rows, self.data.conj(), n)
 
 
-def _csr(keys: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
-    """The n x n matrix of the stored entries with sorted keys row * n + col."""
-    return _Csr(vals, keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
+def _summed(keys: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
+    """The canonical n x n matrix that sums the values vals at the keys row * n + col.
+
+    Each key's values are added one by one in their given order, from +0, as
+    a plain sum of terms adds them; exact zeros of the sums are dropped.
+    """
+    keys, slot = np.unique(keys, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=vals.dtype)
+    np.add.at(sums, slot, vals)
+    keep = sums != 0
+    keys = keys[keep]
+    return _Csr(sums[keep], keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
 
 
 class _Padded:
@@ -226,62 +233,34 @@ class _Padded:
         return np.add.reduce(x[self.cols] * self.vals, axis=0, initial=0)
 
 
-# A sparse term while S is assembled: sorted keys row * n + col of its
-# stored entries, and their values
-_Term = tuple[np.ndarray, np.ndarray]
-
-
 def _nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzero entries of a dense matrix."""
     rows, cols = np.nonzero(M)
     return rows, cols, M[rows, cols]
 
 
-def _kron(a, b, d: int) -> _Term:
-    """kron(A, B) of two d x d factors, from the nonzeros of each."""
+def _kron(a, b, d: int, scale: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """scale * kron(A, B) of two d x d factors, from the nonzeros of each.
+
+    Returns the keys row * d**2 + col of its stored entries, and their values.
+    """
     rows = (a[0][:, None] * d + b[0]).ravel()
     cols = (a[1][:, None] * d + b[1]).ravel()
-    keys = rows * (d * d) + cols
-    order = np.argsort(keys)
-    return keys[order], (a[2][:, None] * b[2]).ravel()[order]
-
-
-def _combine(x: _Term, y: _Term, op) -> _Term:
-    """op(x, y) entrywise on the union pattern, as SciPy's CSR binop does it.
-
-    An entry absent from one side reads as 0, and exact zeros of the result
-    are dropped.
-    """
-    both = np.concatenate([x[0], y[0]])
-    # two sorted runs: the stable (merge) sort is linear here
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    first = np.ones(both.size, dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    slot = np.empty(both.size, dtype=np.int64)
-    slot[order] = np.cumsum(first) - 1
-    keys = merged[first]
-    dtype = np.result_type(x[1], y[1])
-    a = np.zeros(keys.size, dtype=dtype)
-    b = np.zeros(keys.size, dtype=dtype)
-    a[slot[:x[0].size]] = x[1]
-    b[slot[x[0].size:]] = y[1]
-    out = op(a, b)
-    keep = out != 0
-    return keys[keep], out[keep]
+    return rows * (d * d) + cols, (a[2][:, None] * b[2]).ravel() * scale
 
 
 def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None) -> _Csr:
     """Column-stacked superoperator: d vec(rho)/dt = S vec(rho).
 
-    S = -i(I (x) H - H^T (x) I) plus, per jump, conj(L) (x) L - (I (x) L^dag L
-    + (L^dag L)^T (x) I)/2. Each Kronecker term is built from the nonzeros of
-    its two factors, and the terms are combined in that order and grouping,
-    each combination on the union of their patterns with exact zeros dropped.
-    With a sorted array of basis states T, only the block on the entries
-    rho[T[p], T[q]], indexed p + len(T) * q, is assembled from H, every L
-    and every L^dag L cut to T x T. When S maps that block into itself,
-    each of its entries equals the full assembly's bit for bit.
+    S = -i I (x) H + i H^T (x) I plus, per jump, conj(L) (x) L - I (x) L^dag L / 2
+    - (L^dag L)^T (x) I / 2. Each Kronecker term is built from the nonzeros
+    of its two factors, and the entries of all terms, in that order, go
+    through one keyed sum (_summed), exact zeros dropped. With a sorted
+    array of basis states T, only the block on the entries rho[T[p], T[q]],
+    indexed p + len(T) * q, is assembled from H, every L and every L^dag L
+    cut to T x T. When S maps that block into itself, each of its entries
+    sums the same values in the same order as the full assembly's, so the
+    two agree bit for bit.
     """
     H = gen.hamiltonian
     jumps = gen.jump_operators
@@ -292,29 +271,20 @@ def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None)
         jumps = [L[cut] for L in jumps]
         products = [LdL[cut] for LdL in products]
     D = H.shape[0]
-    n = D * D
     eye = (np.arange(D), np.arange(D), np.ones(D, dtype=complex))
-
-    def sandwich(M, op):
-        # I (x) M op M^T (x) I
-        rows, cols, vals = _nonzeros(M)
-        return _combine(_kron(eye, (rows, cols, vals), D),
-                        _kron((cols, rows, vals), eye, D), op)
-
-    keys, vals = sandwich(H, np.subtract)
-    S = keys, vals * -1j
+    rows, cols, vals = _nonzeros(H)
+    terms = [_kron(eye, (rows, cols, vals), D, -1j), _kron((cols, rows, vals), eye, D, 1j)]
     for L, LdL in zip(jumps, products):
         # conj(L) (x) L from real products: NumPy may round a complex product
         # differently on its vector and scalar loops, so a complex kron of the
         # cut could differ in the last bit from the whole space's
         Lr, Li = _nonzeros(L.real), _nonzeros(L.imag)
-        keys, vals = _combine(_kron(Lr, Li, D), _kron(Li, Lr, D), np.subtract)
-        gain = _combine(_combine(_kron(Lr, Lr, D), _kron(Li, Li, D), np.add),
-                        (keys, vals * 1j), np.add)
-        S = _combine(S, gain, np.add)
-        keys, vals = sandwich(LdL, np.add)
-        S = _combine(S, (keys, vals * 0.5), np.subtract)
-    return _csr(*S, n)
+        rows, cols, vals = _nonzeros(LdL)
+        terms += [_kron(Lr, Lr, D), _kron(Li, Li, D), _kron(Lr, Li, D, 1j),
+                  _kron(Li, Lr, D, -1j), _kron(eye, (rows, cols, vals), D, -0.5),
+                  _kron((cols, rows, vals), eye, D, -0.5)]
+    return _summed(np.concatenate([keys for keys, _ in terms]),
+                   np.concatenate([vals for _, vals in terms]), D * D)
 
 
 @dataclass(frozen=True)
@@ -680,7 +650,7 @@ class _RungeKutta:
     dv/dt = S v the four-stage step equals the nested (Horner) form
     v + hS(v + (h/2)S(v + (h/3)S(v + (h/4)S v))): still four products with
     S, but one work vector updated in place instead of four stage vectors.
-    substeps counts the steps taken.
+    substeps counts the steps taken, and products the products with S.
     """
 
     # the Taylor action's counter, for the stepper-neutral metadata
@@ -690,10 +660,7 @@ class _RungeKutta:
         self.S = S
         self.dt = dt
         self.substeps = 0
-
-    @property
-    def products(self) -> int:
-        return 4 * self.substeps
+        self.products = 0
 
     def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
         """v advanced in place by the gap, and returned."""
@@ -719,6 +686,7 @@ class _RungeKutta:
             w *= h
             v += w
         self.substeps += n
+        self.products += 4 * n
         return v
 
 
@@ -726,7 +694,8 @@ class _TaylorAction:
     """v -> exp(t S) v for the gaps t of one run, by truncated Taylor series.
 
     Algorithm 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33 (2011) 488)
-    on one vector. S is shifted once by mu = trace(S)/n to A = S - mu I. A
+    on one vector. S is shifted once by mu = trace(S)/n to A = S - mu I, the
+    keyed sum (_summed) of S's entries and -mu on every diagonal entry. A
     gap t is split into s steps of at most m Taylor terms, and a step ends
     early once two successive terms fall below the unit roundoff of the
     partial sum. (m, s) come from the paper's fragment 3.1 with m_max = 55,
@@ -750,10 +719,9 @@ class _TaylorAction:
         on = rows == S.indices
         diag[rows[on]] = S.data[on]
         self.mu = complex(diag.sum()) / n
-        # A = S - mu I on the union pattern, its exact zeros dropped
-        self.csr = _csr(*_combine((rows * n + S.indices, S.data),
-                                  (np.arange(n) * (n + 1), np.full(n, self.mu)),
-                                  np.subtract), n)
+        # A = S - mu I: S's entries and -mu on the diagonal, in one keyed sum
+        self.csr = _summed(np.concatenate([rows * n + S.indices, np.arange(n) * (n + 1)]),
+                           np.concatenate([S.data, np.full(n, -self.mu)]), n)
         self.A = _Padded(self.csr)
         self.norm = float(np.bincount(self.csr.indices, np.abs(self.csr.data), n).max())
         self.products = 0
