@@ -330,7 +330,7 @@ def _sweep_one(task):
         traj = propagate(gen, state, _propagation_config(run_cfg, times, pairs, dt))
     except InvariantViolation as exc:
         raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
-                                 point) from exc
+                                 point, exc.note) from exc
     except ValueError as exc:
         raise UsageError(f"{point}: {exc}") from exc
     samples = [int(np.argmin(np.abs(times - t))) for t in at_times]

@@ -103,26 +103,28 @@ class InvariantViolation(RuntimeError):
     """A propagated state broke a trace, hermiticity, or positivity bound.
 
     point names the sweep point it happened at, as path=value, when there
-    is one.
+    is one; note, when there is one, says what may have caused it.
     """
 
     def __init__(self, invariant: str, time: float, value: float, bound: float,
-                 point: str = ""):
+                 point: str = "", note: str = ""):
         super().__init__(
             (f"{point}: " if point else "")
             + f"{invariant} invariant violated at t={time:.6g}: "
-            f"measured {value:.3e}, bound {bound:.3e}")
+            f"measured {value:.3e}, bound {bound:.3e}"
+            + (f"; {note}" if note else ""))
         self.invariant = invariant
         self.time = time
         self.value = value
         self.bound = bound
         self.point = point
+        self.note = note
 
     def __reduce__(self):
         # rebuild from the fields; args holds only the message, so the
         # default reduction cannot cross a sweep worker's process boundary
-        return (type(self),
-                (self.invariant, self.time, self.value, self.bound, self.point))
+        return (type(self), (self.invariant, self.time, self.value, self.bound,
+                             self.point, self.note))
 
 
 StateLike = Union[DensityMatrix, PureState, np.ndarray]
@@ -200,7 +202,9 @@ def _summed(keys: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
     """
     keys, slot = np.unique(keys, return_inverse=True)
     sums = np.zeros(keys.size, dtype=vals.dtype)
-    np.add.at(sums, slot, vals)
+    # an overflow is reported by the caller that can name its cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(sums, slot, vals)
     keep = sums != 0
     keys = keys[keep]
     return _Csr(sums[keep], keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
@@ -221,6 +225,8 @@ class _Padded:
     def __init__(self, S: _Csr):
         self.nnz = S.data.size
         n = S.indptr.size - 1
+        # the largest column sum of absolute values
+        self.norm = float(np.bincount(S.indices, np.abs(S.data), n).max())
         rows = S.rows
         slot = np.arange(self.nnz) - S.indptr[rows]
         width = int(np.diff(S.indptr).max(initial=0))
@@ -260,7 +266,7 @@ def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None)
     indexed p + len(T) * q, is assembled from H, every L and every L^dag L
     cut to T x T. When S maps that block into itself, each of its entries
     sums the same values in the same order as the full assembly's, so the
-    two agree bit for bit.
+    two agree bit for bit. Raises ValueError when an entry is not finite.
     """
     H = gen.hamiltonian
     jumps = gen.jump_operators
@@ -283,8 +289,12 @@ def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None)
         terms += [_kron(Lr, Lr, D), _kron(Li, Li, D), _kron(Lr, Li, D, 1j),
                   _kron(Li, Lr, D, -1j), _kron(eye, (rows, cols, vals), D, -0.5),
                   _kron((cols, rows, vals), eye, D, -0.5)]
-    return _summed(np.concatenate([keys for keys, _ in terms]),
-                   np.concatenate([vals for _, vals in terms]), D * D)
+    S = _summed(np.concatenate([keys for keys, _ in terms]),
+                np.concatenate([vals for _, vals in terms]), D * D)
+    if not np.isfinite(S.data).all():
+        raise ValueError("the rates overflow the superoperator: "
+                         "an entry of S is not finite")
+    return S
 
 
 @dataclass(frozen=True)
@@ -442,12 +452,12 @@ def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     so S maps the block T x T of vec(rho) into itself.
     """
     # H and L^dag L act on column kets through their transposes
-    sym = np.abs(gen.hamiltonian)
+    sym = gen.hamiltonian != 0
     for LdL in gen._dissipator_products:
-        sym += np.abs(LdL)
-    pattern = sym + sym.T
+        sym |= LdL != 0
+    pattern = sym | sym.T
     for L in gen.jump_operators:
-        pattern += np.abs(L)
+        pattern |= L != 0
     support = rho != 0
     dst, src = np.nonzero(pattern)
     return np.flatnonzero(_closure(src, dst, support.any(axis=0) | support.any(axis=1)))
@@ -626,6 +636,7 @@ class _Recorder:
             "states": states,
             "nnz": int(self.S.nnz),
             "rk4_substeps": step.substeps,
+            "rk4_step_norm": step.step_norm,
             # the integrator's, and one per sample for the purity rate
             "matvecs": step.products + self.config.times.size,
             "expm_actions": step.actions,
@@ -650,7 +661,11 @@ class _RungeKutta:
     dv/dt = S v the four-stage step equals the nested (Horner) form
     v + hS(v + (h/2)S(v + (h/3)S(v + (h/4)S v))): still four products with
     S, but one work vector updated in place instead of four stage vectors.
-    substeps counts the steps taken, and products the products with S.
+    substeps counts the steps taken, products the products with S, and
+    step_norm the largest h ||S||_1 of a step. It bounds h |lambda| for every
+    eigenvalue lambda of S; the steps stay bounded only while each h lambda
+    lies in RK4's stability region, which reaches about 2.8 along the
+    negative real axis.
     """
 
     # the Taylor action's counter, for the stepper-neutral metadata
@@ -661,17 +676,18 @@ class _RungeKutta:
         self.dt = dt
         self.substeps = 0
         self.products = 0
+        self.step_norm = 0.0
 
     def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
         """v advanced in place by the gap, and returned."""
-        dt = self.dt
+        S, dt = self.S, self.dt
         if not gap / dt <= _MAX_STEPS:
             raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
                              f"{gap / dt:.6g}, is not finite or above 2**53")
         n = max(1, math.ceil(gap / dt))
         h = gap / n
+        self.step_norm = max(self.step_norm, h * S.norm)
         h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
-        S = self.S
         for _ in range(n):
             w = S @ v
             w *= h4
@@ -710,6 +726,7 @@ class _TaylorAction:
     # the Runge-Kutta stepper's, for the stepper-neutral metadata
     dt = math.nan
     substeps = 0
+    step_norm = 0.0
 
     def __init__(self, S: _Csr):
         self.n = n = S.indptr.size - 1
@@ -723,7 +740,7 @@ class _TaylorAction:
         self.csr = _summed(np.concatenate([rows * n + S.indices, np.arange(n) * (n + 1)]),
                            np.concatenate([S.data, np.full(n, -self.mu)]), n)
         self.A = _Padded(self.csr)
-        self.norm = float(np.bincount(self.csr.indices, np.abs(self.csr.data), n).max())
+        self.norm = self.A.norm
         self.products = 0
         self.actions = 0
         self._d: dict[int, float] = {}
@@ -784,7 +801,9 @@ class _TaylorAction:
         norm = t * self.norm
         if not norm <= _MAX_STEPS:
             raise ValueError(f"gap {t!r}: the 1-norm of the gap times the generator, "
-                             f"{norm:.6g}, is not finite or above 2**53")
+                             f"{norm:.6g}, is not finite or above 2**53; the "
+                             f"generator's own 1-norm, {self.norm:.6g}, is set by "
+                             "its largest rates and energies")
         if norm == 0.0:
             return 0, 1
         if norm <= _NORM_ONLY:
@@ -843,12 +862,23 @@ def propagate(gen: LindbladGenerator, state: StateLike,
     v = rho.ravel(order="F")[R]
     rec = _Recorder(gen, config, S, R)
     times = config.times
-    rec.record(0, times[0], v)
-    step = (_TaylorAction(block) if config.method == "superoperator_expm"
-            else _RungeKutta(S, config.dt))
-    for k in range(1, times.size):
-        v = step(v, float(times[k] - times[k - 1]))
-        rec.record(k, times[k], v)
+    # a state that overflows breaks the audit, which names the failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec.record(0, times[0], v)
+        step = (_TaylorAction(block) if config.method == "superoperator_expm"
+                else _RungeKutta(S, config.dt))
+        try:
+            for k in range(1, times.size):
+                v = step(v, float(times[k] - times[k - 1]))
+                rec.record(k, times[k], v)
+        except InvariantViolation as exc:
+            if not step.step_norm:
+                raise
+            raise InvariantViolation(
+                exc.invariant, exc.time, exc.value, exc.bound,
+                note=f"the largest RK4 step times ||S||_1, rk4_step_norm, was "
+                     f"{step.step_norm:.6g}; a smaller dt may keep the steps stable"
+            ) from None
     return rec.finish(T.size, step)
 
 

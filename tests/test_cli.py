@@ -5,7 +5,9 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,7 @@ class TestRun:
         times = np.linspace(0.0, 2.0, 9)
         substeps = sum(max(1, int(np.ceil(g / 1e-3))) for g in np.diff(times))
         assert prop["rk4_substeps"] == substeps
+        assert 0.0 < prop["rk4_step_norm"] < 1.0
         assert prop["matvecs"] == 4 * substeps + 9
         assert prop["expm_actions"] == 0
         assert prop["states"] == 4
@@ -314,14 +317,14 @@ class TestRun:
         assert main(["run", cfg, "--output", str(tmp_path)]) == 2
 
     @staticmethod
-    def stiff_config(path, method):
+    def stiff_config(path, method, rate=1.0e+6):
         # extraction at 1e6: h * rate = 1000 at the default dt, far outside
         # the stability interval of RK4
         return write_config(path, {
             "network": {
                 "sites": [{"label": lbl, "kind": "qubit", "dim": 2} for lbl in ("1", "2")],
                 "hoppings": [["1", "2", 1.0]],
-                "jumps": [{"kind": "extraction", "site": "2", "rate": 1.0e+6}],
+                "jumps": [{"kind": "extraction", "site": "2", "rate": rate}],
             },
             "initial": {"occupations": [1, 0]},
             "times": {"start": 0.0, "stop": 0.5, "num": 6},
@@ -329,14 +332,57 @@ class TestRun:
         })
 
     def test_nan_state_breaks_the_audit(self, tmp_path, capsys):
-        # the RK4 state overflows to NaN, which fails the trace bound
+        # the RK4 state overflows to NaN, which fails the trace bound, with
+        # no NumPy warning ahead of the error; the error quotes the largest
+        # h ||S||_1, far outside RK4's stability region
         cfg = self.stiff_config(tmp_path / "stiff.yaml", "fixed_step_rk4")
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", cfg, "--output", str(out)]) == 2
-        assert ("trace invariant violated at t=0.1: measured nan"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: trace invariant violated at t=0.1: "
+                              "measured nan")
+        norm = re.search(r"rk4_step_norm, was (\S+); a smaller dt", err)
+        assert norm and float(norm[1]) >= 1000
         assert not out.exists()
+
+    def test_rates_that_overflow_the_superoperator_exit_1(self, tmp_path, capsys):
+        # the two losses on site 2 add to -2e308 on one diagonal entry of S
+        network = {
+            "sites": [{"label": lbl, "kind": "qubit", "dim": 2} for lbl in ("1", "2")],
+            "hoppings": [["1", "2", 1.0]],
+            "jumps": [{"kind": "injection", "site": "1", "rate": 0.2},
+                      {"kind": "extraction", "site": "2", "rate": 1.0e+308},
+                      {"kind": "dissipation", "site": "2", "rate": 1.0e+308}],
+        }
+        runs = {"network": network, "initial": {"occupations": [1, 0]},
+                "times": {"start": 0.0, "stop": 0.5, "num": 6},
+                "sweep": {"path": "dt", "values": [1e-3, 2e-3],
+                          "observable": "population:2", "at_times": [0.5]}}
+        out = tmp_path / "out"
+        commands = [("run", "fixed_step_rk4", ""), ("run", "superoperator_expm", ""),
+                    ("sweep", "fixed_step_rk4", "dt=0.001: "), ("steady", None, "")]
+        for command, method, point in commands:
+            cfg = {"network": network} if command == "steady" else {**runs, "method": method}
+            path = write_config(tmp_path / "over.yaml", cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main([command, path, "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {point}the rates overflow the superoperator: "
+                "an entry of S is not finite\n")
+        assert not out.exists()
+
+    def test_huge_rate_names_the_generator_norm(self, tmp_path, capsys):
+        # a finite rate of 2**70 makes every gap's Taylor step count too large
+        cfg = self.stiff_config(tmp_path / "huge.yaml", "superoperator_expm", 2.0 ** 70)
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gap 0.1: the 1-norm of the gap times the generator, ")
+        norm = re.search(r"the generator's own 1-norm, (\S+), is set by its largest "
+                         r"rates and energies$", err.strip())
+        assert norm and float(norm[1]) >= 2.0 ** 70
 
     def test_stiff_rate_stays_finite_under_expm(self, tmp_path):
         cfg = self.stiff_config(tmp_path / "stiff.yaml", "superoperator_expm")
@@ -465,6 +511,7 @@ class TestSweep:
                      "--workers", workers]) == 2
         err = capsys.readouterr().err
         assert "invariant violation: params.J=1.0: " in err
+        assert "; a smaller dt may keep the steps stable" in err
         bad = write_config(tmp_path / "bad.yaml", {
             "preset": "two_site_pump",
             "sweep": {"path": "params.gamma_in", "values": [0.2, -1.0],
@@ -765,6 +812,51 @@ class TestConfigFuzz:
             named = [".".join(parts[:k]) for k in range(1, len(parts) + 1)]
             assert (any(key in line for key in named) or "budget" in line
                     or line.startswith("error: gap ")), (path, value, line)
+
+
+class TestRateFuzz:
+    @given(data=st.data(), both=st.booleans(),
+           method=st.sampled_from(["fixed_step_rk4", "superoperator_expm"]))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_output_or_one_named_error(self, data, both, method):
+        # a loss rate of 10**exponent on site 2, optionally twice: a run
+        # writes only finite values, or exits with one error line, and NumPy
+        # warns of nothing on the way. The Taylor action makes about one
+        # product per unit of gap * ||S||_1 and refuses a gap only above
+        # 2**53 of them, so at rates from 1e5 to 1e16 it runs for seconds to
+        # years; those exponents are drawn for RK4 alone
+        exponents = (st.integers(-3, 308) if method == "fixed_step_rk4"
+                     else st.integers(-3, 4) | st.integers(17, 308))
+        rate = 10.0 ** data.draw(exponents, label="exponent")
+        jumps = [{"kind": "injection", "site": "1", "rate": 0.2},
+                 {"kind": "extraction", "site": "2", "rate": rate}]
+        if both:
+            jumps.append({"kind": "dissipation", "site": "2", "rate": rate})
+        cfg = {
+            "network": {
+                "sites": [{"label": lbl, "kind": "qubit", "dim": 2} for lbl in ("1", "2")],
+                "hoppings": [["1", "2", 1.0]],
+                "jumps": jumps,
+            },
+            "initial": {"occupations": [1, 0]},
+            "times": {"start": 0.0, "stop": 0.2, "num": 3},
+            "method": method,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp) / "rate.yaml", cfg)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["run", config, "--output", str(Path(tmp) / "out")])
+            err = err.getvalue()
+            if code == 0:
+                _, rows = read_tsv(Path(tmp) / "out" / "rate.tsv")
+                assert all(math.isfinite(float(x)) for row in rows for x in row)
+                assert err == ""
+            else:
+                prefix = "error: " if code == 1 else "invariant violation: "
+                assert code in (1, 2)
+                assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 class TestSteady:

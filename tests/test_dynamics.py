@@ -594,17 +594,23 @@ class TestPropagation:
         assert (rk["rk4_substeps"], rk["matvecs"], rk["expm_actions"]) == (
             substeps, 4 * substeps + times.size, 0)
         assert (ex["rk4_substeps"], ex["expm_actions"]) == (0, expm_times.size - 1)
+        # the largest step, 0.69 / 7, times the largest column sum of |S_R|
+        norm = float(abs(as_scipy(block)).sum(axis=0).max())
+        assert rk["rk4_step_norm"] == pytest.approx(max(
+            g / max(1, math.ceil(g / dt)) for g in np.diff(times)) * norm, rel=1e-14)
+        assert ex["rk4_step_norm"] == 0.0
         assert ex["matvecs"] > expm_times.size
         assert ex["positivity_blocks"] == rk["positivity_blocks"]
 
     def test_invariant_violation_pickles_with_its_point(self):
-        exc = InvariantViolation("trace", 1.5, 2e-3, 1e-9, "params.J=2.0")
+        exc = InvariantViolation("trace", 1.5, 2e-3, 1e-9, "params.J=2.0", "try again")
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is InvariantViolation
         assert str(back) == str(exc)
         assert str(back).startswith("params.J=2.0: trace invariant violated at t=1.5")
-        assert (back.invariant, back.time, back.value, back.bound, back.point) == (
-            "trace", 1.5, 2e-3, 1e-9, "params.J=2.0")
+        assert str(back).endswith("; try again")
+        assert (back.invariant, back.time, back.value, back.bound, back.point,
+                back.note) == ("trace", 1.5, 2e-3, 1e-9, "params.J=2.0", "try again")
 
 
 def assert_close_relative(got: np.ndarray, want: np.ndarray, rtol: float) -> None:
