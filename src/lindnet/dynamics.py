@@ -872,7 +872,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
                 v = step(v, float(times[k] - times[k - 1]))
                 rec.record(k, times[k], v)
         except InvariantViolation as exc:
-            if not step.step_norm:
+            if isinstance(step, _TaylorAction):
                 raise
             raise InvariantViolation(
                 exc.invariant, exc.time, exc.value, exc.bound,

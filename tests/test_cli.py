@@ -821,10 +821,10 @@ class TestRateFuzz:
     def test_finite_output_or_one_named_error(self, data, both, method):
         # a loss rate of 10**exponent on site 2, optionally twice: a run
         # writes only finite values, or exits with one error line, and NumPy
-        # warns of nothing on the way. The Taylor action makes about one
-        # product per unit of gap * ||S||_1 and refuses a gap only above
-        # 2**53 of them, so at rates from 1e5 to 1e16 it runs for seconds to
-        # years; those exponents are drawn for RK4 alone
+        # warns of nothing on the way. The Taylor action makes five to ten
+        # products per unit of gap * ||S||_1 and refuses a gap only when that
+        # norm is above 2**53, so at rates from 1e5 to 1e16 it runs for
+        # seconds to years; those exponents are drawn for RK4 alone
         exponents = (st.integers(-3, 308) if method == "fixed_step_rk4"
                      else st.integers(-3, 4) | st.integers(17, 308))
         rate = 10.0 ** data.draw(exponents, label="exponent")
