@@ -22,16 +22,17 @@ occupation-difference sectors the initial state touches, pumped and lossy
 runs included. Observables and invariants are read from the
 reachable entries through index maps built once per run: the diagonal,
 each entry's mirror, the recorded coherences and the connected components
-of the touched basis states, over which rho is block diagonal. Only
+of the basis states, over which rho is block diagonal. Only
 snapshots are scattered into the full density matrix. The graph searches
 step a frontier with gathers and scatters over the edge arrays, and
 connected components come from min-label propagation.
 
 Steady states split the entries of vec(rho) into the weakly connected
 components of the whole sparsity graph of S and take each block's null
-space by a dense NumPy SVD. Their hermitian parts are found on the
-entries of the blocks that hold a null vector, through the recorder's
-position map; only the state and directions are scattered to D x D.
+space by a dense NumPy SVD, in one pass under the dense budget. Their
+hermitian parts are found on the entries of the blocks that hold a null
+vector, through the recorder's position map; only the state and
+directions are scattered to D x D.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from lindnet.hilbert import (
     PureState,
     check_density,
 )
+from lindnet import model
 from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 
 __all__ = [
@@ -68,9 +70,6 @@ __all__ = [
 # Construction-time hermiticity is held to HERMITICITY_TOL; integration is
 # allowed to drift up to this looser bound before a run is declared invalid.
 PROPAGATION_HERMITICITY_TOL = 1e-9
-
-# Most entries of vec(rho) that steady_states factors densely in one block
-_MAX_BLOCK_ENTRIES = 4096
 
 # Relative size below which steady_states counts a singular value as zero.
 _ZERO_TOL = 1e-10
@@ -502,8 +501,8 @@ class _Recorder:
     vector through index maps built here once: the positions of the
     diagonal entries, the position of each entry's mirror (l, k), the
     position of each recorded coherence, and the connected components of
-    the touched basis states. Only snapshots are scattered into the full
-    density matrix.
+    the basis states. Only snapshots are scattered into the full density
+    matrix.
     """
 
     def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S: _Padded,
@@ -545,24 +544,17 @@ class _Recorder:
     def _components(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Index maps for lambda_min: rho is block diagonal over the components.
 
-        The graph on the touched basis states has an edge k - l for each
-        entry (k, l) of R; rho[k, l] = 0 between components. Components of
-        equal size m are stacked into one (count, m, m) array, so each size
-        costs one batched eigvalsh. A state no entry touches adds a zero
-        eigenvalue.
+        The graph on all D basis states has an edge k - l for each entry
+        (k, l) of R; rho[k, l] = 0 between components, and a state that no
+        entry touches is a 1 x 1 zero block, whose eigenvalue is 0.
+        Components of equal size m are stacked into one (count, m, m) array,
+        so each size costs one batched eigvalsh.
         """
         dim = self.dim
-        touched = np.union1d(rows, cols)
-        self.untouched = touched.size < dim
         _, label = _weak_components(dim, rows, cols)
-        # components are numbered by their smallest state; renumbered over
-        # the touched states, they keep that order
-        label[touched] = np.unique(label[touched], return_inverse=True)[1]
-        sizes = np.bincount(label[touched])
-        count = sizes.size
+        sizes = np.bincount(label)
         # local index of each state inside its component, in sorted order
-        local = np.empty(dim, dtype=np.int64)
-        local[touched] = _grouped(label[touched], sizes)[1]
+        local = _grouped(label, sizes)[1]
         comp = label[rows]
         self.blocks = []
         for m in np.unique(sizes):
@@ -572,7 +564,7 @@ class _Recorder:
             pos = np.flatnonzero(sizes[comp] == m)
             dest = (slot[comp[pos]] * m + local[rows[pos]]) * m + local[cols[pos]]
             self.blocks.append((members.size, int(m), pos, dest))
-        self.positivity_blocks = {"count": count, "largest": int(sizes.max())}
+        self.positivity_blocks = {"count": np.unique(comp).size, "largest": int(sizes[comp].max())}
 
     def record(self, k: int, t: float, v: np.ndarray) -> None:
         """Store observables for slot k; raise InvariantViolation on a broken bound.
@@ -594,7 +586,7 @@ class _Recorder:
             self.populations[k] = diag.real @ self.occ
         self.purity[k] = float(np.vdot(v, v).real)
         self.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
-        lam_min = 0.0 if self.untouched else math.inf
+        lam_min = math.inf
         for count, m, pos, dest in self.blocks:
             block = np.zeros(count * m * m, dtype=complex)
             block[dest] = v[pos]
@@ -909,11 +901,11 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     The entries of vec(rho) split into the weakly connected components of
     the sparsity graph of S; S maps each component into itself, so its null
     space is the direct sum of the null spaces of its diagonal blocks. Each
-    block is solved densely by SVD: a right singular vector is a null vector
-    when its singular value is at most _ZERO_TOL = 1e-10 times max(1, the
-    largest singular value over all blocks). The largest block may hold at
-    most _MAX_BLOCK_ENTRIES = 4096 entries; a larger one raises ValueError
-    before any dense work.
+    block is solved densely by SVD, in label order: a right singular vector
+    is a null vector when its singular value is at most _ZERO_TOL = 1e-10
+    times max(1, sqrt(|S|_1 |S|_inf)), a bound on every singular value of S.
+    A block of more than sqrt(DENSE_OPERATOR_BUDGET / 128) entries (4096)
+    raises ValueError before any dense work.
 
     The blocks that hold a null vector are closed under the adjoint, since
     S(X^dag) = S(X)^dag. On their sorted entries E each null vector X gives
@@ -930,36 +922,32 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     n_blocks, labels = _weak_components(n, S.indices, rows)
     sizes = np.bincount(labels)
     largest = int(sizes.max())
-    if largest > _MAX_BLOCK_ENTRIES:
+    # the SVD of a complex m x m block adds about 8 times its 16 m**2 bytes:
+    # 6.8, 6.6 and 6.5 times, measured at m = 924, 1,512 and 2,500 on one BLAS thread
+    cap = math.isqrt(model.DENSE_OPERATOR_BUDGET // (8 * 16))
+    if largest > cap:
         raise ValueError(
             f"largest block of the superoperator has {largest} entries, "
-            f"above the cap of {_MAX_BLOCK_ENTRIES}")
+            f"above the cap of {cap}")
 
-    # the largest singular value over all blocks is the 2-norm of S, at most
-    # sqrt(|S|_1 |S|_inf); rows of Vh below the threshold for that bound are
-    # the only candidates, so no block's full factors need to be kept
+    # every singular value of a block is at most ||S||_2 <= sqrt(|S|_1 |S|_inf),
+    # so each block is settled as soon as it is factored
     size = np.abs(S.data)
-    bound = math.sqrt(float(np.bincount(S.indices, size, n).max())
-                      * float(np.bincount(rows, size, n).max()))
+    zero = _ZERO_TOL * max(1.0, math.sqrt(float(np.bincount(S.indices, size, n).max())
+                                          * float(np.bincount(rows, size, n).max())))
     # grouped in stable label order, each block's entries come sorted, and so
     # do the stored entries of S in its rows; local is an entry's place in its block
     order, local = _grouped(labels, sizes)
     ends = np.cumsum(sizes)
     stored = np.argsort(labels[rows], kind="stable")
     stored_ends = np.cumsum(np.bincount(labels[rows], minlength=n_blocks))
-    candidates = []
-    scale = 1.0
+    held = []
+    zero_eigenvalues = []
     for idx, k in zip(np.split(order, ends[:-1]), np.split(stored, stored_ends[:-1])):
         block = np.zeros((idx.size, idx.size), dtype=complex)
         block[local[rows[k]], local[S.indices[k]]] = S.data[k]
         U, sv, Vh = np.linalg.svd(block)
-        scale = max(scale, float(sv[0]))
-        near = sv <= _ZERO_TOL * max(1.0, bound)
-        candidates.append((idx, U[:, near], sv[near], Vh[near]))
-    held = []
-    zero_eigenvalues = []
-    for idx, U, sv, Vh in candidates:
-        null = sv <= _ZERO_TOL * scale
+        null = sv <= zero
         if not null.any():
             continue
         # columns of N are null vectors; B N = U diag(sv) on them
