@@ -44,6 +44,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from lindnet import model
 from lindnet.hilbert import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
@@ -53,8 +54,6 @@ from lindnet.hilbert import (
     PureState,
     check_density,
 )
-from lindnet import model
-from lindnet.model import NetworkSpec, build_hamiltonian, build_jump_operators
 
 __all__ = [
     "PROPAGATION_HERMITICITY_TOL",
@@ -157,10 +156,10 @@ class LindbladGenerator:
         object.__setattr__(self, "jump_operators", jumps)
 
     @classmethod
-    def from_network(cls, spec: NetworkSpec) -> "LindbladGenerator":
+    def from_network(cls, spec: model.NetworkSpec) -> "LindbladGenerator":
         basis = spec.basis()
-        return cls(build_hamiltonian(spec, basis),
-                   tuple(build_jump_operators(spec, basis)), basis)
+        return cls(model.build_hamiltonian(spec, basis),
+                   tuple(model.build_jump_operators(spec, basis)), basis)
 
     @property
     def dimension(self) -> int:
@@ -930,11 +929,12 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
             f"largest block of the superoperator has {largest} entries, "
             f"above the cap of {cap}")
 
-    # every singular value of a block is at most ||S||_2 <= sqrt(|S|_1 |S|_inf),
-    # so each block is settled as soon as it is factored
+    # every singular value of a block is at most ||S||_2 <= sqrt(|S|_1 |S|_inf), so each
+    # block is settled at once; relative to S's largest entry, no rate overflows the sums
     size = np.abs(S.data)
-    zero = _ZERO_TOL * max(1.0, math.sqrt(float(np.bincount(S.indices, size, n).max())
-                                          * float(np.bincount(rows, size, n).max())))
+    top = float(size.max(initial=1.0))
+    col, row = (float(np.bincount(k, size / top, n).max()) for k in (S.indices, rows))
+    zero = _ZERO_TOL * top * max(1.0 / top, math.sqrt(col * row))
     # grouped in stable label order, each block's entries come sorted, and so
     # do the stored entries of S in its rows; local is an entry's place in its block
     order, local = _grouped(labels, sizes)

@@ -1101,6 +1101,16 @@ class TestSteadyStates:
         vacuum[0, 0] = 1.0
         np.testing.assert_allclose(result.state, vacuum, atol=1e-12)
 
+    def test_threshold_scales_with_the_generator(self):
+        # S -> c S keeps the null space; near the float limit |S|_1 |S|_inf
+        # itself overflows, and the threshold must not
+        gen = random_generator(0, 3, 1)
+        want = steady_states(gen).multiplicity
+        for c in (1e200, 1e300):
+            big = LindbladGenerator(c * gen.hamiltonian,
+                                    tuple(math.sqrt(c) * L for L in gen.jump_operators))
+            assert steady_states(big).multiplicity == want
+
     def test_oversized_block_refused_before_dense_work(self, monkeypatch):
         # a dense random H couples every entry: one block of 65**2 > 64**2
         gen = random_generator(0, 65, 0)
