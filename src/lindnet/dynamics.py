@@ -140,14 +140,18 @@ class LindbladGenerator:
         H = np.asarray(self.hamiltonian, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError(f"hamiltonian must be square, got shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise ValueError("hamiltonian has an entry that is not finite")
         scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-        if float(np.abs(H - H.conj().T).max()) > HERMITICITY_TOL * scale:
+        if not float(np.abs(H - H.conj().T).max()) <= HERMITICITY_TOL * scale:
             raise ValueError("hamiltonian is not hermitian")
         jumps = tuple(np.asarray(L, dtype=complex) for L in self.jump_operators)
-        for L in jumps:
+        for k, L in enumerate(jumps):
             if L.shape != H.shape:
                 raise ValueError(
                     f"jump operator shape {L.shape} does not match hamiltonian {H.shape}")
+            if not np.isfinite(L).all():
+                raise ValueError(f"jump operator {k} has an entry that is not finite")
         if self.basis is not None and self.basis.dimension != H.shape[0]:
             raise ValueError(
                 f"basis dimension {self.basis.dimension} does not match "

@@ -189,7 +189,8 @@ class PureState:
                 f"amplitude vector has shape {amp.shape}, expected ({self.basis.dimension},)"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
+        # written so that NaN breaks it
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -221,15 +222,16 @@ def check_density(m: np.ndarray) -> None:
     Hermiticity within 1e-12 (max entry), trace within 1e-9 of one, smallest
     eigenvalue of the hermitian part >= -1e-9.
     """
+    # each bound is written so that NaN breaks it
     herm_dev = np.abs(m - m.conj().T).max()
-    if herm_dev > HERMITICITY_TOL:
+    if not herm_dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not hermitian: Hermiticity deviation "
                          f"{herm_dev:.3e} beyond {HERMITICITY_TOL}")
     tr = m.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    if min_eig < -POSITIVITY_TOL:
+    if not min_eig >= -POSITIVITY_TOL:
         raise ValueError(f"smallest eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
 
 

@@ -237,6 +237,22 @@ class TestLindbladGenerator:
         with pytest.raises(ValueError, match="hermitian"):
             LindbladGenerator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match="^hamiltonian has an entry that is not finite$"):
+            LindbladGenerator(np.array([[np.nan, 0.0], [0.0, 1.0]]), ())
+
+    def test_infinite_jump_rejected_by_position(self):
+        L = np.array([[0.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^jump operator 1 has an entry that is not finite$"):
+            LindbladGenerator(np.eye(2), (np.zeros((2, 2)), L))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_overflow_keeps_the_rates_message(self):
+        # finite jumps whose terms overflow only when S sums them
+        L = np.array([[0.0, 1e154], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^the rates overflow the superoperator"):
+            steady_states(LindbladGenerator(np.eye(2), (L, L)))
+
     def test_jump_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             LindbladGenerator(np.eye(2), (np.zeros((3, 3)),))
@@ -264,6 +280,30 @@ class TestLindbladGenerator:
         with pytest.raises(ValueError, match=r"^dimension D = 4: its 3 dense operators .* "
                                              r"768 bytes, above the budget of 767 bytes$"):
             LindbladGenerator.from_network(spec)
+
+    def test_block_cap_follows_the_dense_budget(self, monkeypatch):
+        # steady_states caps a block at sqrt(budget / (8 * 16)) entries: 16
+        # at 128 * 16**2 bytes, 15 one byte below
+        shapes = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr("lindnet.model.DENSE_OPERATOR_BUDGET", 128 * 16**2)
+        # a dense random H couples every entry: one block of D**2 entries
+        steady_states(random_generator(0, 4, 0))
+        assert shapes[0] == (16, 16)
+        shapes.clear()
+        with pytest.raises(ValueError, match=r"^largest block of the superoperator has "
+                                             r"25 entries, above the cap of 16$"):
+            steady_states(random_generator(0, 5, 0))
+        monkeypatch.setattr("lindnet.model.DENSE_OPERATOR_BUDGET", 128 * 16**2 - 1)
+        with pytest.raises(ValueError, match=r"16 entries, above the cap of 15$"):
+            steady_states(random_generator(0, 4, 0))
+        assert shapes == []
 
 
 class TestSuperoperator:
@@ -387,6 +427,11 @@ class TestPropagation:
         assert rk.metadata["max_trace_error"] < 1e-9
         assert rk.metadata["min_eigenvalue_floor"] > -1e-9
         assert np.isnan(ex.metadata["dt"])
+
+    def test_nan_density_refused_before_propagation(self):
+        gen = random_generator(0, 2, 1)
+        with pytest.raises(ValueError, match="^matrix is not hermitian"):
+            propagate(gen, np.full((2, 2), np.nan), PropagationConfig(times=np.array([0.0])))
 
     def test_initial_state_recorded_at_first_time(self):
         run = preset("two_site_transfer")
@@ -890,6 +935,13 @@ class TestSectorFilter:
             assert abs(rec.min_eigenvalue[k] - ref["min_eigenvalue"]) <= 1e-12
             assert [rec.coherences[p][k] for p in pairs] == ref["coherences"]
             assert np.array_equal(rec.snapshots[k], ref["snapshot"])
+        # the positivity blocks are the components of the touched states
+        touched, edges = np.unique(np.concatenate([R % D, R // D]), return_inverse=True)
+        graph = scipy.sparse.csr_matrix((np.ones(R.size), (edges[:R.size], edges[R.size:])),
+                                        shape=(touched.size, touched.size))
+        count, labels = connected_components(graph, connection="weak")
+        assert rec.positivity_blocks == {"count": count,
+                                         "largest": int(np.bincount(labels).max())}
 
     def test_recorder_fails_a_nan_sample(self):
         # NaN in an off-diagonal entry leaves the trace finite and breaks the

@@ -181,6 +181,11 @@ class TestStates:
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]), basis)
 
+    def test_pure_state_rejects_nan(self):
+        basis = ProductBasis((qubit("a"),))
+        with pytest.raises(ValueError, match="norm nan"):
+            PureState(np.array([np.nan, 0.0]), basis)
+
     def test_to_density_is_projector(self):
         basis = ProductBasis((qubit("a"), qubit("b")))
         psi = PureState(np.full(4, 0.5, dtype=complex), basis)
@@ -203,6 +208,11 @@ class TestStates:
         basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex), basis)
+
+    def test_density_matrix_rejects_nan(self):
+        basis = ProductBasis((qubit("a"),))
+        with pytest.raises(ValueError, match="Hermiticity deviation nan"):
+            DensityMatrix(np.full((2, 2), np.nan), basis)
 
     def test_density_matrix_accepts_tiny_negative(self):
         basis = ProductBasis((qubit("a"),))
