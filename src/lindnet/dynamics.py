@@ -16,10 +16,11 @@ reach. Every other entry has zero derivative for all time, so both
 integrators, fixed-step fourth-order Runge-Kutta and the action of the
 matrix exponential (the truncated Taylor action of Al-Mohy and Higham,
 one per output gap), run exactly on that block of S, stored as padded
-rows for its products. Each jump of the models here shifts total
-occupation by a fixed amount, so the block stays inside the
-occupation-difference sectors the initial state touches, pumped and lossy
-runs included. Observables and invariants are read from the
+rows for its products. Both step through one Horner evaluation of a
+truncated Taylor polynomial of the exponential. Each jump of the models
+here shifts total occupation by a fixed amount, so the block stays inside
+the occupation-difference sectors the initial state touches, pumped and
+lossy runs included. Observables and invariants are read from the
 reachable entries through index maps built once per run: the diagonal,
 each entry's mirror, the recorded coherences and the connected components
 of the basis states, over which rho is block diagonal. Only
@@ -90,7 +91,6 @@ _P_MAX = 8
 # condition (3.13) with one vector and a one-column norm estimate: up to this
 # ||tA||_1, estimating ||A^p||_1 would cost more products than it could save
 _NORM_ONLY = 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
-_UNIT_ROUNDOFF = 2.0 ** -53
 # A gap is refused when its Runge-Kutta substep count, or its ||tA||_1
 # (about ten Taylor products per unit), is not finite or exceeds the largest
 # integer a float holds exactly: such a run could never finish.
@@ -649,18 +649,39 @@ class _Recorder:
             coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
 
 
+def _horner_steps(M: _Padded, v: np.ndarray, h: float, m: int, s: int,
+                  eta: complex) -> np.ndarray:
+    """v advanced in place by s steps of eta T_m(hM) v, and returned.
+
+    T_m(hM) v = v + hM(v + (h/2)M(v + ... + (h/m)M v)) is the degree-m
+    Taylor polynomial of exp(hM) on v in nested (Horner) form: m products
+    with M and one work vector. For dv/dt = S v, the four-stage Runge-Kutta
+    step is T_4(hS), and the Taylor action's is eta T_m(hA), A = S - mu I.
+    """
+    for _ in range(s):
+        w = v
+        for j in range(m, 1, -1):
+            w = M @ w
+            w *= h / j
+            w += v
+        if m:
+            w = M @ w
+            w *= h
+            v += w
+        if eta != 1:
+            v *= eta
+    return v
+
+
 class _RungeKutta:
     """v -> v advanced over a gap by classic fourth-order Runge-Kutta steps.
 
-    A gap is split into the fewest equal steps no longer than dt. For
-    dv/dt = S v the four-stage step equals the nested (Horner) form
-    v + hS(v + (h/2)S(v + (h/3)S(v + (h/4)S v))): still four products with
-    S, but one work vector updated in place instead of four stage vectors.
-    substeps counts the steps taken, products the products with S, and
-    step_norm the largest h ||S||_1 of a step. It bounds h |lambda| for every
-    eigenvalue lambda of S; the steps stay bounded only while each h lambda
-    lies in RK4's stability region, which reaches about 2.8 along the
-    negative real axis.
+    A gap is split into the fewest equal steps no longer than dt, each one
+    _horner_steps of degree 4. substeps counts the steps taken, products
+    the products with S, and step_norm the largest h ||S||_1 of a step. It
+    bounds h |lambda| for every eigenvalue lambda of S; the steps stay
+    bounded only while each h lambda lies in RK4's stability region, which
+    reaches about 2.8 along the negative real axis.
     """
 
     # the Taylor action's counter, for the stepper-neutral metadata
@@ -673,32 +694,23 @@ class _RungeKutta:
         self.products = 0
         self.step_norm = 0.0
 
+    @property
+    def note(self) -> str:
+        return (f"the largest RK4 step times ||S||_1, rk4_step_norm, was "
+                f"{self.step_norm:.6g}; a smaller dt may keep the steps stable")
+
     def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
         """v advanced in place by the gap, and returned."""
-        S, dt = self.S, self.dt
+        dt = self.dt
         if not gap / dt <= _MAX_STEPS:
             raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
                              f"{gap / dt:.6g}, is not finite or above 2**53")
         n = max(1, math.ceil(gap / dt))
         h = gap / n
-        self.step_norm = max(self.step_norm, h * S.norm)
-        h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
-        for _ in range(n):
-            w = S @ v
-            w *= h4
-            w += v
-            w = S @ w
-            w *= h3
-            w += v
-            w = S @ w
-            w *= h2
-            w += v
-            w = S @ w
-            w *= h
-            v += w
+        self.step_norm = max(self.step_norm, h * self.S.norm)
         self.substeps += n
         self.products += 4 * n
-        return v
+        return _horner_steps(self.S, v, h, 4, n, 1)
 
 
 class _TaylorAction:
@@ -707,21 +719,24 @@ class _TaylorAction:
     Algorithm 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33 (2011) 488)
     on one vector. S is shifted once by mu = trace(S)/n to A = S - mu I, the
     keyed sum (_summed) of S's entries and -mu on every diagonal entry. A
-    gap t is split into s steps of at most m Taylor terms, and a step ends
-    early once two successive terms fall below the unit roundoff of the
-    partial sum. (m, s) come from the paper's fragment 3.1 with m_max = 55,
-    once per distinct gap. Unless ||tA||_1 satisfies condition (3.13), the
-    fragment needs d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; these are
-    estimated once per run by Hager's one-column 1-norm estimator (Higham and
-    Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000) 1185), run from two fixed
+    gap t is split into s steps of all m Taylor terms each (_horner_steps
+    with h = t/s and eta = exp(t mu / s)), which keep the backward error
+    below 2**-53 without the paper's early exit. (m, s) come from the
+    paper's fragment 3.1 with m_max = 55, once per distinct gap. Unless
+    ||tA||_1 satisfies condition (3.13), the fragment needs
+    d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; these are estimated once
+    per run by Hager's one-column 1-norm estimator (Higham and Tisseur,
+    SIAM J. Matrix Anal. Appl. 21 (2000) 1185), run from two fixed
     starting vectors, so that it draws no random numbers. products counts
-    every product with A or its adjoint, and actions the gaps taken.
+    every product with A or its adjoint, m s per gap taken, and actions the
+    gaps taken.
     """
 
-    # the Runge-Kutta stepper's, for the stepper-neutral metadata
+    # the Runge-Kutta stepper's, for the stepper-neutral metadata and errors
     dt = math.nan
     substeps = 0
     step_norm = 0.0
+    note = ""
 
     def __init__(self, S: _Csr):
         self.n = n = S.indptr.size - 1
@@ -824,24 +839,8 @@ class _TaylorAction:
             self._steps[t] = self._parameters(t)
         m, s = self._steps[t]
         self.actions += 1
-        A = self.A
-        eta = np.exp(t * self.mu / s)
-        f = v
-        for _ in range(s):
-            f = f.copy()
-            c1 = float(np.abs(v).max())
-            for j in range(m):
-                v = A @ v
-                v *= t / (s * (j + 1))
-                self.products += 1
-                c2 = float(np.abs(v).max())
-                f += v
-                if c1 + c2 <= _UNIT_ROUNDOFF * float(np.abs(f).max()):
-                    break
-                c1 = c2
-            f *= eta
-            v = f
-        return f
+        self.products += m * s
+        return _horner_steps(self.A, v.copy(), t / s, m, s, np.exp(t * self.mu / s))
 
 
 def propagate(gen: LindbladGenerator, state: StateLike,
@@ -867,13 +866,10 @@ def propagate(gen: LindbladGenerator, state: StateLike,
                 v = step(v, float(times[k] - times[k - 1]))
                 rec.record(k, times[k], v)
         except InvariantViolation as exc:
-            if isinstance(step, _TaylorAction):
+            if not step.note:
                 raise
-            raise InvariantViolation(
-                exc.invariant, exc.time, exc.value, exc.bound,
-                note=f"the largest RK4 step times ||S||_1, rk4_step_norm, was "
-                     f"{step.step_norm:.6g}; a smaller dt may keep the steps stable"
-            ) from None
+            raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
+                                     note=step.note) from None
     return rec.finish(T.size, step)
 
 
