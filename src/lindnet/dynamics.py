@@ -171,7 +171,9 @@ class LindbladGenerator:
 
     @cached_property
     def _dissipator_products(self) -> tuple[np.ndarray, ...]:
-        return tuple(L.conj().T @ L for L in self.jump_operators)
+        # an overflow is reported by the assembly's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(L.conj().T @ L for L in self.jump_operators)
 
 
 class _Csr(NamedTuple):
@@ -254,7 +256,9 @@ def _kron(a, b, d: int, scale: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = (a[0][:, None] * d + b[0]).ravel()
     cols = (a[1][:, None] * d + b[1]).ravel()
-    return rows * (d * d) + cols, (a[2][:, None] * b[2]).ravel() * scale
+    # an overflow is reported by the assembly's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows * (d * d) + cols, (a[2][:, None] * b[2]).ravel() * scale
 
 
 def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None) -> _Csr:
@@ -560,14 +564,16 @@ class _Recorder:
         local = _grouped(label, sizes)[1]
         comp = label[rows]
         self.blocks = []
-        for m in np.unique(sizes):
+        # the sizes present, ascending; np.unique would import numpy.ma
+        for m in np.flatnonzero(np.bincount(sizes)):
             members = np.flatnonzero(sizes == m)
             slot = np.empty(sizes.size, dtype=np.int64)
             slot[members] = np.arange(members.size)
             pos = np.flatnonzero(sizes[comp] == m)
             dest = (slot[comp[pos]] * m + local[rows[pos]]) * m + local[cols[pos]]
             self.blocks.append((members.size, int(m), pos, dest))
-        self.positivity_blocks = {"count": np.unique(comp).size, "largest": int(sizes[comp].max())}
+        self.positivity_blocks = {"count": int(np.count_nonzero(np.bincount(comp))),
+                                  "largest": int(sizes[comp].max())}
 
     def record(self, k: int, t: float, v: np.ndarray) -> None:
         """Store observables for slot k; raise InvariantViolation on a broken bound.

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,18 @@ class TestLindbladGenerator:
         L = np.array([[0.0, 1e154], [0.0, 0.0]])
         with pytest.raises(ValueError, match="^the rates overflow the superoperator"):
             steady_states(LindbladGenerator(np.eye(2), (L, L)))
+
+    def test_overflowing_products_raise_no_numpy_warning(self):
+        # L^dag L and its Kronecker terms overflow to inf and nan; the
+        # finiteness check names the cause, with no NumPy warning before it
+        L = np.array([[0.0, 1e200], [0.0, 0.0]])
+        config = PropagationConfig(times=np.array([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (steady_states,
+                          lambda gen: propagate(gen, np.diag([0.0, 1.0]), config)):
+                with pytest.raises(ValueError, match="^the rates overflow the superoperator"):
+                    solve(LindbladGenerator(np.zeros((2, 2)), (L,)))
 
     def test_jump_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -584,8 +597,9 @@ class TestPropagation:
     def test_work_counters(self, monkeypatch):
         # substeps are sum over gaps of max(1, ceil(gap / dt)); each takes four
         # products with S, and each sample one more for the purity rate. The
-        # expm run's matvecs count every product with the block it makes: the
-        # Taylor terms, the norm estimates of the 40-unit gap and the purity rate
+        # expm run's matvecs count every product with the block it makes: all
+        # m s Taylor terms of each gap, the norm estimates of the 40-unit gap
+        # and the purity rate
         products = []
         matmul = _Padded.__matmul__
 
@@ -628,7 +642,9 @@ class TestPropagation:
         assert rk["rk4_step_norm"] == pytest.approx(max(
             g / max(1, math.ceil(g / dt)) for g in np.diff(times)) * norm, rel=1e-14)
         assert ex["rk4_step_norm"] == 0.0
-        assert ex["matvecs"] > expm_times.size
+        action = _TaylorAction(block)
+        terms = sum(m * s for m, s in map(action._parameters, np.diff(expm_times)))
+        assert ex["matvecs"] == terms + action.products + expm_times.size
         assert ex["positivity_blocks"] == rk["positivity_blocks"]
 
     def test_invariant_violation_pickles_with_its_point(self):

@@ -100,6 +100,25 @@ def test_commands_load_no_scipy(tmp_path):
     assert _run_python(code, cwd=tmp_path) == "[]"
 
 
+def test_run_and_sweep_load_no_masked_arrays(tmp_path):
+    # np.unique without index outputs imports numpy.ma; the recorder counts
+    # its components with np.bincount instead
+    (tmp_path / "pump.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 1.0, num: 3}\n"
+        "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
+        " at_times: [1.0]}\n", encoding="utf-8")
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 1.0, num: 3}\n", encoding="utf-8")
+    code = ("import contextlib, io, sys\nfrom lindnet import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['run', 'pump.yaml', '--dt', '0.1'], ['run', 'expm.yaml'],"
+            " ['sweep', 'pump.yaml', '--dt', '0.1', '--workers', '1']):\n"
+            "        assert cli.main(argv + ['--output', 'out']) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _run_python(code, cwd=tmp_path) == "False"
+
+
 def test_steady_loads_no_scipy(tmp_path):
     # the steady solve assembles, searches and factors with NumPy alone
     (tmp_path / "pump.yaml").write_text("preset: two_site_pump\n", encoding="utf-8")
