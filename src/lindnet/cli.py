@@ -43,10 +43,15 @@ from lindnet.model import (
     _Leaf,
     _List,
     _Map,
+    _NATURAL,
     _NETWORK,
+    _NONNEGATIVE,
     _NUMBER,
+    _POSITIVE,
     _TEXT,
     _WHOLE,
+    _one_of,
+    _parameters,
     _walk,
     preset,
     preset_defaults,
@@ -116,19 +121,14 @@ def _token_columns(tok: str):
 
 
 _COUNT = _WHOLE.where(f"a whole number from 1 to {_MAX_COUNT}", lambda v: 1 <= v <= _MAX_COUNT)
-_POSITIVE = _NUMBER.where("a finite number above 0", lambda v: v > 0)
 _TOKEN = _TEXT.where("an observable token", lambda v: _token_columns(v) is not None)
-# a preset's parameter takes the type of its default
-_PARAM = {float: _NUMBER, str: _TEXT}
-_INT_OR_NULL = _Leaf("an integer or null", lambda v: v is None or type(v) is int)
 
 # The configuration format, built from the nodes of lindnet.model. Each
-# parameter takes the type of its preset's default, PropagationConfig checks
-# dt, method and times, and NetworkSpec.from_dict what the network block's
-# node cannot: site kinds, site references and duplicate labels.
+# preset checks its own parameters, PropagationConfig checks dt, method and
+# times, and NetworkSpec.from_dict what the network block's node cannot: site
+# kinds, site references and duplicate labels.
 _SCHEMA = _Map({
-    "preset": _TEXT.where(f"one of {', '.join(preset_names())}",
-                          lambda v: v in preset_names()),
+    "preset": _one_of(*preset_names()),
     "params": _Leaf("a mapping", lambda v: isinstance(v, dict)),
     "network": _NETWORK,
     "initial": _Map({"occupations": _List(_WHOLE),
@@ -150,7 +150,7 @@ _SCHEMA = _Map({
                          ("start", "stop", "num")),
         "observable": _TOKEN,
         # every point starts at t = 0
-        "at_times": _List(_NUMBER.where("a finite number not below 0", lambda v: v >= 0)),
+        "at_times": _List(_NONNEGATIVE),
     }, ("path", "observable", "at_times"), ("values", "logspace")),
 }, one_of=("preset", "network"))
 
@@ -162,11 +162,11 @@ def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -
         if "initial" in cfg:
             raise UsageError("initial: a preset sets its own initial state; "
                              "only network configs take an initial block")
-        defaults = preset_defaults(cfg["preset"])
-        _walk(_Map({k: _PARAM.get(type(v), _INT_OR_NULL) for k, v in defaults.items()}),
-              cfg.get("params", {}), "params", "parameters")
-        if seed is not None and "seed" not in defaults:
-            raise UsageError(f"preset {cfg['preset']!r} accepts no seed")
+        params = _parameters(cfg["preset"], cfg.get("params", {}))
+        if seed is not None:
+            if "seed" not in params:
+                raise UsageError(f"preset {cfg['preset']!r} accepts no seed")
+            _walk(_NATURAL, seed, "--seed")
     else:
         NetworkSpec.from_dict(cfg["network"])
         if "params" in cfg:

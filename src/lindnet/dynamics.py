@@ -908,7 +908,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     space is the direct sum of the null spaces of its diagonal blocks. Each
     block is solved densely by SVD, in label order: a right singular vector
     is a null vector when its singular value is at most _ZERO_TOL = 1e-10
-    times max(1, sqrt(|S|_1 |S|_inf)), a bound on every singular value of S.
+    times sqrt(|S|_1 |S|_inf), a bound on every singular value of S.
     A block of more than sqrt(DENSE_OPERATOR_BUDGET / 128) entries (4096)
     raises ValueError before any dense work.
 
@@ -936,11 +936,12 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
             f"above the cap of {cap}")
 
     # every singular value of a block is at most ||S||_2 <= sqrt(|S|_1 |S|_inf), so each
-    # block is settled at once; relative to S's largest entry, no rate overflows the sums
+    # block is settled at once; relative to S's largest entry, no rate overflows the
+    # sums, and no floor: an S of zeros has threshold 0 and keeps every mode
     size = np.abs(S.data)
-    top = float(size.max(initial=1.0))
+    top = float(size.max(initial=0.0)) or 1.0
     col, row = (float(np.bincount(k, size / top, n).max()) for k in (S.indices, rows))
-    zero = _ZERO_TOL * top * max(1.0 / top, math.sqrt(col * row))
+    zero = _ZERO_TOL * top * math.sqrt(col * row)
     # grouped in stable label order, each block's entries come sorted, and so
     # do the stored entries of S in its rows; local is an entry's place in its block
     order, local = _grouped(labels, sizes)

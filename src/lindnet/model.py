@@ -62,7 +62,8 @@ DENSE_OPERATOR_BUDGET = 2 * 1024**3
 
 
 def _check_rate(rate: float, what: str) -> None:
-    if not np.isfinite(rate) or rate < 0:
+    # compared, not np.isfinite: a Python int past 2**63 is no NumPy number
+    if not 0 <= rate <= sys.float_info.max:
         raise ValueError(f"{what} must be a finite nonnegative rate, got {rate}")
 
 
@@ -153,11 +154,11 @@ class NetworkSpec:
             need(b, "hopping")
             if a == b:
                 raise ValueError("hopping needs two distinct sites")
-            if not np.isfinite(amp):
+            if not abs(amp) <= sys.float_info.max:
                 raise ValueError(f"hopping amplitude {amp} not finite")
         for lbl, eps in self.onsite:
             need(lbl, "onsite term")
-            if not np.isfinite(eps):
+            if not abs(eps) <= sys.float_info.max:
                 raise ValueError(f"onsite energy {eps} not finite")
         for j in self.jumps:
             if isinstance(j, Transfer):
@@ -212,13 +213,21 @@ class NetworkSpec:
 class _Leaf(NamedTuple):
     what: str
     test: Callable[[Any], bool]
+    # what a value that passes the test is converted to where it is used
+    cast: Callable[[Any], Any] = lambda v: v
 
     def where(self, what: str, test: Callable[[Any], bool]) -> "_Leaf":
         """A narrower leaf: this one's test, then test."""
-        return _Leaf(what, lambda v: self.test(v) and test(v))
+        return _Leaf(what, lambda v: self.test(v) and test(v), self.cast)
+
+    def or_null(self) -> "_Leaf":
+        """This leaf, or None."""
+        return _Leaf(f"{self.what}, or null", lambda v: v is None or self.test(v),
+                     lambda v: v if v is None else self.cast(v))
 
 
-# Schema nodes: a _Leaf is what a value must be and its test; a _List checks
+# Schema nodes: a _Leaf is what a value must be, its test and the conversion
+# of a value that passes (an int for a whole number, say); a _List checks
 # each item of a list, nonempty unless told otherwise; an _Either checks a
 # value against the option that tag(value) names; a _Map takes only its own
 # keys, and needs each of required and exactly one of the pair one_of, if any.
@@ -260,24 +269,34 @@ def _walk(node, value, key: str, noun: str = "keys") -> None:
 
 
 _TEXT = _Leaf("a string", lambda v: isinstance(v, str))
-# True and False are not numbers here; a whole number may be written 3 or 3.0
+# True and False are not numbers here, nor are NumPy's booleans; NumPy's real
+# scalars are, for Python callers. A whole number may be written 3 or 3.0
 _NUMBER = _Leaf("a finite number",
-                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
-_WHOLE = _NUMBER.where("a whole number", lambda v: float(v).is_integer())
-# a dataclass field's annotation: the leaf that checks it and its conversion
-_FIELD_TYPES = {"str": (_TEXT, str), "int": (_WHOLE, int), "float": (_NUMBER, float)}
+                lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+_WHOLE = _NUMBER.where("a whole number", lambda v: float(v).is_integer())._replace(cast=int)
+_POSITIVE = _NUMBER.where("a finite number above 0", lambda v: v > 0)
+_NONNEGATIVE = _NUMBER.where("a finite number not below 0", lambda v: v >= 0)
+_NATURAL = _WHOLE.where("a whole number not below 0", lambda v: v >= 0)
+# a dataclass field's annotation: the leaf that checks and converts it
+_FIELD_TYPES = {"str": _TEXT, "int": _WHOLE, "float": _NUMBER._replace(cast=float)}
 
 
 def _fields_node(cls, **first: _Leaf) -> _Map:
     """A mapping of the keys first and then cls's fields, every one required."""
-    keys = {**first, **{f.name: _FIELD_TYPES[f.type][0] for f in fields(cls)}}
+    keys = {**first, **{f.name: _FIELD_TYPES[f.type] for f in fields(cls)}}
     return _Map(keys, tuple(keys))
 
 
 def _from_fields(key: str, cls, entry: Mapping):
     """cls of a checked entry, each field converted to the type it is annotated with."""
-    return _named(key, cls, **{f.name: _FIELD_TYPES[f.type][1](entry[f.name])
+    return _named(key, cls, **{f.name: _FIELD_TYPES[f.type].cast(entry[f.name])
                                for f in fields(cls)})
+
+
+def _one_of(*names: str) -> _Leaf:
+    """A string that is one of names."""
+    return _TEXT.where(f"one of {', '.join(names)}", lambda v: v in names)
 
 
 def _items(*leaves: _Leaf) -> Callable[[Any], bool]:
@@ -325,7 +344,7 @@ def build_jump_operators(spec: NetworkSpec, basis: ProductBasis | None = None) -
     basis = basis or spec.basis()
     ops = []
     for j in spec.jumps:
-        root = np.sqrt(j.rate)
+        root = math.sqrt(j.rate)
         if isinstance(j, Transfer):
             L = embed_operator_product(basis, {j.source: "lower", j.target: "raise"})
         else:
@@ -364,15 +383,6 @@ class PresetRun:
     metadata: dict
 
 
-def _merge(defaults: dict, overrides: Mapping[str, Any], name: str) -> dict:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ValueError(f"preset {name!r}: unknown parameters {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(overrides)
-    return out
-
-
 def _grid(t_max: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, t_max, samples)
 
@@ -381,175 +391,120 @@ def _grid(t_max: float, samples: int) -> np.ndarray:
 # by a preset is the level splitting of the isolated two-site problem, so the
 # single-excitation matrix element is J/2. The spectral calibration in the
 # validate command measures this (see its report and each preset's metadata).
-_SPLITTING_NOTE = (
+_SPLITTING = {"convention": (
     "hopping matrix element = J/2 (J is the two-site level splitting); "
     "frequency formulas quoting sqrt(4J^2 - ...) refer to twice the "
     "generator's imaginary pair"
-)
+)}
+
+# A builder takes a preset's checked parameters and returns its network, its
+# initial state, its default output grid and the metadata it adds to
+# "preset" and "params". It checks only what involves two parameters.
 
 
-def _two_site_transfer(p: dict) -> PresetRun:
-    gamma = p["gamma"]
-    if gamma <= 0:
-        raise ValueError("two_site_transfer: gamma must be > 0")
+def _pump_rates(p: dict) -> tuple[float, float]:
+    if p["gamma_in"] == p["gamma_out"] == 0:
+        raise ValueError("params.gamma_in and params.gamma_out must not both be 0")
+    return p["gamma_in"], p["gamma_out"]
+
+
+def _two_site_transfer(p: dict):
     spec = NetworkSpec(
         sites=(SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)),
-        jumps=(Transfer("1", "2", gamma),),
+        jumps=(Transfer("1", "2", p["gamma"]),),
         note="incoherent two-qubit transfer, exactly solvable entrywise",
     )
-    basis = spec.basis()
-    return PresetRun(spec, basis_state(basis, (1, 0)), _grid(5.0 / gamma, 501),
-                     {"preset": "two_site_transfer", "params": dict(p)})
+    return spec, basis_state(spec.basis(), (1, 0)), _grid(5.0 / p["gamma"], 501), {}
 
 
-def _qubit_to_battery(p: dict) -> PresetRun:
+def _qubit_to_battery(p: dict):
     gamma, s, n_tot = p["gamma"], p["s"], p["n_tot"]
-    # a finite s can still overflow 2 s + 1, which round() refuses
-    size = 2 * s + 1
-    dim = round(size) if math.isfinite(size) else 0
-    if abs(size - dim) > 1e-12 or dim < 2:
-        raise ValueError(f"qubit_to_battery: params.s must be a half-integer >= 1/2, "
-                         f"got {s!r}")
-    if gamma <= 0:
-        raise ValueError("qubit_to_battery: gamma must be > 0")
-    if not isinstance(n_tot, (int, np.integer)) or not 0 <= n_tot <= dim:
-        raise ValueError(f"qubit_to_battery: n_tot must be an integer in 0..{dim}")
+    dim = round(2 * s + 1)
+    if n_tot > dim:
+        raise ValueError(f"params.n_tot must be at most 2 s + 1 = {dim}, got {n_tot}")
     spec = NetworkSpec(
         sites=(SiteDescriptor("q", "qubit", 2), SiteDescriptor("b", "spin", dim)),
         jumps=(Transfer("q", "b", gamma),),
         note="qubit charging a finite spin battery at an occupation-dependent rate",
     )
-    basis = spec.basis()
     occ = (1, n_tot - 1) if n_tot >= 1 else (0, 0)
     geff = gamma * n_tot * (dim - n_tot)
     t_max = 5.0 / geff if geff > 0 else 5.0 / gamma
-    return PresetRun(spec, basis_state(basis, occ), _grid(t_max, 501),
-                     {"preset": "qubit_to_battery", "params": dict(p),
-                      "effective_rate": geff})
+    return (spec, basis_state(spec.basis(), occ), _grid(t_max, 501),
+            {"effective_rate": geff})
 
 
-def _four_site_congestion(p: dict) -> PresetRun:
-    J, gamma, gamma_b, exc = p["J"], p["gamma"], p["gamma_b"], p["excitations"]
-    if exc not in (1, 2):
-        raise ValueError("four_site_congestion: excitations must be 1 or 2")
-    if gamma < 0 or gamma_b < 0 or J <= 0:
-        raise ValueError("four_site_congestion: need J > 0 and nonnegative rates")
+def _four_site_congestion(p: dict):
     spec = NetworkSpec(
         sites=tuple(SiteDescriptor(str(k), "qubit", 2) for k in range(1, 5)),
-        hoppings=(("1", "2", J / 2),),
-        jumps=(Transfer("2", "3", gamma), Transfer("3", "4", gamma_b)),
+        hoppings=(("1", "2", p["J"] / 2),),
+        jumps=(Transfer("2", "3", p["gamma"]), Transfer("3", "4", p["gamma_b"])),
         note="coherent dimer feeding a two-step incoherent cascade",
     )
-    basis = spec.basis()
-    occ = (1, 1, 0, 0) if exc == 2 else (1, 0, 0, 0)
-    return PresetRun(spec, basis_state(basis, occ), _grid(100.0, 1001),
-                     {"preset": "four_site_congestion", "params": dict(p),
-                      "convention": _SPLITTING_NOTE})
+    occ = (1, 1, 0, 0) if p["excitations"] == 2 else (1, 0, 0, 0)
+    return spec, basis_state(spec.basis(), occ), _grid(100.0, 1001), _SPLITTING
 
 
-def _two_site_pump(p: dict) -> PresetRun:
-    J, gin, gout = p["J"], p["gamma_in"], p["gamma_out"]
-    if J <= 0 or gin < 0 or gout < 0 or gin + gout == 0:
-        raise ValueError("two_site_pump: need J > 0 and rates >= 0, not both zero")
+def _two_site_pump(p: dict):
+    gin, gout = _pump_rates(p)
     spec = NetworkSpec(
         sites=(SiteDescriptor("1", "qubit", 2), SiteDescriptor("2", "qubit", 2)),
-        hoppings=(("1", "2", J / 2),),
+        hoppings=(("1", "2", p["J"] / 2),),
         jumps=(Injection("1", gin), Extraction("2", gout)),
         note="coherent dimer pumped at one end and drained at the other",
     )
-    basis = spec.basis()
-    initial = p["initial"]
-    occ = {"empty": (0, 0), "site1": (1, 0), "site2": (0, 1)}.get(initial)
-    if occ is None:
-        raise ValueError("two_site_pump: initial must be empty, site1, or site2")
-    return PresetRun(spec, basis_state(basis, occ), _grid(40.0, 2001),
-                     {"preset": "two_site_pump", "params": dict(p),
-                      "convention": _SPLITTING_NOTE})
+    occ = {"empty": (0, 0), "site1": (1, 0), "site2": (0, 1)}[p["initial"]]
+    return spec, basis_state(spec.basis(), occ), _grid(40.0, 2001), _SPLITTING
 
 
-def _three_site_pump(p: dict) -> PresetRun:
-    J, gin, gout = p["J"], p["gamma_in"], p["gamma_out"]
-    if J <= 0 or gin < 0 or gout < 0 or gin + gout == 0:
-        raise ValueError("three_site_pump: need J > 0 and rates >= 0, not both zero")
+def _three_site_pump(p: dict):
+    gin, gout = _pump_rates(p)
     spec = NetworkSpec(
         sites=tuple(SiteDescriptor(str(k), "qubit", 2) for k in (1, 2, 3)),
-        hoppings=(("1", "2", J / 2), ("2", "3", J / 2)),
+        hoppings=(("1", "2", p["J"] / 2), ("2", "3", p["J"] / 2)),
         jumps=(Injection("1", gin), Extraction("3", gout)),
         note="uniform three-site chain pumped at one end and drained at the other",
     )
-    basis = spec.basis()
-    return PresetRun(spec, basis_state(basis, (0, 0, 0)), _grid(40.0, 2001),
-                     {"preset": "three_site_pump", "params": dict(p),
-                      "convention": _SPLITTING_NOTE})
+    return spec, basis_state(spec.basis(), (0, 0, 0)), _grid(40.0, 2001), _SPLITTING
 
 
-def _hop_transfer(p: dict) -> PresetRun:
-    J, gamma = p["J"], p["gamma"]
-    if J <= 0 or gamma <= 0:
-        raise ValueError("hop_transfer: need J > 0 and gamma > 0")
+def _hop_transfer(p: dict):
     spec = NetworkSpec(
         sites=tuple(SiteDescriptor(str(k), "qubit", 2) for k in (1, 2, 3)),
-        hoppings=(("1", "2", J / 2),),
-        jumps=(Transfer("2", "3", gamma),),
+        hoppings=(("1", "2", p["J"] / 2),),
+        jumps=(Transfer("2", "3", p["gamma"]),),
         note="coherent dimer with one excitation hopped off to a sink qubit",
     )
-    basis = spec.basis()
-    return PresetRun(spec, basis_state(basis, (1, 1, 0)), _grid(10.0 / gamma, 1001),
-                     {"preset": "hop_transfer", "params": dict(p),
-                      "convention": _SPLITTING_NOTE})
+    return (spec, basis_state(spec.basis(), (1, 1, 0)), _grid(10.0 / p["gamma"], 1001),
+            _SPLITTING)
 
 
-def _ring_labels(N: int) -> list[str]:
-    return [f"r{j}" for j in range(1, N + 1)]
-
-
-def _noise_profile(kind: str, amplitude: float, count: int, seed: int) -> list[float]:
-    if kind == "cosine":
-        return cosine_noise(amplitude, count)
+def _noise(p: dict, amplitude: float, sites: list[str]) -> tuple[list[float], dict]:
+    """The diagonal noise of p on sites, and its metadata."""
+    kind, seed = p["noise"], p["seed"]
     if kind == "uniform":
         # default_rng(None) would draw a fresh profile on every run
         if seed is None:
             raise ValueError("params.seed must be an integer for uniform noise, got None")
-        return uniform_noise(amplitude, count, seed)
-    if kind == "none":
-        return [0.0] * count
-    raise ValueError(f"unknown noise profile {kind!r}; valid: cosine, uniform, none")
+        eps = uniform_noise(amplitude, len(sites), seed)
+    else:
+        eps = cosine_noise(amplitude, len(sites)) if kind == "cosine" else [0.0] * len(sites)
+    return eps, {"profile": kind, "amplitude": amplitude,
+                 "phase_constant": NOISE_PHASE_CONSTANT, "seed": seed, "sites": sites}
 
 
-def _lh1_ring(p: dict) -> PresetRun:
-    N = p["N"]
-    if not isinstance(N, (int, np.integer)) or N < 2 or N % 2:
-        raise ValueError("lh1_ring: N must be an even integer >= 2")
-    t_hop, J, delta = p["t"], p["J"], p["delta"]
-    gamma, gamma_b = p["gamma"], p["gamma_b"]
+def _lh1_ring(p: dict):
+    N, t_hop, delta, battery_dim = p["N"], p["t"], p["delta"], p["battery_dim"]
     gdiss, gdeph = p["gamma_diss"], p["gamma_deph"]
-    battery_dim = p["battery_dim"]
-    n_exc = p["excitations"]
-    if t_hop <= 0 or J < 0:
-        raise ValueError("lh1_ring: need t > 0 and J >= 0")
-    if not 0 <= delta < 1:
-        raise ValueError("lh1_ring: delta must be in [0, 1)")
-    for r, what in ((gamma, "gamma"), (gamma_b, "gamma_b"), (gdiss, "gamma_diss"),
-                    (gdeph, "gamma_deph")):
-        _check_rate(r, f"lh1_ring {what}")
-    if battery_dim is not None and (not isinstance(battery_dim, (int, np.integer))
-                                    or battery_dim < 2):
-        raise ValueError("lh1_ring: battery_dim must be None or an integer >= 2")
-
-    ring = _ring_labels(N)
+    ring = [f"r{j}" for j in range(1, N + 1)]
     sites = [SiteDescriptor(lbl, "qubit", 2) for lbl in ring]
     sites.append(SiteDescriptor("c", "qubit", 2))
     sites.append(SiteDescriptor("rc", "qubit", 2))
     if battery_dim is not None:
-        sites.append(SiteDescriptor("bat", "spin", int(battery_dim)))
+        sites.append(SiteDescriptor("bat", "spin", battery_dim))
 
     unit = p["energy_unit"]
-    if unit == "meV":
-        scale = 1.0 / HBAR_MEV_PS
-    elif unit == "internal":
-        scale = 1.0
-    else:
-        raise ValueError("lh1_ring: energy_unit must be 'meV' or 'internal'")
+    scale = {"meV": 1.0 / HBAR_MEV_PS, "internal": 1.0}[unit]
 
     hoppings = []
     for j in range(1, N + 1):
@@ -557,14 +512,14 @@ def _lh1_ring(p: dict) -> PresetRun:
         # dimerized bond j: t (1 + delta (-1)^j)
         hoppings.append((a, b, scale * t_hop * (1 + delta * (-1) ** j)))
     for lbl in ring:
-        hoppings.append((lbl, "c", scale * J))
+        hoppings.append((lbl, "c", scale * p["J"]))
 
-    onsite = [(lbl, scale * eps) for lbl, eps in
-              zip(ring, _noise_profile(p["noise"], t_hop, N, p["seed"]))]
+    eps, noise = _noise(p, t_hop, ring)
+    onsite = [(lbl, scale * e) for lbl, e in zip(ring, eps)]
 
-    jumps: list[JumpProcess] = [Transfer("c", "rc", gamma)]
+    jumps: list[JumpProcess] = [Transfer("c", "rc", p["gamma"])]
     if battery_dim is not None:
-        jumps.append(Transfer("rc", "bat", gamma_b))
+        jumps.append(Transfer("rc", "bat", p["gamma_b"]))
     if gdiss > 0:
         jumps.extend(Dissipation(lbl, gdiss) for lbl in ring)
     if gdeph > 0:
@@ -575,35 +530,20 @@ def _lh1_ring(p: dict) -> PresetRun:
         jumps=tuple(jumps),
         note="dimerized antenna ring feeding a reaction-center qubit and battery",
     )
-    basis = spec.basis()
-    initial = dicke_state(basis, ring, n_exc)
-    meta = {
-        "preset": "lh1_ring", "params": dict(p),
+    initial = _named("params.excitations", dicke_state, spec.basis(), ring, p["excitations"])
+    return spec, initial, _grid(40.0, 401), {
         "energy_conversion": {"unit": unit, "hbar_meV_ps": HBAR_MEV_PS,
                               "scale_applied": scale},
-        "noise": {"profile": p["noise"], "amplitude": t_hop,
-                  "phase_constant": NOISE_PHASE_CONSTANT, "seed": p["seed"],
-                  "sites": ring},
+        "noise": noise,
         "convention": "ring bond amplitudes and spoke J are direct matrix elements",
     }
-    return PresetRun(spec, initial, _grid(40.0, 401), meta)
 
 
-def _open_chain_pump(p: dict) -> PresetRun:
-    N, J = p["N"], p["J"]
-    gin, gout = p["gamma_in"], p["gamma_out"]
-    gdiss, gdeph = p["gamma_diss"], p["gamma_deph"]
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError("open_chain_pump: N must be an integer >= 2")
-    if J <= 0 or gin < 0 or gout < 0 or gin + gout == 0:
-        raise ValueError("open_chain_pump: need J > 0 and rates >= 0, not both zero")
-    _check_rate(gdiss, "open_chain_pump gamma_diss")
-    _check_rate(gdeph, "open_chain_pump gamma_deph")
+def _open_chain_pump(p: dict):
+    gin, gout = _pump_rates(p)
+    N, J, gdiss, gdeph = p["N"], p["J"], p["gamma_diss"], p["gamma_deph"]
     labels = [str(k) for k in range(1, N + 1)]
-    sites = tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels)
-    hoppings = tuple((labels[k], labels[k + 1], J) for k in range(N - 1))
-    onsite = tuple((lbl, eps) for lbl, eps in
-                   zip(labels, _noise_profile(p["noise"], J, N, p["seed"])))
+    eps, noise = _noise(p, J, labels)
     jumps: list[JumpProcess] = [Injection(labels[0], gin), Extraction(labels[-1], gout)]
     inner = labels[1:-1]
     if gdiss > 0:
@@ -611,48 +551,74 @@ def _open_chain_pump(p: dict) -> PresetRun:
     if gdeph > 0:
         jumps.extend(Dephasing(lbl, gdeph) for lbl in inner)
     spec = NetworkSpec(
-        sites=sites, hoppings=hoppings, onsite=onsite, jumps=tuple(jumps),
+        sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+        hoppings=tuple((labels[k], labels[k + 1], J) for k in range(N - 1)),
+        onsite=tuple(zip(labels, eps)), jumps=tuple(jumps),
         note="open uniform chain pumped at site 1 and drained at site N",
     )
-    basis = spec.basis()
-    meta = {
-        "preset": "open_chain_pump", "params": dict(p),
-        "noise": {"profile": p["noise"], "amplitude": J,
-                  "phase_constant": NOISE_PHASE_CONSTANT, "seed": p["seed"],
-                  "sites": labels},
-        "convention": "chain amplitudes are direct matrix elements",
-    }
-    return PresetRun(spec, basis_state(basis, (0,) * N), _grid(40.0, 2001), meta)
+    return spec, basis_state(spec.basis(), (0,) * N), _grid(40.0, 2001), {
+        "noise": noise, "convention": "chain amplitudes are direct matrix elements"}
 
 
-_PRESETS: dict[str, tuple[dict, Any, str]] = {
-    "two_site_transfer": (
-        {"gamma": 1.0}, _two_site_transfer,
-        "two qubits, incoherent transfer 1 -> 2 at rate gamma, start |1,0>"),
-    "qubit_to_battery": (
-        {"gamma": 0.5, "s": 1.0, "n_tot": 1}, _qubit_to_battery,
-        "qubit feeding a spin-s battery; total number n_tot sets the rate"),
-    "four_site_congestion": (
-        {"J": 1.0, "gamma": 0.1, "gamma_b": 0.1, "excitations": 2}, _four_site_congestion,
-        "dimer 1-2 (splitting J), transfers 2->3 (gamma) and 3->4 (gamma_b)"),
-    "two_site_pump": (
-        {"J": 2.0, "gamma_in": 0.2, "gamma_out": 0.3, "initial": "empty"}, _two_site_pump,
-        "dimer with injection at 1 and extraction at 2"),
-    "three_site_pump": (
-        {"J": 2.0, "gamma_in": 0.2, "gamma_out": 0.3}, _three_site_pump,
-        "uniform chain 1-2-3 with injection at 1 and extraction at 3"),
-    "hop_transfer": (
-        {"J": 2.0, "gamma": 1.0}, _hop_transfer,
-        "dimer 1-2 (splitting J) with transfer 2->3, start |1,1,0>"),
-    "lh1_ring": (
-        {"N": 4, "t": 1.0, "J": 1.0, "delta": 0.12, "gamma": 0.3, "gamma_b": 0.1,
-         "gamma_diss": 0.0, "gamma_deph": 0.0, "battery_dim": 3, "excitations": 2,
-         "noise": "cosine", "seed": 0, "energy_unit": "meV"}, _lh1_ring,
-        "dimerized ring + central site + reaction center (+ optional spin battery)"),
-    "open_chain_pump": (
-        {"N": 6, "J": 1.0, "gamma_in": 0.2, "gamma_out": 0.3, "gamma_diss": 0.0,
-         "gamma_deph": 0.0, "noise": "none", "seed": 0}, _open_chain_pump,
-        "open chain with injection at site 1 and extraction at site N"),
+# The most sites a chain or ring preset takes. The dense budget refuses far
+# fewer (N = 13 on the chain, 10 on the ring, at the defaults); this bound only
+# keeps the refusal cheap and D short enough to print.
+_MAX_SITES = 1000
+_SITES = _WHOLE.where(f"a whole number from 2 to {_MAX_SITES}", lambda v: 2 <= v <= _MAX_SITES)
+_NOISE = _one_of("cosine", "uniform", "none")
+_PUMP = {"J": (2.0, _POSITIVE), "gamma_in": (0.2, _NONNEGATIVE), "gamma_out": (0.3, _NONNEGATIVE)}
+
+
+class _Preset(NamedTuple):
+    build: Callable[[dict], tuple]
+    description: str
+    # each parameter's default and the leaf that checks a value given for it
+    params: dict[str, tuple[Any, _Leaf]]
+
+
+_PRESETS = {
+    "two_site_transfer": _Preset(
+        _two_site_transfer, "two qubits, incoherent transfer 1 -> 2 at rate gamma, start |1,0>",
+        {"gamma": (1.0, _POSITIVE)}),
+    "qubit_to_battery": _Preset(
+        _qubit_to_battery, "qubit feeding a spin-s battery; total number n_tot sets the rate",
+        {"gamma": (0.5, _POSITIVE),
+         # 2 s + 1 is the battery's dimension, a finite whole number
+         "s": (1.0, _NUMBER.where("a half-integer not below 1/2",
+                                  lambda v: v >= 0.5 and float(2 * v).is_integer())),
+         "n_tot": (1, _NATURAL)}),
+    "four_site_congestion": _Preset(
+        _four_site_congestion,
+        "dimer 1-2 (splitting J), transfers 2->3 (gamma) and 3->4 (gamma_b)",
+        {"J": (1.0, _POSITIVE), "gamma": (0.1, _NONNEGATIVE), "gamma_b": (0.1, _NONNEGATIVE),
+         "excitations": (2, _WHOLE.where("1 or 2", lambda v: v in (1, 2)))}),
+    "two_site_pump": _Preset(
+        _two_site_pump, "dimer with injection at 1 and extraction at 2",
+        {**_PUMP, "initial": ("empty", _one_of("empty", "site1", "site2"))}),
+    "three_site_pump": _Preset(
+        _three_site_pump, "uniform chain 1-2-3 with injection at 1 and extraction at 3", _PUMP),
+    "hop_transfer": _Preset(
+        _hop_transfer, "dimer 1-2 (splitting J) with transfer 2->3, start |1,1,0>",
+        {"J": (2.0, _POSITIVE), "gamma": (1.0, _POSITIVE)}),
+    "lh1_ring": _Preset(
+        _lh1_ring, "dimerized ring + central site + reaction center (+ optional spin battery)",
+        {"N": (4, _SITES.where(f"an even whole number from 2 to {_MAX_SITES}",
+                               lambda v: v % 2 == 0)),
+         "t": (1.0, _POSITIVE), "J": (1.0, _NONNEGATIVE),
+         "delta": (0.12, _NUMBER.where("a finite number from 0 to below 1",
+                                       lambda v: 0 <= v < 1)),
+         "gamma": (0.3, _NONNEGATIVE), "gamma_b": (0.1, _NONNEGATIVE),
+         "gamma_diss": (0.0, _NONNEGATIVE), "gamma_deph": (0.0, _NONNEGATIVE),
+         "battery_dim": (3, _WHOLE.where("a whole number not below 2",
+                                         lambda v: v >= 2).or_null()),
+         "excitations": (2, _NATURAL), "noise": ("cosine", _NOISE),
+         "seed": (0, _NATURAL.or_null()), "energy_unit": ("meV", _one_of("meV", "internal"))}),
+    "open_chain_pump": _Preset(
+        _open_chain_pump, "open chain with injection at site 1 and extraction at site N",
+        {"N": (6, _SITES), "J": (1.0, _POSITIVE), "gamma_in": (0.2, _NONNEGATIVE),
+         "gamma_out": (0.3, _NONNEGATIVE), "gamma_diss": (0.0, _NONNEGATIVE),
+         "gamma_deph": (0.0, _NONNEGATIVE), "noise": ("none", _NOISE),
+         "seed": (0, _NATURAL.or_null())}),
 }
 
 
@@ -660,21 +626,36 @@ def preset_names() -> list[str]:
     return sorted(_PRESETS)
 
 
-def _lookup(name: str) -> tuple[dict, Any, str]:
+def _lookup(name: str) -> _Preset:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {preset_names()}")
     return _PRESETS[name]
 
 
 def preset_defaults(name: str) -> dict:
-    return dict(_lookup(name)[0])
+    return {key: default for key, (default, _) in _lookup(name).params.items()}
 
 
 def preset_description(name: str) -> str:
-    return _lookup(name)[2]
+    return _lookup(name).description
 
 
-def preset(name: str, /, **overrides: Any) -> PresetRun:
-    """Resolve a preset by name; keyword overrides replace its defaults."""
-    defaults, builder, _ = _lookup(name)
-    return builder(_merge(defaults, overrides, name))
+def _parameters(name: str, params: Mapping[str, Any]) -> dict:
+    """The defaults of preset name, each replaced by its value in params.
+
+    Each value in params is checked by its parameter's leaf, and an unknown
+    key is refused; every error is a ValueError that names params.<key>. A
+    whole-number parameter comes as an int (or None), any other as given.
+    """
+    declared = _lookup(name).params
+    _walk(_Map({key: leaf for key, (_, leaf) in declared.items()}),
+          params, "params", "parameters")
+    return {key: leaf.cast(params[key]) if key in params else default
+            for key, (default, leaf) in declared.items()}
+
+
+def preset(name: str, /, **params: Any) -> PresetRun:
+    """Resolve a preset by name; keyword parameters replace its defaults."""
+    p = _parameters(name, params)
+    spec, initial, times, meta = _lookup(name).build(p)
+    return PresetRun(spec, initial, times, {"preset": name, "params": p, **meta})

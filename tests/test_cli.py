@@ -5,7 +5,10 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from lindnet import oracle
 from lindnet.cli import _SCHEMA, _set_dotted, main
 from lindnet.dynamics import LindbladGenerator, PropagationConfig, propagate
-from lindnet.model import _Either, _Map, preset
+from lindnet.model import _Either, _Map, preset, preset_defaults
 
 
 def write_config(path, payload):
@@ -83,6 +86,16 @@ class TestRun:
         _, rows = read_tsv(out / "slow.tsv")
         # donor population follows exp(-gamma t)
         assert float(rows[1][1]) == pytest.approx(np.exp(-2.0), abs=1e-8)
+
+    def test_whole_number_written_as_float(self, tmp_path):
+        # the parameter reaches the preset as the int 4 either way
+        for n in (4, 4.0):
+            cfg = write_config(tmp_path / f"c{n}.yaml", {
+                "preset": "open_chain_pump", "params": {"N": n},
+                "times": [0.0, 1.0], "method": "superoperator_expm"})
+            assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 0
+        assert ((tmp_path / "out" / "c4.tsv").read_bytes()
+                == (tmp_path / "out" / "c4.0.tsv").read_bytes())
 
     def test_network_config_with_occupations(self, tmp_path):
         cfg = write_config(tmp_path / "net.yaml", {
@@ -243,6 +256,16 @@ class TestRun:
             assert main(["run", cfg, "--output", str(out), "--seed", str(seed)]) == 0
             outs.append((out / "noisy.tsv").read_bytes())
         assert outs[0] != outs[1]
+
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys):
+        # it failed inside NumPy, with a message that named nothing
+        cfg = write_config(tmp_path / "noisy.yaml", {
+            "preset": "open_chain_pump", "params": {"N": 3, "noise": "uniform"},
+            "times": [0.0, 0.1]})
+        assert main(["run", cfg, "--output", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed must be a whole number not below 0, got -1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_rejected_for_seedless_preset(self, tmp_path, pump_config):
         assert main(["run", pump_config, "--output", str(tmp_path), "--seed", "3"]) == 1
@@ -461,6 +484,30 @@ class TestSweep:
         assert ((tmp_path / "a" / "sweep_sweep.tsv").read_bytes()
                 == (tmp_path / "b" / "sweep_sweep.tsv").read_bytes())
 
+    def test_sweeps_a_whole_number_parameter(self, tmp_path):
+        # sweep values are floats: 1.0 and 2.0 run as the excitation counts 1
+        # and 2, at any worker count, and each row is run's at that count
+        base = {"preset": "four_site_congestion", "method": "superoperator_expm",
+                "observables": ["population:3"]}
+        sweep = write_config(tmp_path / "sw.yaml", {**base, "sweep": {
+            "path": "params.excitations", "values": [1, 2], "observable": "population:3",
+            "at_times": [40.0]}})
+        for workers in ("1", "2"):
+            assert main(["sweep", sweep, "--output", str(tmp_path / workers),
+                         "--workers", workers]) == 0
+        tsv = tmp_path / "1" / "sw_sweep.tsv"
+        assert tsv.read_bytes() == (tmp_path / "2" / "sw_sweep.tsv").read_bytes()
+        header, rows = read_tsv(tsv)
+        assert header == ["excitations", "t", "population_3"]
+        for n, row in zip((1, 2), rows, strict=True):
+            single = write_config(tmp_path / f"one{n}.yaml", {
+                **base, "params": {"excitations": n}, "times": [0.0, 40.0]})
+            assert main(["run", single, "--output", str(tmp_path / "run")]) == 0
+            _, run_rows = read_tsv(tmp_path / "run" / f"one{n}.tsv")
+            assert row == [str(n), "40", run_rows[1][1]]
+        # the two counts fill site 3 differently
+        assert rows[0][2] != rows[1][2]
+
     def test_pool_never_exceeds_points(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -520,7 +567,8 @@ class TestSweep:
         assert main(["sweep", bad, "--output", str(tmp_path),
                      "--workers", workers]) == 1
         err = capsys.readouterr().err
-        assert "error: params.gamma_in=-1.0: two_site_pump: need J > 0" in err
+        assert err == ("error: params.gamma_in=-1.0: params.gamma_in must be a finite "
+                       "number not below 0, got -1.0\n")
 
     def test_dt_override_reaches_every_point(self, tmp_path):
         # a sweep point at --dt equals run at --dt on the same grid, and a
@@ -717,6 +765,35 @@ class TestConfigValues:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("params,key", [
+        ({"N": 20000}, "params.N"), ({"N": 2**70}, "params.N"),
+        ({"noise": "uniform", "seed": -1}, "params.seed")])
+    def test_out_of_range_parameter_refused_at_once(self, tmp_path, params, key):
+        # N once reached the builders: 20000 sites failed to print D, and
+        # 2**70 built labels until memory ran out; a negative seed failed
+        # inside NumPy. main runs in a child capped at 2 GiB of address space,
+        # which times its own call, so a regression cannot fill the host
+        import lindnet
+
+        cfg = write_config(tmp_path / "c.yaml", {"preset": "open_chain_pump", "params": params})
+        code = ("import resource, sys, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+                "from lindnet.cli import main\n"
+                "start = time.perf_counter()\n"
+                "code = main(sys.argv[1:])\n"
+                "print(time.perf_counter() - start)\n"
+                "sys.exit(code)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(lindnet.__file__).resolve().parents[1]))
+        for command in ("run", "steady"):
+            done = subprocess.run(
+                [sys.executable, "-c", code, command, cfg, "--output", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith(f"error: {key} must be "), done.stderr
+            assert float(done.stdout) < 1.0
+        assert not (tmp_path / "out").exists()
+
     def test_dimension_budget(self, tmp_path, capsys):
         # six spins of dimension 40: D = 40**6, refused before any operator exists
         sites = [{"label": f"s{k}", "kind": "spin", "dim": 40} for k in range(6)]
@@ -778,7 +855,9 @@ _FUZZ_BASES = {
 # 2**70, and no positive dt below 1e-3
 _FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 1.5, math.nan, math.inf, 1e308, 2**70,
                 [], {}, [1, "x"], {"foo": 1}]
-_FUZZ_PATHS = [path for path, _ in schema_nodes(_SCHEMA)]
+# the preset base's own parameters, each checked by its preset's leaf
+_FUZZ_PATHS = ([path for path, _ in schema_nodes(_SCHEMA)]
+               + [f"params.{key}" for key in preset_defaults("two_site_pump")])
 # the mappings an unknown key can be put in: schema mappings (times and the
 # network block among them) and the preset's parameters
 _FUZZ_PARENTS = [path for path, node in schema_nodes(_SCHEMA)

@@ -1171,10 +1171,11 @@ class TestSteadyStates:
 
     def test_threshold_scales_with_the_generator(self):
         # S -> c S keeps the null space; near the float limit |S|_1 |S|_inf
-        # itself overflows, and the threshold must not
+        # itself overflows, and the threshold must not. At small c no absolute
+        # floor may swallow the small singular values as zeros
         gen = random_generator(0, 3, 1)
         want = steady_states(gen).multiplicity
-        for c in (1e200, 1e300):
+        for c in (1e-200, 1e-11, 1e-10, 1e200, 1e300):
             big = LindbladGenerator(c * gen.hamiltonian,
                                     tuple(math.sqrt(c) * L for L in gen.jump_operators))
             assert steady_states(big).multiplicity == want

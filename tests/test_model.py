@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lindnet.model import (
     Injection,
     NetworkSpec,
     Transfer,
+    _PRESETS,
     build_hamiltonian,
     build_jump_operators,
     cosine_noise,
@@ -274,6 +276,69 @@ class TestPresetRegistry:
         assert run.metadata["preset"] == name
         # defaults documented for every accepted parameter
         assert set(run.metadata["params"]) == set(preset_defaults(name))
+
+
+# (preset, parameter) of every preset parameter, and those whose leaf takes null
+_PARAMETERS = [(name, key) for name in preset_names() for key in preset_defaults(name)]
+_NULLABLE = {("lh1_ring", "battery_dim"), ("lh1_ring", "seed"), ("open_chain_pump", "seed")}
+
+
+class TestPresetParameters:
+    """Each parameter is checked by its own leaf, and every refusal names it."""
+
+    @pytest.mark.parametrize("name,key", _PARAMETERS)
+    def test_bad_value_names_the_key(self, name, key):
+        bad = ["x", True, math.nan, math.inf] + [None] * ((name, key) not in _NULLABLE)
+        for value in bad:
+            # a ValueError, never a TypeError from a comparison in a builder
+            with pytest.raises(ValueError, match=rf"^params\.{key} must be .+, got "
+                                                 rf"{re.escape(repr(value))}$"):
+                preset(name, **{key: value})
+
+    @pytest.mark.parametrize("name,key", [(name, key) for name, key in _PARAMETERS
+                                          if not isinstance(preset_defaults(name)[key], str)])
+    def test_numpy_scalars_are_numbers(self, name, key):
+        # a whole-number parameter, declared by an int default, reaches the
+        # builder as an int; any other value reaches it as given
+        default = preset_defaults(name)[key]
+        values = [np.float64(default)] + [np.int64(default)] * float(default).is_integer()
+        for value in values:
+            got = preset(name, **{key: value}).metadata["params"][key]
+            if type(default) is int:
+                assert type(got) is int and got == value
+            else:
+                assert got is value
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("two_site_pump", {"gamma_in": 0, "gamma_out": 0.0},
+         "params.gamma_in and params.gamma_out must not both be 0"),
+        ("three_site_pump", {"gamma_in": 0.0, "gamma_out": 0.0},
+         "params.gamma_in and params.gamma_out must not both be 0"),
+        ("open_chain_pump", {"gamma_in": 0.0, "gamma_out": 0},
+         "params.gamma_in and params.gamma_out must not both be 0"),
+        ("qubit_to_battery", {"s": 0.5, "n_tot": 3}, "params.n_tot must be at most 2 s + 1 = 2"),
+        ("open_chain_pump", {"noise": "uniform", "seed": None}, "params.seed must be an integer"),
+        ("lh1_ring", {"N": 2, "excitations": 3}, "params.excitations: excitation count 3"),
+    ])
+    def test_two_parameter_rules_stay_with_the_builder(self, name, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            preset(name, **params)
+
+    def test_whole_numbers_written_as_floats(self):
+        run = preset("lh1_ring", N=4.0, battery_dim=2.0, excitations=1.0, seed=7.0)
+        assert run.metadata["params"] == {**preset_defaults("lh1_ring"), "N": 4,
+                                          "battery_dim": 2, "excitations": 1, "seed": 7}
+        assert all(type(run.metadata["params"][k]) is int
+                   for k in ("N", "battery_dim", "excitations", "seed"))
+
+    def test_readme_table_lists_the_parameters(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split(
+            "| parameter | default | rule |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in row.split("|")[1:-1]] for row in table.splitlines()]
+        assert rows == [[f"`{name}.{key}`", f"`{default}`", leaf.what]
+                        for name in preset_names()
+                        for key, (default, leaf) in _PRESETS[name].params.items()]
 
 
 class TestSplittingConvention:
