@@ -297,11 +297,12 @@ class TestPresetParameters:
 
     @pytest.mark.parametrize("name,key", [(name, key) for name, key in _PARAMETERS
                                           if not isinstance(preset_defaults(name)[key], str)])
-    def test_numpy_scalars_are_numbers(self, name, key):
+    def test_floats_and_numpy_scalars_are_numbers(self, name, key):
         # a whole-number parameter, declared by an int default, reaches the
-        # builder as an int; any other value reaches it as given
+        # builder as an int, also when written 4.0; any other value as given
         default = preset_defaults(name)[key]
-        values = [np.float64(default)] + [np.int64(default)] * float(default).is_integer()
+        values = ([float(default), np.float64(default)]
+                  + [np.int64(default)] * float(default).is_integer())
         for value in values:
             got = preset(name, **{key: value}).metadata["params"][key]
             if type(default) is int:
@@ -323,13 +324,6 @@ class TestPresetParameters:
     def test_two_parameter_rules_stay_with_the_builder(self, name, params, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             preset(name, **params)
-
-    def test_whole_numbers_written_as_floats(self):
-        run = preset("lh1_ring", N=4.0, battery_dim=2.0, excitations=1.0, seed=7.0)
-        assert run.metadata["params"] == {**preset_defaults("lh1_ring"), "N": 4,
-                                          "battery_dim": 2, "excitations": 1, "seed": 7}
-        assert all(type(run.metadata["params"][k]) is int
-                   for k in ("N", "battery_dim", "excitations", "seed"))
 
     def test_readme_table_lists_the_parameters(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
