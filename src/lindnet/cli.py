@@ -65,13 +65,9 @@ FLOAT_FMT = "%.17g"
 _MAX_COUNT = 10**7  # the most output samples or sweep points a count may ask for
 
 
-class UsageError(ValueError):
-    """Bad command line or configuration; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(x: float) -> str:
@@ -160,24 +156,24 @@ def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -
     _walk(_SCHEMA, cfg, "")
     if "preset" in cfg:
         if "initial" in cfg:
-            raise UsageError("initial: a preset sets its own initial state; "
+            raise ValueError("initial: a preset sets its own initial state; "
                              "only network configs take an initial block")
         params = _parameters(cfg["preset"], cfg.get("params", {}))
         if seed is not None:
             if "seed" not in params:
-                raise UsageError(f"preset {cfg['preset']!r} accepts no seed")
+                raise ValueError(f"preset {cfg['preset']!r} accepts no seed")
             _walk(_NATURAL, seed, "--seed")
     else:
         NetworkSpec.from_dict(cfg["network"])
         if "params" in cfg:
-            raise UsageError("params: only preset configs take params")
+            raise ValueError("params: only preset configs take params")
         if seed is not None:
-            raise UsageError("network configs accept no seed")
+            raise ValueError("network configs accept no seed")
         for key in ("initial", "times"):
             if command != "steady" and key not in cfg:
-                raise UsageError(f"{key}: a network config needs one for {command}")
+                raise ValueError(f"{key}: a network config needs one for {command}")
     if command == "sweep" and "sweep" not in cfg:
-        raise UsageError("config needs a sweep block for the sweep command")
+        raise ValueError("config needs a sweep block for the sweep command")
     if dt is not None:
         _walk(_SCHEMA.keys["dt"], dt, "--dt")
     # PropagationConfig owns dt's sign, the method names and the order of times
@@ -190,9 +186,9 @@ def _load_config(args) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise UsageError(f"config {args.config} is not valid YAML: {exc}") from exc
+        raise ValueError(f"config {args.config} is not valid YAML: {exc}") from exc
     _check_config(data, args.command, args.seed, getattr(args, "dt", None))
     return data
 
@@ -230,7 +226,7 @@ def _build_run(cfg: dict, seed_override: int | None):
         else:
             state = dicke_state(gen.basis, block["sites"], int(block["n"]))
     except ValueError as exc:
-        raise UsageError(f"initial.{kind}: {exc}") from exc
+        raise ValueError(f"initial.{kind}: {exc}") from exc
     meta["initial"] = _jsonable(cfg["initial"])
     return gen, state, _resolve_times(cfg, None), meta
 
@@ -245,7 +241,7 @@ def _parse_observables(tokens, gen: LindbladGenerator):
     tokens = tokens or [f"population:{label}" for label in labels] + list(_SCALARS[:4])
     for tok in tokens:
         if tok.startswith("population:") and tok[11:] not in labels:
-            raise UsageError(f"observable {tok!r}: no site labelled {tok[11:]!r}")
+            raise ValueError(f"observable {tok!r}: no site labelled {tok[11:]!r}")
     parsed = [_token_columns(tok) for tok in tokens]
     return ([col for cols, _ in parsed for col in cols],
             tuple(pair for _, pair in parsed if pair is not None))
@@ -332,7 +328,7 @@ def _sweep_one(task):
         raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
                                  point, exc.note) from exc
     except ValueError as exc:
-        raise UsageError(f"{point}: {exc}") from exc
+        raise ValueError(f"{point}: {exc}") from exc
     samples = [int(np.argmin(np.abs(times - t))) for t in at_times]
     return [[_fmt(value), _fmt(times[k])] + cells
             for k, cells in zip(samples, _rows(cols, traj, samples))]
@@ -340,7 +336,7 @@ def _sweep_one(task):
 
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args)
     block = cfg["sweep"]
     values = _sweep_values(block)

@@ -85,27 +85,12 @@ class ProductBasis:
 
     @cached_property
     def dimension(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    @cached_property
-    def _strides(self) -> np.ndarray:
-        # stride of site k = product of dims of the sites after it
-        strides = np.ones(len(self.sites), dtype=np.int64)
-        for k in range(len(self.sites) - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.dims[k + 1]
-        return strides
+        return prod(self.dims)
 
     @cached_property
     def occupation_table(self) -> np.ndarray:
         """(dimension, n_sites) array: occupation of each site in each basis ket."""
-        idx = np.arange(self.dimension, dtype=np.int64)
-        cols = []
-        for k, d in enumerate(self.dims):
-            cols.append((idx // self._strides[k]) % d)
-        table = np.stack(cols, axis=1)
+        table = np.stack(np.unravel_index(np.arange(self.dimension), self.dims), axis=1)
         table.flags.writeable = False
         return table
 
@@ -126,7 +111,7 @@ class ProductBasis:
                 raise ValueError(
                     f"occupation {eta} out of range for site {site.label!r}"
                 )
-        return int(np.dot(np.asarray(occupations, dtype=np.int64), self._strides))
+        return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
 
 def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:

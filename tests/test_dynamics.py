@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import expm_multiply
 
+from lindnet.cli import main
 from lindnet.dynamics import (
     InvariantViolation,
     LindbladGenerator,
@@ -317,6 +318,30 @@ class TestLindbladGenerator:
         with pytest.raises(ValueError, match=r"16 entries, above the cap of 15$"):
             steady_states(random_generator(0, 4, 0))
         assert shapes == []
+
+    def test_assembly_refused_above_the_dense_budget(self, monkeypatch, tmp_path, capsys):
+        # the N = 6 chain's dense operators take 327,680 bytes, but its 30,720
+        # Kronecker term entries would take 96 bytes each to assemble
+        run = preset("open_chain_pump", N=6)
+        monkeypatch.setattr("lindnet.model.DENSE_OPERATOR_BUDGET", 2_000_000)
+        gen = LindbladGenerator.from_network(run.spec)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("a Kronecker term was formed")
+
+        monkeypatch.setattr("lindnet.dynamics._kron", no_kron)
+        refusal = ("the Kronecker terms of the superoperator have 30720 entries; "
+                   "assembling them would take about 2949120 bytes, above the budget "
+                   "of 2000000 bytes")
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            steady_states(gen)
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            propagate(gen, run.initial, PropagationConfig(times=np.array([0.0, 1.0])))
+        cfg = tmp_path / "chain.yaml"
+        cfg.write_text("preset: open_chain_pump\nparams: {N: 6}\n", encoding="utf-8")
+        for command in ("run", "steady"):
+            assert main([command, str(cfg), "--output", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 class TestSuperoperator:
@@ -1103,21 +1128,25 @@ class TestSteadyStates:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_full_space_null_space(self, data):
-        # qubit chains (D <= 8) with any mix of loss, pumping and dephasing,
-        # against one null space of the whole dense superoperator
-        n = data.draw(st.integers(2, 3), label="sites")
-        labels = [str(k) for k in range(n)]
-        site = st.sampled_from(labels)
-        rate = st.floats(0.05, 1.0)
-        kinds = data.draw(st.lists(st.sampled_from([Extraction, Injection, Dephasing]),
-                                   max_size=4), label="jumps")
-        spec = NetworkSpec(
-            sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
-            hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
-                           for a, b in zip(labels, labels[1:])),
-            jumps=tuple(kind(data.draw(site), data.draw(rate)) for kind in kinds),
-        )
-        gen = LindbladGenerator.from_network(spec)
+        # qubit chains (D <= 8) with any mix of loss, pumping and dephasing, or
+        # raw generators whose jumps feed one row from two columns, against one
+        # null space of the whole dense superoperator
+        if data.draw(st.booleans(), label="raw"):
+            gen = draw_raw_case(data)[0]
+        else:
+            n = data.draw(st.integers(2, 3), label="sites")
+            labels = [str(k) for k in range(n)]
+            site = st.sampled_from(labels)
+            rate = st.floats(0.05, 1.0)
+            kinds = data.draw(st.lists(st.sampled_from([Extraction, Injection, Dephasing]),
+                                       max_size=4), label="jumps")
+            spec = NetworkSpec(
+                sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+                hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
+                               for a, b in zip(labels, labels[1:])),
+                jumps=tuple(kind(data.draw(site), data.draw(rate)) for kind in kinds),
+            )
+            gen = LindbladGenerator.from_network(spec)
         D = gen.dimension
         S = scipy_superoperator(gen).toarray()
         K = scipy.linalg.null_space(S)
