@@ -383,6 +383,7 @@ def _cmd_steady(args) -> int:
         "state_im": result.state.imag,
         "multiplicity": result.multiplicity,
         "blocks": result.blocks,
+        "settled": result.settled,
         "residual": result.residual,
         "zero_eigenvalues": [complex(z) for z in result.zero_eigenvalues],
         "run_metadata": meta,

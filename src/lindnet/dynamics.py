@@ -29,11 +29,13 @@ step a frontier with gathers and scatters over the edge arrays, and
 connected components come from min-label propagation.
 
 Steady states split the entries of vec(rho) into the weakly connected
-components of the whole sparsity graph of S and take each block's null
-space by a dense NumPy SVD, in one pass under the dense budget. Their
-hermitian parts are found on the entries of the blocks that hold a null
-vector, through the recorder's position map; only the state and
-directions are scattered to D x D.
+components of the whole sparsity graph of S and settle each block's null
+space densely, in one pass under the dense budget: one inverse certifies
+most blocks, a mirror block inherits its partner's result, and only what
+no certificate settles is factored by SVD. The hermitian parts of the
+null vectors are found on the entries of the blocks that hold one,
+through the recorder's position map; only the state and directions are
+scattered to D x D.
 """
 
 from __future__ import annotations
@@ -899,7 +901,10 @@ class SteadyStateResult:
     every stationary density matrix has the form state + sum_m a_m
     directions[m] for real a_m (subject to positivity). blocks gives the
     count of weakly connected blocks of the superoperator that were solved,
-    the entries of the largest, and the D*D entries of all of them.
+    the entries of the largest, and the D*D entries of all of them; settled
+    counts how those blocks were settled: certified free of null vectors,
+    bordered (one null vector from a bordered solve), mirrored from their
+    adjoint block, or factored by SVD.
     """
 
     state: np.ndarray
@@ -908,6 +913,58 @@ class SteadyStateResult:
     zero_eigenvalues: np.ndarray
     residual: float
     blocks: dict[str, int]
+    settled: dict[str, int]
+
+
+def _settle(block: np.ndarray, diagonal: np.ndarray, zero: float,
+            top: float) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+    """How one m x m block B of S is settled, its null vectors as rows and their zero eigenvalues.
+
+    diagonal holds the places of B's diagonal entries (k, k). Since
+    sigma_min(M) >= 1 / (sqrt(m) |M^-1|_1), one inverse proves:
+    - "certified": B, with no diagonal entry, has no singular value at
+      most zero, so no null vector;
+    - "bordered": A is B / top with the row of its first diagonal entry r
+      replaced by the trace row (ones on the diagonal entries); by interlacing
+      sigma_{m-1}(B / top) >= sigma_m(A). When that bound exceeds zero and x =
+      A^-1 e_r has |Bx| <= zero |x|, x is B's one null vector, with the
+      Rayleigh quotient x^H B x / x^H x. The diagonal rows of B sum to zero,
+      as S keeps the trace, so the equation that A drops follows from the rest.
+    Both bounds are taken on B / top, against zero / top, so they stay
+    finite at any rate. A
+    singular inverse, a failed bound or a failed residual leaves the block
+    "factored" by SVD: its null vectors are the right singular vectors of
+    singular value at most zero.
+    """
+    m = len(block)
+    A, cut = block / top, zero / top
+    if diagonal.size:
+        r = diagonal[0]
+        A[r] = 0.0
+        A[r, diagonal] = 1.0
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is not None and 1 / (math.sqrt(m) * np.abs(inv).sum(axis=0).max()) > cut:
+            if not diagonal.size:
+                return "certified", None, None
+            x = inv[:, r] / np.linalg.norm(inv[:, r])
+            # B x / top from A's rows and B's row r
+            Bx = A @ x
+            Bx[r] = block[r] / top @ x
+            if np.linalg.norm(Bx) <= cut:
+                return "bordered", x[None], np.array([top * np.vdot(x, Bx)])
+    # the block cap budgets the SVD's memory beside the block alone
+    del A, inv
+    U, sv, Vh = np.linalg.svd(block)
+    null = sv <= zero
+    if not null.any():
+        return "factored", None, None
+    # columns of N are null vectors; B N = U diag(sv) on them
+    N = Vh[null].conj().T
+    return "factored", N.T, np.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null]))
 
 
 def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
@@ -915,21 +972,30 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
 
     The entries of vec(rho) split into the weakly connected components of
     the sparsity graph of S; S maps each component into itself, so its null
-    space is the direct sum of the null spaces of its diagonal blocks. Each
-    block is solved densely by SVD, in label order: a right singular vector
-    is a null vector when its singular value is at most _ZERO_TOL = 1e-10
-    times sqrt(|S|_1 |S|_inf), a bound on every singular value of S.
-    A block of more than sqrt(DENSE_OPERATOR_BUDGET / 128) entries (4096)
-    raises ValueError before any dense work.
+    space is the direct sum of the null spaces of its diagonal blocks. A
+    singular value counts as zero when it is at most _ZERO_TOL = 1e-10 times
+    sqrt(|S|_1 |S|_inf), a bound on every singular value of S. A block of
+    more than sqrt(DENSE_OPERATOR_BUDGET / 128) entries (4096) raises
+    ValueError before any dense work.
 
-    The blocks that hold a null vector are closed under the adjoint, since
-    S(X^dag) = S(X)^dag. On their sorted entries E each null vector X gives
-    the hermitian parts (X + X^dag)/2 and (X - X^dag)/2i, reading entry
-    (k, l) of X^dag from the mirror (l, k) in E. The real and imaginary
-    parts of the entries in E are isometric real coordinates for them, in
-    which one SVD gives a real orthonormal basis of the hermitian stationary
-    matrices and the trace is the sum over E's diagonal entries. The
-    multiplicity is the number of null vectors the blocks give.
+    Since S(X^dag) = S(X)^dag, the mirrors (l, k) of a block's entries (k, l)
+    make up a block whose null vectors are the conjugated mirrors of its
+    own. Of each such pair only the lower label is settled, in label order,
+    and its mirror inherits the result ("mirrored"); a block that holds
+    diagonal entries is its own mirror. Each settled block takes the cheapest
+    proof of its null count (see _settle): one inverse certifies that a
+    block without diagonal entries holds no null vector ("certified"), or
+    that a block with them holds exactly one, found by a bordered solve with
+    the trace row ("bordered"). Only a block that no bound settles is
+    factored by SVD ("factored"). settled counts the blocks of each kind.
+
+    On the sorted entries E of the blocks that hold a null vector, each null
+    vector X gives the hermitian parts (X + X^dag)/2 and (X - X^dag)/2i,
+    reading entry (k, l) of X^dag from the mirror (l, k) in E. The real and
+    imaginary parts of the entries in E are isometric real coordinates for
+    them, in which one SVD gives a real orthonormal basis of the hermitian
+    stationary matrices and the trace is the sum over E's diagonal entries.
+    The multiplicity is the number of null vectors the blocks give.
     """
     D = gen.dimension
     n = D * D
@@ -959,19 +1025,35 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     ends = np.cumsum(sizes)
     stored = np.argsort(labels[rows], kind="stable")
     stored_ends = np.cumsum(np.bincount(labels[rows], minlength=n_blocks))
+    # S(X^dag) = S(X)^dag: when the mirrors (l, k) of a block's entries (k, l) fill
+    # one block of its size, that block is its conjugate mirror, and the lower label
+    # of the pair settles both
+    mirrors = labels[order // D + D * (order % D)]
+    low = np.minimum.reduceat(mirrors, ends - sizes)
+    pair = np.where((low == np.maximum.reduceat(mirrors, ends - sizes)) & (sizes[low] == sizes),
+                    low, np.arange(n_blocks))
+    settled = dict.fromkeys(("certified", "bordered", "mirrored", "factored"), 0)
+    found = {}
     held = []
     zero_eigenvalues = []
-    for idx, k in zip(np.split(order, ends[:-1]), np.split(stored, stored_ends[:-1])):
+    for b, (idx, k) in enumerate(zip(np.split(order, ends[:-1]),
+                                     np.split(stored, stored_ends[:-1]))):
+        if pair[b] < b:
+            settled["mirrored"] += 1
+            if pair[b] in found:
+                # X's null vectors give X^dag's: conjugated, on the mirrored entries
+                mirrored, null, z = found[pair[b]]
+                held.append((mirrored // D + D * (mirrored % D), null.conj()))
+                zero_eigenvalues.append(z.conj())
+            continue
         block = np.zeros((idx.size, idx.size), dtype=complex)
         block[local[rows[k]], local[S.indices[k]]] = S.data[k]
-        U, sv, Vh = np.linalg.svd(block)
-        null = sv <= zero
-        if not null.any():
-            continue
-        # columns of N are null vectors; B N = U diag(sv) on them
-        N = Vh[null].conj().T
-        zero_eigenvalues.append(np.linalg.eigvals(N.conj().T @ (U[:, null] * sv[null])))
-        held.append((idx, N.T))
+        how, null, z = _settle(block, np.flatnonzero(idx % D == idx // D), zero, top)
+        settled[how] += 1
+        if null is not None:
+            found[b] = idx, null, z
+            held.append((idx, null))
+            zero_eigenvalues.append(z)
     if not held:
         raise ValueError("generator has no stationary mode within tolerance")
     zero_eigenvalues = np.concatenate(zero_eigenvalues)
@@ -990,7 +1072,10 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     M = np.concatenate([parts.real, parts.imag], axis=1)
     # the hermitian parts of an orthonormal basis of a null space closed under the
     # adjoint are a Parseval frame of its hermitian elements, whose real dimension is
-    # the number of null vectors: M's singular values are that many ones, then zeros
+    # the number of null vectors: M's singular values are that many ones, then zeros.
+    # A mirror pair's null vectors are each other's adjoints by construction, so
+    # the frame is exact on them; a block that is its own mirror is closed under
+    # the adjoint within rounding
     rank = len(X)
     span = np.linalg.svd(M, full_matrices=False)[2][:rank]
 
@@ -1014,4 +1099,5 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
                              multiplicity=rank,
                              zero_eigenvalues=zero_eigenvalues,
                              residual=residual,
-                             blocks={"count": int(n_blocks), "largest": largest, "of": n})
+                             blocks={"count": int(n_blocks), "largest": largest, "of": n},
+                             settled=settled)

@@ -982,6 +982,8 @@ class TestSteady:
         meta = json.loads((out / "dark_steady.meta.json").read_text())
         assert meta["multiplicity"] == 9
         assert meta["blocks"] == {"count": 15, "largest": 2, "of": 16}
+        assert meta["settled"] == {"certified": 3, "bordered": 3, "mirrored": 6,
+                                   "factored": 3}
 
     def test_oversized_block_exits_1(self, tmp_path, capsys):
         # an 8-qubit hopping chain: its half-filled block has 70**2 = 4900

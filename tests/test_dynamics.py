@@ -299,13 +299,15 @@ class TestLindbladGenerator:
         # steady_states caps a block at sqrt(budget / (8 * 16)) entries: 16
         # at 128 * 16**2 bytes, 15 one byte below
         shapes = []
-        svd = np.linalg.svd
 
-        def recorded(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+        def recorded(factor):
+            def call(a, *args, **kwargs):
+                shapes.append(a.shape)
+                return factor(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "inv", recorded(np.linalg.inv))
         monkeypatch.setattr("lindnet.model.DENSE_OPERATOR_BUDGET", 128 * 16**2)
         # a dense random H couples every entry: one block of D**2 entries
         steady_states(random_generator(0, 4, 0))
@@ -1125,28 +1127,31 @@ class TestSteadyStates:
         for d in result.directions:
             assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
 
+    @staticmethod
+    def draw_generator(data) -> LindbladGenerator:
+        """Qubit chains (D <= 8) with any mix of loss, pumping and dephasing, or
+        raw generators whose jumps feed one row from two columns."""
+        if data.draw(st.booleans(), label="raw"):
+            return draw_raw_case(data)[0]
+        n = data.draw(st.integers(2, 3), label="sites")
+        labels = [str(k) for k in range(n)]
+        site = st.sampled_from(labels)
+        rate = st.floats(0.05, 1.0)
+        kinds = data.draw(st.lists(st.sampled_from([Extraction, Injection, Dephasing]),
+                                   max_size=4), label="jumps")
+        spec = NetworkSpec(
+            sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
+            hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
+                           for a, b in zip(labels, labels[1:])),
+            jumps=tuple(kind(data.draw(site), data.draw(rate)) for kind in kinds),
+        )
+        return LindbladGenerator.from_network(spec)
+
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_full_space_null_space(self, data):
-        # qubit chains (D <= 8) with any mix of loss, pumping and dephasing, or
-        # raw generators whose jumps feed one row from two columns, against one
-        # null space of the whole dense superoperator
-        if data.draw(st.booleans(), label="raw"):
-            gen = draw_raw_case(data)[0]
-        else:
-            n = data.draw(st.integers(2, 3), label="sites")
-            labels = [str(k) for k in range(n)]
-            site = st.sampled_from(labels)
-            rate = st.floats(0.05, 1.0)
-            kinds = data.draw(st.lists(st.sampled_from([Extraction, Injection, Dephasing]),
-                                       max_size=4), label="jumps")
-            spec = NetworkSpec(
-                sites=tuple(SiteDescriptor(lbl, "qubit", 2) for lbl in labels),
-                hoppings=tuple((a, b, data.draw(st.floats(0.1, 2.0), label="J"))
-                               for a, b in zip(labels, labels[1:])),
-                jumps=tuple(kind(data.draw(site), data.draw(rate)) for kind in kinds),
-            )
-            gen = LindbladGenerator.from_network(spec)
+        # against one null space of the whole dense superoperator
+        gen = self.draw_generator(data)
         D = gen.dimension
         S = scipy_superoperator(gen).toarray()
         K = scipy.linalg.null_space(S)
@@ -1180,6 +1185,51 @@ class TestSteadyStates:
         assert real_rank(ref_parts) == real_rank(ref_parts + mine) == real_rank(mine) \
             == K.shape[1]
 
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_certificates_match_the_svd_path(self, data):
+        # an inverse that always fails sends every settled block to its SVD
+        gen = self.draw_generator(data)
+        result = steady_states(gen)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "inv", singular)
+            ref = steady_states(gen)
+        assert ref.settled["certified"] == ref.settled["bordered"] == 0
+        assert sum(result.settled.values()) == ref.blocks["count"]
+        assert result.multiplicity == ref.multiplicity
+        assert result.blocks == ref.blocks
+        np.testing.assert_allclose(np.sort_complex(result.zero_eigenvalues),
+                                   np.sort_complex(ref.zero_eigenvalues), rtol=0, atol=1e-12)
+        # both paths are backward stable: their null vectors may part by about u
+        # times cond = |S|_2 / (S's smallest nonzero singular value), which is
+        # 3e5 on some raw draws, where both states lie 3e-12 from SciPy's
+        sv = np.linalg.svd(scipy_superoperator(gen).toarray(), compute_uv=False)
+        cond = sv[0] / sv[-1 - ref.multiplicity]
+        np.testing.assert_allclose(result.state, ref.state, rtol=0, atol=max(1e-12, 1e-15 * cond))
+
+        def real_rows(mats):
+            return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+
+        mine, theirs = real_rows([result.state, *result.directions]), \
+            real_rows([ref.state, *ref.directions])
+        assert np.linalg.matrix_rank(np.vstack([mine, theirs]), tol=1e-8) \
+            == np.linalg.matrix_rank(mine, tol=1e-8) == ref.multiplicity
+
+    def test_chain_steady_settles_without_block_svd(self):
+        # open_chain_pump N = 5: the state block by a bordered solve, five blocks
+        # certified free of null vectors, and their five mirrors by conjugation
+        for rates in ({}, {"gamma_in": 0.1, "gamma_out": 0.5}, {"gamma_in": 0.5, "gamma_out": 0.1}):
+            result = steady_states(LindbladGenerator.from_network(
+                preset("open_chain_pump", N=5, **rates).spec))
+            assert result.settled == {"certified": 5, "bordered": 1, "mirrored": 5,
+                                      "factored": 0}
+            assert result.multiplicity == 1
+            assert result.residual < 1e-12
+
     def test_dimension_beyond_dense_limit(self):
         # seven decaying qubits, D = 128: the blocks are labelled by where
         # row and column kets differ, 3**7 of them with at most 128 entries
@@ -1201,21 +1251,24 @@ class TestSteadyStates:
     def test_threshold_scales_with_the_generator(self):
         # S -> c S keeps the null space; near the float limit |S|_1 |S|_inf
         # itself overflows, and the threshold must not. At small c no absolute
-        # floor may swallow the small singular values as zeros
+        # floor may swallow the small singular values as zeros; no step may warn
         gen = random_generator(0, 3, 1)
-        want = steady_states(gen).multiplicity
-        for c in (1e-200, 1e-11, 1e-10, 1e200, 1e300):
-            big = LindbladGenerator(c * gen.hamiltonian,
-                                    tuple(math.sqrt(c) * L for L in gen.jump_operators))
-            assert steady_states(big).multiplicity == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = steady_states(gen).multiplicity
+            for c in (1e-200, 1e-11, 1e-10, 1e200, 1e300):
+                big = LindbladGenerator(c * gen.hamiltonian,
+                                        tuple(math.sqrt(c) * L for L in gen.jump_operators))
+                assert steady_states(big).multiplicity == want
 
     def test_oversized_block_refused_before_dense_work(self, monkeypatch):
         # a dense random H couples every entry: one block of 65**2 > 64**2
         gen = random_generator(0, 65, 0)
 
-        def no_svd(*args, **kwargs):
+        def no_dense_work(*args, **kwargs):
             raise AssertionError("dense work started")
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_dense_work)
+        monkeypatch.setattr(np.linalg, "inv", no_dense_work)
         with pytest.raises(ValueError, match=r"4225 entries, above the cap of 4096"):
             steady_states(gen)
