@@ -34,7 +34,7 @@ from lindnet.dynamics import (
     propagate,
     steady_states,
 )
-from lindnet.hilbert import SiteDescriptor, basis_state, dicke_state
+from lindnet.hilbert import ProductBasis, SiteDescriptor, basis_state, dicke_state
 from lindnet.model import (
     Extraction,
     Injection,
@@ -202,49 +202,54 @@ def _resolve_times(cfg: dict, default: np.ndarray | None) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-def _network_gen(cfg: dict) -> tuple[LindbladGenerator, dict]:
-    spec = NetworkSpec.from_dict(cfg["network"])
-    return LindbladGenerator.from_network(spec), {"network": spec.to_dict()}
-
-
 def _build_run(cfg: dict, seed_override: int | None):
-    """Returns (generator, initial state, times, metadata) of a checked config."""
+    """Returns (network spec, initial state, times, metadata) of a checked config.
+
+    A network config's initial block is resolved on the spec's basis, so a
+    bad one fails before any generator is built; without one the state is None.
+    """
     if "preset" in cfg:
         params = dict(cfg.get("params", {}))
         if seed_override is not None:
             params["seed"] = seed_override
         run = preset(cfg["preset"], **params)
-        gen = LindbladGenerator.from_network(run.spec)
-        return gen, run.initial, _resolve_times(cfg, run.times), dict(run.metadata)
+        return run.spec, run.initial, _resolve_times(cfg, run.times), dict(run.metadata)
 
-    gen, meta = _network_gen(cfg)
+    spec = NetworkSpec.from_dict(cfg["network"])
+    meta = {"network": spec.to_dict()}
+    if "initial" not in cfg:
+        return spec, None, None, meta
     # the check left exactly one of occupations and dicke
     (kind, block), = cfg["initial"].items()
+    basis = spec.basis()
     try:
         if kind == "occupations":
-            state = basis_state(gen.basis, tuple(int(o) for o in block))
+            state = basis_state(basis, tuple(int(o) for o in block))
         else:
-            state = dicke_state(gen.basis, block["sites"], int(block["n"]))
+            state = dicke_state(basis, block["sites"], int(block["n"]))
     except ValueError as exc:
         raise ValueError(f"initial.{kind}: {exc}") from exc
     meta["initial"] = _jsonable(cfg["initial"])
-    return gen, state, _resolve_times(cfg, None), meta
+    return spec, state, _resolve_times(cfg, None), meta
 
 
-def _parse_observables(tokens, gen: LindbladGenerator):
-    """(columns, coherence index pairs) of checked observable tokens on gen's sites.
+def _parse_observables(tokens, basis: ProductBasis):
+    """(columns, coherence index pairs) of checked observable tokens on basis's sites.
 
     No tokens means every site population, then purity, purity_rate, trace
     and min_eigenvalue.
     """
-    labels = [s.label for s in gen.basis.sites]
+    labels = [s.label for s in basis.sites]
     tokens = tokens or [f"population:{label}" for label in labels] + list(_SCALARS[:4])
     for tok in tokens:
         if tok.startswith("population:") and tok[11:] not in labels:
             raise ValueError(f"observable {tok!r}: no site labelled {tok[11:]!r}")
     parsed = [_token_columns(tok) for tok in tokens]
-    return ([col for cols, _ in parsed for col in cols],
-            tuple(pair for _, pair in parsed if pair is not None))
+    pairs = tuple(pair for _, pair in parsed if pair is not None)
+    for (i, j) in pairs:
+        if not (0 <= i < basis.dimension and 0 <= j < basis.dimension):
+            raise ValueError(f"coherence index pair {(i, j)} out of range")
+    return [col for cols, _ in parsed for col in cols], pairs
 
 
 def _rows(cols, traj, samples) -> list[list[str]]:
@@ -283,9 +288,10 @@ def _propagation_config(cfg: dict, times: np.ndarray, pairs, dt_override) -> Pro
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    gen, state, times, meta = _build_run(cfg, args.seed)
-    cols, pairs = _parse_observables(cfg.get("observables"), gen)
-    traj = propagate(gen, state, _propagation_config(cfg, times, pairs, args.dt))
+    spec, state, times, meta = _build_run(cfg, args.seed)
+    cols, pairs = _parse_observables(cfg.get("observables"), spec.basis())
+    traj = propagate(LindbladGenerator.from_network(spec), state,
+                     _propagation_config(cfg, times, pairs, args.dt))
     cols = [("t", lambda traj: traj.times)] + cols
     header = [name for name, _ in cols]
     _write_outputs(args, "", cfg, header, _rows(cols, traj, range(times.size)),
@@ -320,10 +326,11 @@ def _sweep_one(task):
         run_cfg = copy.deepcopy(cfg)
         _set_dotted(run_cfg, run_cfg["sweep"]["path"], value)
         _check_config(run_cfg, "sweep", seed, dt)
-        gen, state, _, _ = _build_run(run_cfg, seed)
-        cols, pairs = _parse_observables([token], gen)
+        spec, state, _, _ = _build_run(run_cfg, seed)
+        cols, pairs = _parse_observables([token], spec.basis())
         times = np.asarray(sorted({0.0, *at_times}), dtype=float)
-        traj = propagate(gen, state, _propagation_config(run_cfg, times, pairs, dt))
+        traj = propagate(LindbladGenerator.from_network(spec), state,
+                         _propagation_config(run_cfg, times, pairs, dt))
     except InvariantViolation as exc:
         raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
                                  point, exc.note) from exc
@@ -367,10 +374,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
-    if "preset" in cfg:
-        gen, _, _, meta = _build_run(cfg, args.seed)
-    else:
-        gen, meta = _network_gen(cfg)
+    spec, _, _, meta = _build_run(cfg, args.seed)
+    gen = LindbladGenerator.from_network(spec)
     result = steady_states(gen)
     sites = gen.basis.sites
     occ = gen.basis.occupation_table

@@ -450,18 +450,6 @@ def _grouped(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return order, local
 
 
-def _reachable_entries(S: _Csr, v0: np.ndarray) -> np.ndarray:
-    """Sorted vec(rho) entries that the support of v0 reaches under S.
-
-    An entry that no path reaches from the initial support has zero
-    derivative for all time, so propagating only the returned entries is
-    exact.
-    """
-    # S is canonical: its stored entries are its nonzeros, entry j feeding
-    # entry i through S[i, j]
-    return np.flatnonzero(_closure(S.indices, S.rows, v0 != 0))
-
-
 def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Sorted basis states T that the rows and columns of rho's support reach.
 
@@ -496,11 +484,14 @@ def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
     """The block of S on the vec(rho) entries R that the support of rho reaches, and R.
 
     T is _reachable_states(gen, rho); R is found, and S cut to it, from the
-    assembly of the block T x T alone.
+    assembly of the block T x T alone. Every entry outside R has zero
+    derivative for all time, so propagating R alone is exact.
     """
     D = gen.dimension
     S = _superoperator_csr(gen, T)
-    sub = _reachable_entries(S, rho[np.ix_(T, T)].ravel(order="F"))
+    # S is canonical: its stored entries are its nonzeros, entry j feeding
+    # entry i through S[i, j]
+    sub = np.flatnonzero(_closure(S.indices, S.rows, rho[np.ix_(T, T)].ravel(order="F") != 0))
     return _cut(S, sub), T[sub % T.size] + D * T[sub // T.size]
 
 
@@ -513,15 +504,14 @@ def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 class _Recorder:
-    """Accumulates observables while the reachable block of vec(rho) marches forward.
+    """Fills the Trajectory traj while the reachable block of vec(rho) marches forward.
 
     S is the superoperator restricted to the sorted vec(rho) entries R, as
-    _Padded rows. Every observable and invariant is read from the block
-    vector through index maps built here once: the positions of the
-    diagonal entries, the position of each entry's mirror (l, k), the
+    _Padded rows. Every observable and invariant is written into traj from
+    the block vector through index maps built here once: the positions of
+    the diagonal entries, the position of each entry's mirror (l, k), the
     position of each recorded coherence, and the connected components of
-    the basis states. Only snapshots are scattered into the full density
-    matrix.
+    the basis states. Only snapshots are scattered into the full matrix.
     """
 
     def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S: _Padded,
@@ -538,27 +528,20 @@ class _Recorder:
         self.mirror = _positions(R, cols + dim * rows)
         self.padded = np.zeros(R.size + 1, dtype=complex)
         self._components(rows, cols)
-        n = config.times.size
         basis = gen.basis
-        if basis is not None:
-            self.site_labels = tuple(s.label for s in basis.sites)
-            self.occ = basis.occupation_table
-        else:
-            self.site_labels = ()
-            self.occ = np.zeros((dim, 0))
-        self.populations = np.zeros((n, len(self.site_labels)))
-        self.purity = np.zeros(n)
-        self.purity_rate = np.zeros(n)
-        self.trace = np.zeros(n)
-        self.min_eigenvalue = np.zeros(n)
-        self.hermiticity_defect = np.zeros(n)
-        for (i, j) in config.coherences:
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"coherence index pair {(i, j)} out of range")
-        self.coherences = {pair: np.zeros(n, dtype=complex) for pair in config.coherences}
+        # without a basis, a (D, 0) table: no sites, and an empty population row
+        self.occ = np.zeros((dim, 0)) if basis is None else basis.occupation_table
         self.coherence_pos = _positions(
             R, np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
-        self.snapshots: list[np.ndarray] = []
+        n = config.times.size
+        self.traj = Trajectory(
+            times=config.times.copy(),
+            site_labels=() if basis is None else tuple(s.label for s in basis.sites),
+            populations=np.zeros((n, self.occ.shape[1])), purity=np.zeros(n),
+            purity_rate=np.zeros(n), trace=np.zeros(n), min_eigenvalue=np.zeros(n),
+            hermiticity_defect=np.zeros(n),
+            coherences={pair: np.zeros(n, dtype=complex) for pair in config.coherences},
+            snapshots=[])
 
     def _components(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Index maps for lambda_min: rho is block diagonal over the components.
@@ -587,26 +570,28 @@ class _Recorder:
         self.positivity_blocks = {"count": int(np.count_nonzero(np.bincount(comp))),
                                   "largest": int(sizes[comp].max())}
 
-    def record(self, k: int, t: float, v: np.ndarray) -> None:
-        """Store observables for slot k; raise InvariantViolation on a broken bound.
+    def record(self, k: int, t: float, v: np.ndarray,
+               step: "_RungeKutta | _TaylorAction | None" = None) -> None:
+        """Write slot k of traj; raise InvariantViolation, with step's note, on a broken bound.
 
-        Nothing here keeps a reference to v, which the integrator updates in place.
+        step is None for the initial state, which no step reached. Nothing here
+        keeps a reference to v, which the integrator updates in place.
         """
         cfg = self.config
+        traj = self.traj
         dim = self.dim
         padded = self.padded
         padded[:-1] = v
         defect = float(np.abs(padded[:-1] - padded[self.mirror].conj()).max())
-        self.hermiticity_defect[k] = defect
+        traj.hermiticity_defect[k] = defect
         # the diagonal scattered into a length-D vector sums as rho.trace() does
         diag = np.zeros(dim, dtype=complex)
         diag[self.diag_state] = v[self.diag_pos]
         tr = diag.sum()
-        self.trace[k] = tr.real
-        if self.occ.shape[1]:
-            self.populations[k] = diag.real @ self.occ
-        self.purity[k] = float(np.vdot(v, v).real)
-        self.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
+        traj.trace[k] = tr.real
+        traj.populations[k] = diag.real @ self.occ
+        traj.purity[k] = float(np.vdot(v, v).real)
+        traj.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
         lam_min = math.inf
         for count, m, pos, dest in self.blocks:
             block = np.zeros(count * m * m, dtype=complex)
@@ -621,27 +606,27 @@ class _Recorder:
             # min() would drop a NaN
             if low < lam_min or math.isnan(low):
                 lam_min = low
-        self.min_eigenvalue[k] = lam_min
-        for series, pos in zip(self.coherences.values(), self.coherence_pos):
+        traj.min_eigenvalue[k] = lam_min
+        for series, pos in zip(traj.coherences.values(), self.coherence_pos):
             series[k] = padded[pos]
-        want_snap = cfg.snapshots == "all" or (
-            cfg.snapshots == "last" and k == cfg.times.size - 1)
-        if want_snap:
+        if cfg.snapshots == "all" or (cfg.snapshots == "last" and k == cfg.times.size - 1):
             full = np.zeros(dim * dim, dtype=complex)
             full[self.R] = v
-            self.snapshots.append(full.reshape(dim, dim, order="F"))
+            traj.snapshots.append(full.reshape(dim, dim, order="F"))
         # each bound is written so that NaN breaks it
         if not abs(tr - 1.0) <= TRACE_TOL:
-            raise InvariantViolation("trace", t, float(abs(tr - 1.0)), TRACE_TOL)
-        if not defect <= PROPAGATION_HERMITICITY_TOL:
-            raise InvariantViolation("hermiticity", t, defect,
-                                     PROPAGATION_HERMITICITY_TOL)
-        if not lam_min >= -POSITIVITY_TOL:
-            raise InvariantViolation("positivity", t, lam_min, -POSITIVITY_TOL)
+            name, value, bound = "trace", float(abs(tr - 1.0)), TRACE_TOL
+        elif not defect <= PROPAGATION_HERMITICITY_TOL:
+            name, value, bound = "hermiticity", defect, PROPAGATION_HERMITICITY_TOL
+        elif not lam_min >= -POSITIVITY_TOL:
+            name, value, bound = "positivity", lam_min, -POSITIVITY_TOL
+        else:
+            return
+        raise InvariantViolation(name, t, value, bound, note=step.note if step else "")
 
     def finish(self, states: int, step: "_RungeKutta | _TaylorAction") -> Trajectory:
         """The trajectory, with the run's invariant extremes and the stepper's work counters."""
-        meta = {
+        self.traj.metadata = {
             "method": self.config.method,
             "dt": step.dt,
             "dimension": self.dim,
@@ -654,17 +639,11 @@ class _Recorder:
             "matvecs": step.products + self.config.times.size,
             "expm_actions": step.actions,
             "positivity_blocks": self.positivity_blocks,
-            "max_trace_error": float(np.abs(self.trace - 1.0).max()),
-            "min_eigenvalue_floor": float(self.min_eigenvalue.min()),
-            "max_hermiticity_defect": float(self.hermiticity_defect.max()),
+            "max_trace_error": float(np.abs(self.traj.trace - 1.0).max()),
+            "min_eigenvalue_floor": float(self.traj.min_eigenvalue.min()),
+            "max_hermiticity_defect": float(self.traj.hermiticity_defect.max()),
         }
-        return Trajectory(
-            times=self.config.times.copy(), site_labels=self.site_labels,
-            populations=self.populations, purity=self.purity,
-            purity_rate=self.purity_rate, trace=self.trace,
-            min_eigenvalue=self.min_eigenvalue,
-            hermiticity_defect=self.hermiticity_defect,
-            coherences=self.coherences, snapshots=self.snapshots, metadata=meta)
+        return self.traj
 
 
 def _horner_steps(M: _Padded, v: np.ndarray, h: float, m: int, s: int,
@@ -865,9 +844,14 @@ def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times.
 
-    The reachable block is stored as _Padded rows for its products.
+    The coherence pairs are checked before any state search. The reachable
+    block is stored as _Padded rows for its products; the recorder fills
+    the Trajectory returned and raises at the first broken bound.
     """
     rho = _as_density(gen, state)
+    for (i, j) in config.coherences:
+        if not (0 <= i < gen.dimension and 0 <= j < gen.dimension):
+            raise ValueError(f"coherence index pair {(i, j)} out of range")
     T = _reachable_states(gen, rho)
     block, R = _reachable_block(gen, rho, T)
     S = _Padded(block)
@@ -879,15 +863,9 @@ def propagate(gen: LindbladGenerator, state: StateLike,
         rec.record(0, times[0], v)
         step = (_TaylorAction(block) if config.method == "superoperator_expm"
                 else _RungeKutta(S, config.dt))
-        try:
-            for k in range(1, times.size):
-                v = step(v, float(times[k] - times[k - 1]))
-                rec.record(k, times[k], v)
-        except InvariantViolation as exc:
-            if not step.note:
-                raise
-            raise InvariantViolation(exc.invariant, exc.time, exc.value, exc.bound,
-                                     note=step.note) from None
+        for k in range(1, times.size):
+            v = step(v, float(times[k] - times[k - 1]))
+            rec.record(k, times[k], v, step)
     return rec.finish(T.size, step)
 
 

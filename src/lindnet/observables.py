@@ -20,6 +20,15 @@ __all__ = [
     "detect_asymptotic_unitarity",
 ]
 
+# Detector thresholds; each detector's docstring says how it applies its own.
+_VALLEY_NOISE_FLOOR = 1e-6
+_STAIR_SLOPE_RATIO = 0.25
+_STAIR_TRANSVERSE_FLOOR = 0.01
+_STAIR_MIN_SAMPLES = 3
+_STAIR_MIN_ADVANCE_FRACTION = 0.05
+_UNITARITY_MIN_DECADES = 2.0
+_UNITARITY_MAX_LOG_RESIDUAL = 0.05
+
 
 def unitarity_distance(rho_t: np.ndarray, rho_ref: np.ndarray,
                        H: np.ndarray, t: float) -> float:
@@ -45,13 +54,12 @@ class EffectReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def detect_congestion_valley(gamma_values: np.ndarray, populations: np.ndarray,
-                             noise_floor: float = 1e-6) -> EffectReport:
+def detect_congestion_valley(gamma_values: np.ndarray, populations: np.ndarray) -> EffectReport:
     """Find a congestion valley in a drain-rate sweep.
 
     The effect: the delivered population at a fixed readout time dips at an
     intermediate drain rate, so the sweep has an interior strict minimum
-    whose depth on both flanks exceeds noise_floor.
+    whose depth on both flanks exceeds _VALLEY_NOISE_FLOOR.
     """
     g = np.asarray(gamma_values, dtype=float)
     p = np.asarray(populations, dtype=float)
@@ -68,39 +76,37 @@ def detect_congestion_valley(gamma_values: np.ndarray, populations: np.ndarray,
     depth_right = float(p[k + 1:].max() - p[k])
     depth = min(depth_left, depth_right)
     diagnostics["depth"] = depth
-    if depth <= noise_floor:
+    if depth <= _VALLEY_NOISE_FLOOR:
         return EffectReport("congestion_valley", False, {}, diagnostics)
     numbers = {"gamma_at_minimum": float(g[k]), "minimum_population": float(p[k]),
                "depth": depth, "plateau_population": float(p[-1])}
     return EffectReport("congestion_valley", True, numbers, diagnostics)
 
 
-def staircase_steps(times: np.ndarray, n_first: np.ndarray, n_second: np.ndarray,
-                    slope_ratio: float = 0.25, transverse_floor: float = 0.01,
-                    min_samples: int = 3,
-                    min_advance_fraction: float = 0.05) -> EffectReport:
+def staircase_steps(times: np.ndarray, n_first: np.ndarray, n_second: np.ndarray) -> EffectReport:
     """Segment a planar population curve into an alternating staircase.
 
     The effect: (n_first(t), n_second(t)) advances in axis-aligned moves,
     one population filling while the other holds. A greedy pass grows each
-    segment until the transverse net drift exceeds slope_ratio times the
-    along-axis net advance plus transverse_floor, then switches axis. A
-    segment only counts when it holds min_samples points and advances along
-    its axis by min_advance_fraction of the larger coordinate span, which
-    keeps diagonal motion from registering as many short steps. At least
-    three qualifying segments count as detected; the mean step duration
-    averages the interior segments only, because the first segment starts
-    mid-step at t = 0 and the last is cut off by the end of the data.
+    segment until the transverse net drift exceeds _STAIR_SLOPE_RATIO times
+    the along-axis net advance plus _STAIR_TRANSVERSE_FLOOR, then switches
+    axis. A segment only counts when it holds _STAIR_MIN_SAMPLES points and
+    advances along its axis by _STAIR_MIN_ADVANCE_FRACTION of the larger
+    coordinate span, which keeps diagonal motion from registering as many
+    short steps. At least three qualifying segments count as detected; the
+    mean step duration averages the interior segments only, because the
+    first segment starts mid-step at t = 0 and the last is cut off by the
+    end of the data.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(n_first, dtype=float)
     y = np.asarray(n_second, dtype=float)
-    if not (t.shape == x.shape == y.shape) or t.ndim != 1 or t.size < 3 * min_samples:
+    if not (t.shape == x.shape == y.shape) or t.ndim != 1 or t.size < 3 * _STAIR_MIN_SAMPLES:
         raise ValueError("need matching 1-D arrays long enough for three segments")
 
     coords = (x, y)
     span = max(x.max() - x.min(), y.max() - y.min())
-    min_advance = min_advance_fraction * span
+    min_advance = _STAIR_MIN_ADVANCE_FRACTION * span
 
     def grow(start: int, axis: int) -> int:
         """Largest end index (inclusive) for a segment along `axis`."""
@@ -109,7 +115,7 @@ def staircase_steps(times: np.ndarray, n_first: np.ndarray, n_second: np.ndarray
         for j in range(start + 1, t.size):
             adv = abs(along[j] - along[start])
             drift = abs(across[j] - across[start])
-            if drift > slope_ratio * adv + transverse_floor:
+            if drift > _STAIR_SLOPE_RATIO * adv + _STAIR_TRANSVERSE_FLOOR:
                 break
             end = j
         return end
@@ -121,7 +127,7 @@ def staircase_steps(times: np.ndarray, n_first: np.ndarray, n_second: np.ndarray
     while start < t.size - 1:
         end = grow(start, axis)
         along = coords[axis]
-        if end - start + 1 < min_samples or abs(along[end] - along[start]) < min_advance:
+        if end - start + 1 < _STAIR_MIN_SAMPLES or abs(along[end] - along[start]) < min_advance:
             break
         segments.append((start, end, axis))
         if end >= t.size - 1:
@@ -146,14 +152,13 @@ def staircase_steps(times: np.ndarray, n_first: np.ndarray, n_second: np.ndarray
     return EffectReport("staircase", True, numbers, diagnostics)
 
 
-def detect_asymptotic_unitarity(times: np.ndarray, distances: np.ndarray,
-                                min_decades: float = 2.0,
-                                max_log_residual: float = 0.05) -> EffectReport:
+def detect_asymptotic_unitarity(times: np.ndarray, distances: np.ndarray) -> EffectReport:
     """Check that the distance to a unitary orbit decays as one exponential.
 
     Fits log(distance) linearly in time over the points standing above
     numerical noise; detected when the fit drops at a positive rate over at
-    least min_decades with RMS log-residual under max_log_residual.
+    least _UNITARITY_MIN_DECADES with RMS log-residual at most
+    _UNITARITY_MAX_LOG_RESIDUAL.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -170,7 +175,8 @@ def detect_asymptotic_unitarity(times: np.ndarray, distances: np.ndarray,
     decades = float((dk.max() - dk.min()) / math.log(10.0))
     diagnostics.update({"rate": float(-slope), "log_residual_rms": rms,
                         "decades_spanned": decades})
-    detected = slope < 0 and decades >= min_decades and rms <= max_log_residual
+    detected = (slope < 0 and decades >= _UNITARITY_MIN_DECADES
+                and rms <= _UNITARITY_MAX_LOG_RESIDUAL)
     if not detected:
         return EffectReport("asymptotic_unitarity", False, {}, diagnostics)
     numbers = {"rate": float(-slope), "decades_spanned": decades,

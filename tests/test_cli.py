@@ -807,6 +807,35 @@ class TestConfigValues:
             assert f"budget of {2 * 1024**3} bytes" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("payload,message", [
+        ({"initial": {"occupations": [2, 0]}},
+         "initial.occupations: occupation 2 out of range for site '1'"),
+        ({"initial": {"dicke": {"sites": ["1", "2"], "n": 3}}},
+         "initial.dicke: excitation count 3 out of range 0..2"),
+        ({"observables": ["coherence:4,0"]}, "coherence index pair (4, 0) out of range"),
+    ], ids=["occupations", "dicke-n", "coherence"])
+    def test_state_and_coherences_are_checked_before_the_build(
+            self, tmp_path, monkeypatch, capsys, command, payload, message):
+        # a bad initial block or coherence pair exits 1 with its own message
+        # before any generator is built
+        def no_build(cls, spec):
+            raise AssertionError("the generator was built")
+
+        monkeypatch.setattr(LindbladGenerator, "from_network", classmethod(no_build))
+        runs = {"network": {**_NETWORK, "hoppings": [["1", "2", 1.0]]},
+                "initial": {"occupations": [1, 0]}, "times": [0.0, 1.0], **payload}
+        point = ""
+        if command == "sweep":
+            token = payload.get("observables", ["population:2"])[0]
+            runs["sweep"] = {"path": "dt", "values": [1e-3], "observable": token,
+                             "at_times": [1.0]}
+            point = "dt=0.001: "
+        cfg = write_config(tmp_path / "early.yaml", runs)
+        assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {point}{message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_preset_dimension_budget(self, tmp_path, capsys):
         # a spin of 2e300 + 1 levels: refused before the initial state's vector
         # exists, which NumPy failed to allocate with an error that named nothing
@@ -952,6 +981,19 @@ class TestSteady:
         meta = json.loads((out / "pump_steady.meta.json").read_text())
         state = np.array(meta["state_re"]) + 1j * np.array(meta["state_im"])
         np.testing.assert_allclose(state, sol.state, atol=1e-9)
+
+    def test_network_initial_block_is_checked(self, tmp_path, capsys):
+        # steady reads no initial state, but checks and records one it is given
+        out = tmp_path / "out"
+        for occupations, code in (([2, 0], 1), ([1, 0], 0)):
+            cfg = write_config(tmp_path / "net.yaml", {
+                "network": {**_NETWORK, "hoppings": [["1", "2", 1.0]]},
+                "initial": {"occupations": occupations}})
+            assert main(["steady", cfg, "--output", str(out)]) == code
+        assert capsys.readouterr().err == (
+            "error: initial.occupations: occupation 2 out of range for site '1'\n")
+        meta = json.loads((out / "net_steady.meta.json").read_text())
+        assert meta["run_metadata"]["initial"] == {"occupations": [1, 0]}
 
     def test_network_config_needs_no_initial_or_times(self, tmp_path):
         cfg = write_config(tmp_path / "net.yaml", {

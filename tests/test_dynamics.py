@@ -23,7 +23,6 @@ from lindnet.dynamics import (
     _Csr,
     _Padded,
     _reachable_block,
-    _reachable_entries,
     _reachable_states,
     _Recorder,
     _RungeKutta,
@@ -939,7 +938,7 @@ class TestSectorFilter:
     def test_state_restriction_matches_full_search(self, data):
         gen, rho, _ = draw_raw_case(data)
         S_full = _superoperator_csr(gen)
-        R_full = _reachable_entries(S_full, rho.ravel(order="F"))
+        R_full = np.flatnonzero(_closure(S_full.indices, S_full.rows, rho.ravel(order="F") != 0))
         block, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
         np.testing.assert_array_equal(R, R_full)
         assert_same_csr(block, as_scipy(S_full)[R_full][:, R_full])
@@ -972,12 +971,12 @@ class TestSectorFilter:
             with contextlib.suppress(InvariantViolation):
                 rec.record(k, float(k), v)
             ref = reference_record(gen, R, v, pairs)
-            assert rec.hermiticity_defect[k] == ref["defect"]
-            assert rec.trace[k] == ref["trace"]
-            assert np.array_equal(rec.populations[k], ref["populations"])
-            assert abs(rec.min_eigenvalue[k] - ref["min_eigenvalue"]) <= 1e-12
-            assert [rec.coherences[p][k] for p in pairs] == ref["coherences"]
-            assert np.array_equal(rec.snapshots[k], ref["snapshot"])
+            assert rec.traj.hermiticity_defect[k] == ref["defect"]
+            assert rec.traj.trace[k] == ref["trace"]
+            assert np.array_equal(rec.traj.populations[k], ref["populations"])
+            assert abs(rec.traj.min_eigenvalue[k] - ref["min_eigenvalue"]) <= 1e-12
+            assert [rec.traj.coherences[p][k] for p in pairs] == ref["coherences"]
+            assert np.array_equal(rec.traj.snapshots[k], ref["snapshot"])
         # the positivity blocks are the components of the touched states
         touched, edges = np.unique(np.concatenate([R % D, R // D]), return_inverse=True)
         graph = scipy.sparse.csr_matrix((np.ones(R.size), (edges[:R.size], edges[R.size:])),
@@ -989,7 +988,8 @@ class TestSectorFilter:
     def test_recorder_fails_a_nan_sample(self):
         # NaN in an off-diagonal entry leaves the trace finite and breaks the
         # hermiticity bound; eigvalsh does not converge on the 3 x 3 block,
-        # whose minimum is recorded as NaN instead
+        # whose minimum is recorded as NaN instead. The error quotes the
+        # note of the stepper that reached the sample, and none without one
         gen = random_generator(0, 3, 1)
         rho = random_density(1, 3)
         S, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
@@ -997,10 +997,13 @@ class TestSectorFilter:
         v = rho.ravel(order="F")[R]
         v[1] = np.nan
         with pytest.raises(InvariantViolation,
-                           match="^hermiticity invariant violated at t=0: measured nan"):
+                           match=r"^hermiticity invariant violated at t=0: measured nan, "
+                                 r"bound 1\.000e-09$"):
             rec.record(0, 0.0, v)
-        assert rec.trace[0] == pytest.approx(1.0)
-        assert np.isnan(rec.min_eigenvalue[0])
+        assert rec.traj.trace[0] == pytest.approx(1.0)
+        assert np.isnan(rec.traj.min_eigenvalue[0])
+        with pytest.raises(InvariantViolation, match=r"bound 1\.000e-09; the largest RK4 step"):
+            rec.record(0, 0.0, v, _RungeKutta(_Padded(S), 0.1))
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -1027,7 +1030,8 @@ class TestSectorFilter:
              (np.concatenate([T.col, np.full(sources.size, n)]),
               np.concatenate([T.row, sources]))), shape=(n + 1, n + 1))
         order = breadth_first_order(G, n, directed=True, return_predecessors=False)
-        np.testing.assert_array_equal(_reachable_entries(_Csr(S.data, S.indices, S.indptr), v0),
+        rows = _Csr(S.data, S.indices, S.indptr).rows
+        np.testing.assert_array_equal(np.flatnonzero(_closure(S.indices, rows, v0 != 0)),
                                       np.sort(order[1:]))
 
     @given(data=st.data())

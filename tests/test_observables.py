@@ -75,7 +75,7 @@ class TestCongestionValley:
         g = np.linspace(0.1, 1.0, 11)
         p = np.full(11, 0.5)
         p[5] -= 1e-8
-        report = detect_congestion_valley(g, p, noise_floor=1e-6)
+        report = detect_congestion_valley(g, p)
         assert not report.detected
 
     def test_requires_increasing_gamma(self):
@@ -136,7 +136,7 @@ class TestStaircase:
     def test_length_guard(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="1-D arrays"):
-            staircase_steps(t, t, t, min_samples=3)
+            staircase_steps(t, t, t)
 
 
 class TestAsymptoticUnitarity:
