@@ -17,7 +17,10 @@ integrators, fixed-step fourth-order Runge-Kutta and the action of the
 matrix exponential (the truncated Taylor action of Al-Mohy and Higham,
 one per output gap), run exactly on that block of S, stored as padded
 rows for its products. Both step through one Horner evaluation of a
-truncated Taylor polynomial of the exponential. Each jump of the models
+polynomial in the block: the Taylor action a truncated Taylor polynomial
+of the exponential, Runge-Kutta the c-th power of its four-stage step
+T_4(hS), c steps at a time while c h ||S||_1 <= 1, truncated where its
+tail falls below 2**-53 (c = 1 is the classic step). Each jump of the models
 here shifts total occupation by a fixed amount, so the block stays inside
 the occupation-difference sectors the initial state touches, pumped and
 lossy runs included. Observables and invariants are read from the
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -97,6 +100,9 @@ _NORM_ONLY = 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
 # (about ten Taylor products per unit), is not finite or exceeds the largest
 # integer a float holds exactly: such a run could never finish.
 _MAX_STEPS = 2.0 ** 53
+# The Runge-Kutta stepper takes c steps of h as one chunk while c h ||S||_1
+# stays at or below this: then at most 18 terms of T_4(hS)^c are kept
+_CHUNK_THETA = 1.0
 
 
 class InvariantViolation(RuntimeError):
@@ -646,39 +652,81 @@ class _Recorder:
         return self.traj
 
 
-def _horner_steps(M: _Padded, v: np.ndarray, h: float, m: int, s: int,
+def _horner_steps(M: _Padded, v: np.ndarray, a: Sequence[float], s: int,
                   eta: complex) -> np.ndarray:
-    """v advanced in place by s steps of eta T_m(hM) v, and returned.
+    """v advanced in place by s steps of eta p(M) v, and returned.
 
-    T_m(hM) v = v + hM(v + (h/2)M(v + ... + (h/m)M v)) is the degree-m
-    Taylor polynomial of exp(hM) on v in nested (Horner) form: m products
-    with M and one work vector. For dv/dt = S v, the four-stage Runge-Kutta
+    p(M) v = v + a_1 M(v + a_2 M(v + ... + a_m M v)) is evaluated in nested
+    (Horner) form, m = len(a), with m products with M and one work vector:
+    the polynomial sum_k c_k (hM)^k of c_0 = 1 and positive c_k takes the
+    multipliers a_k = h c_k / c_(k-1). The degree-m Taylor polynomial T_m(hM)
+    of exp(hM) takes a_k = h / k. For dv/dt = S v, the four-stage Runge-Kutta
     step is T_4(hS), and the Taylor action's is eta T_m(hA), A = S - mu I.
     """
     for _ in range(s):
         w = v
-        for j in range(m, 1, -1):
+        for j in range(len(a) - 1, 0, -1):
             w = M @ w
-            w *= h / j
+            w *= a[j]
             w += v
-        if m:
+        if a:
             w = M @ w
-            w *= h
+            w *= a[0]
             v += w
         if eta != 1:
             v *= eta
     return v
 
 
+def _tail_degree(x: float) -> int:
+    """The smallest m with sum_{k>m} x^k / k! <= 2**-53, for 0 <= x <= _CHUNK_THETA.
+
+    The tails are summed from the smallest term up; the terms past k = 40
+    are below 1/40!, about 1e-48, and left out.
+    """
+    terms = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, 41.0))))
+    tails = np.cumsum(terms[::-1])[::-1]
+    return int(np.argmax(tails[1:] <= 2.0 ** -53))
+
+
+def _rk4_power(c: int, m: int) -> np.ndarray:
+    """The coefficients c_0 ... c_m of T_4(z)^c, the c-th power of the Runge-Kutta step.
+
+    Binary powering of c, each product cut to degree m, takes at most
+    2 log2(c) products of m + 1 terms. Each c_k is at most c^k / k!, which
+    stays finite for every c <= 2**53 at the degrees m <= 18 of a chunk.
+    """
+    power = np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])[:m + 1]
+    result = np.ones(1)
+    while True:
+        if c & 1:
+            result = np.convolve(result, power)[:m + 1]
+        c >>= 1
+        if not c:
+            return result
+        power = np.convolve(power, power)[:m + 1]
+
+
 class _RungeKutta:
     """v -> v advanced over a gap by classic fourth-order Runge-Kutta steps.
 
-    A gap is split into the fewest equal steps no longer than dt, each one
-    _horner_steps of degree 4. substeps counts the steps taken, products
-    the products with S, and step_norm the largest h ||S||_1 of a step. It
-    bounds h |lambda| for every eigenvalue lambda of S; the steps stay
-    bounded only while each h lambda lies in RK4's stability region, which
-    reaches about 2.8 along the negative real axis.
+    A gap is split into the fewest n equal steps h no longer than dt. For
+    dv/dt = S v, c steps are exactly the polynomial T_4(hS)^c, so they are
+    taken c at a time, c the largest count up to n with c h ||S||_1 <= theta
+    = _CHUNK_THETA (the last chunk takes what is left of n). Each chunk is
+    one _horner_steps evaluation of T_4(hS)^c cut to the smallest degree m
+    with sum_{k>m} (c h ||S||_1)^k / k! <= 2**-53: T_4's coefficients are
+    nonnegative and at most exp's, so those of T_4^c are at most c^k / k!,
+    and the cut moves the chunk's result by at most 2**-53 ||v||_1, while
+    Horner's rounding stays near m u e^theta ||v||_1. A chunk is taken only
+    where m < 4c; otherwise, and always at c = 1, its steps are the classic
+    four-stage ones, T_4(hS) with the multipliers h/k. The chunks are
+    planned once per distinct gap. substeps counts the steps h, products
+    the products with S actually taken, and step_norm the largest h ||S||_1
+    of a step. It bounds h |lambda| for every eigenvalue lambda of S; the
+    steps stay bounded only while each h lambda lies in RK4's stability
+    region, which reaches about 2.8 along the negative real axis, and a
+    step that large is never chunked.
     """
 
     # the Taylor action's counter, for the stepper-neutral metadata
@@ -690,24 +738,49 @@ class _RungeKutta:
         self.substeps = 0
         self.products = 0
         self.step_norm = 0.0
+        self._plans: dict[float, tuple[int, float, list]] = {}
 
     @property
     def note(self) -> str:
         return (f"the largest RK4 step times ||S||_1, rk4_step_norm, was "
                 f"{self.step_norm:.6g}; a smaller dt may keep the steps stable")
 
-    def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
-        """v advanced in place by the gap, and returned."""
+    def _plan(self, gap: float) -> tuple[int, float, list[tuple[tuple[float, ...], int]]]:
+        """Step count n and size h of the gap, and its chunks as (multipliers, repeats)."""
         dt = self.dt
         if not gap / dt <= _MAX_STEPS:
             raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
                              f"{gap / dt:.6g}, is not finite or above 2**53")
         n = max(1, math.ceil(gap / dt))
         h = gap / n
+        x = h * self.S.norm
+        c = n if x == 0 else max(1, int(min(n, _CHUNK_THETA // x)))
+        while c > 1 and c * x > _CHUNK_THETA:
+            c -= 1
+        chunks = []
+        q, r = divmod(n, c)
+        for size, repeats in ((c, q), (r, 1)):
+            # a lone step, and a chunk that would keep all 4c terms, take the
+            # classic four-stage steps
+            m = _tail_degree(size * x) if size > 1 else 4
+            if m < 4 * size:
+                coef = _rk4_power(size, m)
+                chunks.append((tuple(h * (coef[1:] / coef[:-1])), repeats))
+            elif size:
+                chunks.append(((h, h / 2, h / 3, h / 4), size * repeats))
+        return n, h, chunks
+
+    def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
+        """v advanced in place by the gap, and returned."""
+        if gap not in self._plans:
+            self._plans[gap] = self._plan(gap)
+        n, h, chunks = self._plans[gap]
         self.step_norm = max(self.step_norm, h * self.S.norm)
         self.substeps += n
-        self.products += 4 * n
-        return _horner_steps(self.S, v, h, 4, n, 1)
+        for a, repeats in chunks:
+            self.products += len(a) * repeats
+            _horner_steps(self.S, v, a, repeats, 1)
+        return v
 
 
 class _TaylorAction:
@@ -837,7 +910,9 @@ class _TaylorAction:
         m, s = self._steps[t]
         self.actions += 1
         self.products += m * s
-        return _horner_steps(self.A, v.copy(), t / s, m, s, np.exp(t * self.mu / s))
+        h = t / s
+        return _horner_steps(self.A, v.copy(), [h / j for j in range(1, m + 1)], s,
+                             np.exp(t * self.mu / s))
 
 
 def propagate(gen: LindbladGenerator, state: StateLike,

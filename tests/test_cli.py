@@ -44,6 +44,39 @@ def read_tsv(path):
     return header, rows
 
 
+def dense_superoperator(gen: LindbladGenerator) -> np.ndarray:
+    """The column-stacked superoperator S as a dense D**2 x D**2 array."""
+    H = gen.hamiltonian
+    eye = np.eye(gen.dimension)
+    S = -1j * np.kron(eye, H) + 1j * np.kron(H.T, eye)
+    for L in gen.jump_operators:
+        LdL = L.conj().T @ L
+        S += np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+    return S
+
+
+def rk4_products(gaps, dt: float, norm: float) -> int:
+    """Products with S of the Runge-Kutta steps over the gaps, by the chunk rule.
+
+    A gap takes n = max(1, ceil(gap / dt)) steps of h, c at a time, c the
+    largest count up to n with c h norm <= 1, the last chunk what is left.
+    A chunk of c > 1 steps costs the smallest m with
+    sum_{k>m} (c h norm)^k / k! <= 2**-53 products where m < 4c, and
+    four per step otherwise, as one step does.
+    """
+    total = 0
+    for gap in gaps:
+        n = max(1, math.ceil(gap / dt))
+        x = gap / n * norm
+        c = max(1, min(n, math.floor(1 / x)))
+        for size, repeats in ((c, n // c), (n % c, 1)):
+            y = size * x
+            m = next(m for m in range(60) if sum(
+                y ** k / math.factorial(k) for k in range(m + 1, m + 40)) <= 2.0 ** -53)
+            total += repeats * (m if size > 1 and m < 4 * size else 4 * size)
+    return total
+
+
 @pytest.fixture
 def pump_config(tmp_path):
     return write_config(tmp_path / "pump.yaml", {
@@ -229,7 +262,7 @@ class TestRun:
 
     def test_meta_reports_engine_counters(self, tmp_path, pump_config):
         # 8 gaps of 0.25 at dt 1e-3 (each rounds up to 250 or 251 substeps),
-        # four products per substep plus one per sample for the purity rate
+        # the chunks' products plus one per sample for the purity rate
         out = tmp_path / "out"
         assert main(["run", pump_config, "--output", str(out)]) == 0
         prop = json.loads((out / "pump.meta.json").read_text())["propagation"]
@@ -237,7 +270,17 @@ class TestRun:
         substeps = sum(max(1, int(np.ceil(g / 1e-3))) for g in np.diff(times))
         assert prop["rk4_substeps"] == substeps
         assert 0.0 < prop["rk4_step_norm"] < 1.0
-        assert prop["matvecs"] == 4 * substeps + 9
+        # the reachable block: the four populations and the coherence pair
+        # of the one-excitation states
+        gen = LindbladGenerator.from_network(preset("two_site_pump").spec)
+        S = dense_superoperator(gen)
+        D = gen.dimension
+        a, b = gen.basis.index((1, 0)), gen.basis.index((0, 1))
+        R = [k * (D + 1) for k in range(D)] + [a + D * b, b + D * a]
+        norm = float(np.abs(S[np.ix_(R, R)]).sum(axis=0).max())
+        products = rk4_products(np.diff(times), 1e-3, norm)
+        assert products == 8 * 16
+        assert prop["matvecs"] == products + 9
         assert prop["expm_actions"] == 0
         assert prop["states"] == 4
         assert prop["reachable"] == {"entries": 6, "of": 16}

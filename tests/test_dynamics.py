@@ -3,7 +3,9 @@
 import contextlib
 import math
 import pickle
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from lindnet.dynamics import (
     _reachable_block,
     _reachable_states,
     _Recorder,
+    _rk4_power,
     _RungeKutta,
     _superoperator_csr,
+    _tail_degree,
     _TaylorAction,
     _weak_components,
     propagate,
@@ -621,11 +625,12 @@ class TestPropagation:
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
 
     def test_work_counters(self, monkeypatch):
-        # substeps are sum over gaps of max(1, ceil(gap / dt)); each takes four
-        # products with S, and each sample one more for the purity rate. The
-        # expm run's matvecs count every product with the block it makes: all
-        # m s Taylor terms of each gap, the norm estimates of the 40-unit gap
-        # and the purity rate
+        # substeps are sum over gaps of max(1, ceil(gap / dt)); at dt = 0.1 every
+        # gap takes classic four-stage steps, four products with S each (its
+        # chunks of c > 1 steps would need m >= 4c terms), and each sample one
+        # more for the purity rate. The expm run's matvecs count every product
+        # with the block it makes: all m s Taylor terms of each gap, the norm
+        # estimates of the 40-unit gap and the purity rate
         products = []
         matmul = _Padded.__matmul__
 
@@ -682,6 +687,119 @@ class TestPropagation:
         assert str(back).endswith("; try again")
         assert (back.invariant, back.time, back.value, back.bound, back.point,
                 back.note) == ("trace", 1.5, 2e-3, 1e-9, "params.J=2.0", "try again")
+
+
+def four_stage(M: _Padded, v: np.ndarray, h: float, n: int) -> np.ndarray:
+    """n classic four-stage steps T_4(hM) on v in place, in the nested form
+    v + hM(v + (h/2)M(v + (h/3)M(v + (h/4)M v))) with M's own product."""
+    for _ in range(n):
+        w = v
+        for j in (4, 3, 2):
+            w = M @ w
+            w *= h / j
+            w += v
+        w = M @ w
+        w *= h
+        v += w
+    return v
+
+
+def exact_tail(x: float, m: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper bounds on sum_{k>m} x^k / k! for 0 <= x <= 1, in exact arithmetic.
+
+    The sum of the 60 terms after m, and that plus twice the next term,
+    which bounds the rest when x <= 1.
+    """
+    x = Fraction(x)
+    terms = [x ** k / math.factorial(k) for k in range(m + 1, m + 62)]
+    return sum(terms[:-1]), sum(terms[:-1]) + 2 * terms[-1]
+
+
+class TestRungeKuttaChunks:
+    """Runge-Kutta steps taken c at a time as one truncated polynomial of T_4."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_match_classic_stages(self, data):
+        # random sparse complex blocks scaled to ||S||_1 = 1 (or all zero), so
+        # that x = h ||S||_1 is drawn directly: 1e-4 to 3 covers chunks on both
+        # sides of m < 4c and steps past theta = 1, which always take c = 1.
+        # Growth per step is at most T_4(x) <= e^x, so n x <= 200 per gap keeps
+        # the reference finite where RK4 is unstable
+        d = data.draw(st.integers(1, 12), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = data.draw(st.floats(0.1, 1.0), label="density")
+        S = scipy.sparse.random(d, d, density=density, format="csr", rng=rng,
+                                dtype=complex, data_rvs=lambda k: (rng.normal(size=k)
+                                                                   + 1j * rng.normal(size=k)))
+        norm = float(abs(S).sum(axis=0).max())
+        if norm:
+            S = S / norm
+        x = 10.0 ** data.draw(st.floats(-4.0, math.log10(3.0)), label="log10 x")
+        counts = data.draw(st.lists(st.integers(1, min(2000, int(200 / x))),
+                                    min_size=1, max_size=3), label="substeps")
+        M = _Padded(as_engine(S))
+        # dt a hair above h, so that a gap of n h takes exactly n steps
+        h = x
+        step = _RungeKutta(M, h * (1 + 1e-9))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        ref = v.copy()
+        for n in counts:
+            gap = n * h
+            h_n = gap / n
+            before = v.copy()
+            assert step(v, gap) is v
+            ref = classic_rk4(S, ref, h_n, n)
+            np.testing.assert_allclose(v, ref, rtol=0,
+                                       atol=1e-12 * max(1.0, float(np.abs(ref).max())))
+            xn = h_n * M.norm
+            c = n if xn == 0 else max(1, min(n, math.floor(1 / xn)))
+            if c == 1:
+                assert np.array_equal(v, four_stage(M, before, h_n, n))
+
+    def test_degree_is_the_smallest_that_meets_the_tail_bound(self):
+        u = Fraction(2) ** -53
+        ladder = [0.0, 1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2,
+                  0.25, 1 / 3, 0.5, 0.7, 0.9, 0.99, 1.0]
+        degrees = []
+        for x in ladder:
+            m = _tail_degree(x)
+            assert exact_tail(x, m)[1] <= u
+            if m:
+                assert exact_tail(x, m - 1)[0] > u
+            degrees.append(m)
+        assert degrees == sorted(degrees)
+        assert (degrees[0], degrees[-1]) == (0, 18)
+
+    def test_binary_powers_match_repeated_convolution(self):
+        # up to degree 18, the most terms a chunk keeps
+        step = np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])
+        full = np.ones(1)
+        for c in range(1, 65):
+            full = np.convolve(full, step)
+            m = min(4 * c, 18)
+            got = _rk4_power(c, m)
+            assert got.shape == (m + 1,)
+            np.testing.assert_allclose(got, full[:m + 1], rtol=1e-15, atol=0)
+
+    def test_huge_gap_plans_and_runs_at_once(self):
+        # 2**40 steps of h = 1 at ||S||_1 = 1e-13 are one chunk of a few terms;
+        # step by step they would take 2**42 products
+        rng = np.random.default_rng(7)
+        S = scipy.sparse.random(6, 6, density=0.5, format="csr", rng=rng, dtype=complex,
+                                data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+        S = 1e-13 * S / abs(S).sum(axis=0).max()
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        gap = 2.0 ** 40
+        start = time.perf_counter()
+        step = _RungeKutta(_Padded(as_engine(S)), 1.0)
+        got = step(v.copy(), gap)
+        assert time.perf_counter() - start < 0.1
+        m = _tail_degree(gap * 1e-13)
+        assert (step.substeps, step.products) == (2 ** 40, m)
+        assert 0 < m < 16
+        want = scipy.linalg.expm(gap * S.toarray()) @ v
+        assert_close_relative(got, want, 1e-12)
 
 
 def assert_close_relative(got: np.ndarray, want: np.ndarray, rtol: float) -> None:
