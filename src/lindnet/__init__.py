@@ -7,6 +7,17 @@ detectors for the transport effects those networks exhibit (congestion valley,
 filling staircase, asymptotic unitarity).
 """
 
+import os
+import sys
+
+# OpenBLAS reads this once, when NumPy loads it. Its idle workers spin for
+# 2**28 cycles (about 0.1 s) after each threaded call before they sleep; 2**20
+# keeps them awake across back-to-back dense blocks yet lets them sleep during
+# the sparse stepping and Python work between calls. A value the user set wins,
+# and a host that loaded NumPy first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from lindnet.hilbert import (
     DensityMatrix,
     ProductBasis,

@@ -1025,6 +1025,28 @@ class TestSteady:
         state = np.array(meta["state_re"]) + 1j * np.array(meta["state_im"])
         np.testing.assert_allclose(state, sol.state, atol=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the zero threshold 1e-10*sqrt(|S|_1 |S|_inf) swallows the three "
+        "singular values of about 0.07 that gamma_in gives, so steady exits 0 with "
+        "multiplicity 4 and residual 0.050"))
+    def test_wide_rate_spread_is_solved_or_refused(self, tmp_path, capsys):
+        # at gamma_out = 1e8 the engine agrees with the closed form; at 1e10 it
+        # must still do so, or exit 1 with an error that names the block
+        cfg = write_config(tmp_path / "wide.yaml", {
+            "preset": "two_site_pump", "params": {"gamma_out": 1.0e10}})
+        out = tmp_path / "out"
+        code = main(["steady", cfg, "--output", str(out)])
+        if code == 1:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "block" in err and err.count("\n") == 1, err
+            return
+        assert code == 0
+        meta = json.loads((out / "wide_steady.meta.json").read_text())
+        assert meta["multiplicity"] == 1
+        state = np.array(meta["state_re"]) + 1j * np.array(meta["state_im"])
+        np.testing.assert_allclose(state, oracle.pump_two_site(2.0, 0.2, 1.0e10).state,
+                                   atol=1e-9)
+
     def test_network_initial_block_is_checked(self, tmp_path, capsys):
         # steady reads no initial state, but checks and records one it is given
         out = tmp_path / "out"

@@ -33,12 +33,14 @@ def test_all_names_resolve(module):
     assert foreign == []
 
 
-def _run_python(code: str, cwd=None) -> str:
+def _run_python(code: str, cwd=None, env=None) -> str:
+    """The last line a fresh interpreter prints; env, if given, replaces os.environ."""
     import lindnet
 
     src = str(Path(lindnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    base = os.environ if env is None else env
+    env = dict(base, PYTHONPATH=os.pathsep.join(
+        p for p in (src, base.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120, cwd=cwd)
     return done.stdout.strip().splitlines()[-1]
@@ -144,3 +146,67 @@ def test_no_module_level_scipy_import():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
+
+
+def _unpinned_env(**extra: str) -> dict:
+    """os.environ without any BLAS thread setting, plus extra."""
+    return {**{k: v for k, v in os.environ.items() if k not in _BLAS_VARS}, **extra}
+
+
+def test_idle_blas_workers_sleep():
+    # OpenBLAS's idle workers spin for 2**28 cycles (about 0.1 s) after a
+    # threaded call unless told otherwise; importing lindnet first lets them
+    # sleep after 2**20
+    import numpy
+
+    if len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2:
+        pytest.skip("one CPU: OpenBLAS starts no second worker")
+    blas = getattr(numpy.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip("NumPy is not built on OpenBLAS")
+    code = ("import time\nimport lindnet\nimport numpy as np\n"
+            "np.linalg.inv(np.random.default_rng(0).standard_normal((400, 400)))\n"
+            "t0 = time.process_time()\ntime.sleep(0.3)\n"
+            "print(time.process_time() - t0)")
+    assert float(_run_python(code, env=_unpinned_env())) < 0.02
+
+
+@pytest.mark.parametrize("first, extra, expected", [
+    ("", {}, "20"),
+    ("", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),  # the user's value wins
+    ("import numpy\n", {}, "None"),  # a host that loaded NumPy first is left alone
+])
+def test_blas_thread_timeout_default(first, extra, expected):
+    code = f"import os\n{first}import lindnet\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _run_python(code, env=_unpinned_env(**extra)) == expected
+
+
+def test_outputs_do_not_depend_on_blas_thread_timeout(tmp_path):
+    # the timeout decides when idle workers sleep, never what they compute:
+    # the default and the OpenBLAS default of 28 write the same bytes
+    sweep = ("sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
+             " at_times: [10.0]}\n")
+    (tmp_path / "pump.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 10.0, num: 11}\n" + sweep,
+        encoding="utf-8")
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 10.0, num: 11}\n", encoding="utf-8")
+    outputs = {}
+    for extra, expected in (({}, "20"), ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28")):
+        code = ("import contextlib, io, os\nfrom lindnet import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    for argv in (['run', 'pump.yaml'], ['run', 'expm.yaml'],"
+                " ['sweep', 'pump.yaml', '--workers', '2'], ['steady', 'pump.yaml']):\n"
+                f"        assert cli.main(argv + ['--output', 'out{expected}']) == 0, argv\n"
+                "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+        assert _run_python(code, cwd=tmp_path, env=_unpinned_env(**extra)) == expected
+        out = tmp_path / f"out{expected}"
+        outputs[expected] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(outputs["20"]) == sorted(
+        f"{stem}.{ext}" for stem in ("pump", "expm", "pump_sweep", "pump_steady")
+        for ext in ("tsv", "meta.json"))
+    assert outputs["20"] == outputs["28"]
