@@ -12,24 +12,25 @@ first finds the basis states that the rows and columns of the initial
 state's support reach in the sparsity pattern of H, every L and every
 L^dag L, and assembles S only on the block of vec(rho) those states span.
 In that block's sparsity graph it finds the entries the initial state can
-reach. Every other entry has zero derivative for all time, so both
-integrators, fixed-step fourth-order Runge-Kutta and the action of the
-matrix exponential (the truncated Taylor action of Al-Mohy and Higham,
-one per output gap), run exactly on that block of S, stored as padded
-rows for its products. Both step through one Horner evaluation of a
-polynomial in the block: the Taylor action a truncated Taylor polynomial
-of the exponential, Runge-Kutta the c-th power of its four-stage step
-T_4(hS), c steps at a time while c h ||S||_1 <= 1, truncated where its
-tail falls below 2**-53 (c = 1 is the classic step). Each jump of the models
-here shifts total occupation by a fixed amount, so the block stays inside
-the occupation-difference sectors the initial state touches, pumped and
-lossy runs included. Observables and invariants are read from the
-reachable entries through index maps built once per run: the diagonal,
-each entry's mirror, the recorded coherences and the connected components
-of the basis states, over which rho is block diagonal. Only
-snapshots are scattered into the full density matrix. The graph searches
-step a frontier with gathers and scatters over the edge arrays, and
-connected components come from min-label propagation.
+reach. Every other entry has zero derivative for all time, so one stepper
+integrates that block exactly, stored as padded rows for its products: it
+advances the block vector by Horner evaluations of polynomials in a
+matrix, which a planner chooses once per distinct gap of the output grid.
+The method picks the planner. Fixed-step fourth-order Runge-Kutta takes
+the c-th power of its four-stage step T_4(hS), c steps at a time while
+c h ||S||_1 <= 1, truncated where its tail falls below 2**-53 (c = 1 is
+the classic step); the action of the matrix exponential takes the
+truncated Taylor steps of Al-Mohy and Higham in A = S - mu I, one action
+per gap. Each jump of the models here shifts total occupation by a fixed
+amount, so the block stays inside the occupation-difference sectors the
+initial state touches, pumped and lossy runs included. Observables and
+invariants are read from the reachable entries through index maps built
+once per run: the diagonal, each entry's mirror, the recorded coherences
+and the connected components of the basis states, over which rho is
+block diagonal. Only snapshots are scattered into the full density
+matrix. The graph searches step a frontier with gathers and scatters over
+the edge arrays, and connected components come from min-label
+propagation.
 
 Steady states split the entries of vec(rho) into the weakly connected
 components of the whole sparsity graph of S and settle each block's null
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -576,8 +577,7 @@ class _Recorder:
         self.positivity_blocks = {"count": int(np.count_nonzero(np.bincount(comp))),
                                   "largest": int(sizes[comp].max())}
 
-    def record(self, k: int, t: float, v: np.ndarray,
-               step: "_RungeKutta | _TaylorAction | None" = None) -> None:
+    def record(self, k: int, t: float, v: np.ndarray, step: _Stepper | None = None) -> None:
         """Write slot k of traj; raise InvariantViolation, with step's note, on a broken bound.
 
         step is None for the initial state, which no step reached. Nothing here
@@ -628,22 +628,20 @@ class _Recorder:
             name, value, bound = "positivity", lam_min, -POSITIVITY_TOL
         else:
             return
-        raise InvariantViolation(name, t, value, bound, note=step.note if step else "")
+        raise InvariantViolation(name, t, value, bound,
+                                 note=step.note.format_map(step.counters) if step else "")
 
-    def finish(self, states: int, step: "_RungeKutta | _TaylorAction") -> Trajectory:
+    def finish(self, states: int, step: _Stepper) -> Trajectory:
         """The trajectory, with the run's invariant extremes and the stepper's work counters."""
         self.traj.metadata = {
             "method": self.config.method,
-            "dt": step.dt,
+            **step.counters,
             "dimension": self.dim,
             "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
             "states": states,
             "nnz": int(self.S.nnz),
-            "rk4_substeps": step.substeps,
-            "rk4_step_norm": step.step_norm,
             # the integrator's, and one per sample for the purity rate
             "matvecs": step.products + self.config.times.size,
-            "expm_actions": step.actions,
             "positivity_blocks": self.positivity_blocks,
             "max_trace_error": float(np.abs(self.traj.trace - 1.0).max()),
             "min_eigenvalue_floor": float(self.traj.min_eigenvalue.min()),
@@ -707,8 +705,52 @@ def _rk4_power(c: int, m: int) -> np.ndarray:
         power = np.convolve(power, power)[:m + 1]
 
 
-class _RungeKutta:
-    """v -> v advanced over a gap by classic fourth-order Runge-Kutta steps.
+# meta.json's stepper counters as a run starts, and as the method that does not count
+# one leaves it: Runge-Kutta's dt, substeps and largest step norm, the expm actions
+_NEUTRAL = {"dt": math.nan, "rk4_substeps": 0, "rk4_step_norm": 0.0, "expm_actions": 0}
+
+# a gap's plan: chunks (multipliers, repeats, eta) for _horner_steps, what each take of
+# the gap adds to the counters, and how many products planning it took
+_Plan = tuple[list[tuple[tuple[float, ...], int, complex]], dict[str, float], int]
+
+
+class _Stepper:
+    """v -> v advanced in place over a gap, by the polynomial steps its planner plans.
+
+    M is S for Runge-Kutta and A = S - mu I for the exponential. planner maps
+    each distinct gap, once, to its _Plan. A take of a gap runs the plan's
+    chunks through _horner_steps and adds its counts to counters, which
+    start from _NEUTRAL; of rk4_step_norm the largest is kept. products
+    counts every product, planning's included. note, formatted with the
+    counters, says what may have made a state break a bound.
+    """
+
+    def __init__(self, M: _Padded, planner: Callable[[float], _Plan], note: str = "",
+                 **counters):
+        self.M = M
+        self.planner = planner
+        self.note = note
+        self.counters = {**_NEUTRAL, **counters}
+        self.products = 0
+        self._plans: dict[float, _Plan] = {}
+
+    def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
+        """v advanced in place by the gap, and returned."""
+        if gap not in self._plans:
+            self._plans[gap] = self.planner(gap)
+            self.products += self._plans[gap][2]
+        chunks, counts, _ = self._plans[gap]
+        for key, value in counts.items():
+            old = self.counters[key]
+            self.counters[key] = max(old, value) if key == "rk4_step_norm" else old + value
+        for a, repeats, eta in chunks:
+            self.products += len(a) * repeats
+            _horner_steps(self.M, v, a, repeats, eta)
+        return v
+
+
+def _rk4_planner(norm: float, dt: float) -> Callable[[float], _Plan]:
+    """Plans of classic fourth-order Runge-Kutta steps, for a block S with ||S||_1 = norm.
 
     A gap is split into the fewest n equal steps h no longer than dt. For
     dv/dt = S v, c steps are exactly the polynomial T_4(hS)^c, so they are
@@ -720,40 +762,20 @@ class _RungeKutta:
     and the cut moves the chunk's result by at most 2**-53 ||v||_1, while
     Horner's rounding stays near m u e^theta ||v||_1. A chunk is taken only
     where m < 4c; otherwise, and always at c = 1, its steps are the classic
-    four-stage ones, T_4(hS) with the multipliers h/k. The chunks are
-    planned once per distinct gap. substeps counts the steps h, products
-    the products with S actually taken, and step_norm the largest h ||S||_1
-    of a step. It bounds h |lambda| for every eigenvalue lambda of S; the
-    steps stay bounded only while each h lambda lies in RK4's stability
-    region, which reaches about 2.8 along the negative real axis, and a
-    step that large is never chunked.
+    four-stage ones, T_4(hS) with the multipliers h/k. A gap counts its n
+    substeps and its step norm h ||S||_1. That bounds h |lambda| for every
+    eigenvalue lambda of S; the steps stay bounded only while each h lambda
+    lies in RK4's stability region, which reaches about 2.8 along the
+    negative real axis, and a step that large is never chunked.
     """
 
-    # the Taylor action's counter, for the stepper-neutral metadata
-    actions = 0
-
-    def __init__(self, S: _Padded, dt: float):
-        self.S = S
-        self.dt = dt
-        self.substeps = 0
-        self.products = 0
-        self.step_norm = 0.0
-        self._plans: dict[float, tuple[int, float, list]] = {}
-
-    @property
-    def note(self) -> str:
-        return (f"the largest RK4 step times ||S||_1, rk4_step_norm, was "
-                f"{self.step_norm:.6g}; a smaller dt may keep the steps stable")
-
-    def _plan(self, gap: float) -> tuple[int, float, list[tuple[tuple[float, ...], int]]]:
-        """Step count n and size h of the gap, and its chunks as (multipliers, repeats)."""
-        dt = self.dt
+    def plan(gap: float) -> _Plan:
         if not gap / dt <= _MAX_STEPS:
             raise ValueError(f"gap {gap!r}: the substep count at dt {dt!r}, "
                              f"{gap / dt:.6g}, is not finite or above 2**53")
         n = max(1, math.ceil(gap / dt))
         h = gap / n
-        x = h * self.S.norm
+        x = h * norm
         c = n if x == 0 else max(1, int(min(n, _CHUNK_THETA // x)))
         while c > 1 and c * x > _CHUNK_THETA:
             c -= 1
@@ -765,154 +787,132 @@ class _RungeKutta:
             m = _tail_degree(size * x) if size > 1 else 4
             if m < 4 * size:
                 coef = _rk4_power(size, m)
-                chunks.append((tuple(h * (coef[1:] / coef[:-1])), repeats))
+                chunks.append((tuple(h * (coef[1:] / coef[:-1])), repeats, 1))
             elif size:
-                chunks.append(((h, h / 2, h / 3, h / 4), size * repeats))
-        return n, h, chunks
+                chunks.append(((h, h / 2, h / 3, h / 4), size * repeats, 1))
+        return chunks, {"rk4_substeps": n, "rk4_step_norm": x}, 0
 
-    def __call__(self, v: np.ndarray, gap: float) -> np.ndarray:
-        """v advanced in place by the gap, and returned."""
-        if gap not in self._plans:
-            self._plans[gap] = self._plan(gap)
-        n, h, chunks = self._plans[gap]
-        self.step_norm = max(self.step_norm, h * self.S.norm)
-        self.substeps += n
-        for a, repeats in chunks:
-            self.products += len(a) * repeats
-            _horner_steps(self.S, v, a, repeats, 1)
-        return v
+    return plan
 
 
-class _TaylorAction:
-    """v -> exp(t S) v for the gaps t of one run, by truncated Taylor series.
+def _shifted(S: _Csr) -> tuple[complex, _Csr]:
+    """mu = trace(S)/n and A = S - mu I: S's entries and -mu on the diagonal, in one _summed."""
+    n = S.indptr.size - 1
+    rows = S.rows
+    # the whole diagonal, zeros included: a pairwise sum rounds by its length
+    diag = np.zeros(n, dtype=complex)
+    on = rows == S.indices
+    diag[rows[on]] = S.data[on]
+    mu = complex(diag.sum()) / n
+    return mu, _summed(np.concatenate([rows * n + S.indices, np.arange(n) * (n + 1)]),
+                       np.concatenate([S.data, np.full(n, -mu)]), n)
+
+
+def _hager(M: _Padded, MH: _Padded, p: int, x: np.ndarray) -> tuple[float, int]:
+    """Hager's estimate of ||M^p||_1 from x, ||x||_1 = 1, and the products it took.
+
+    MH is the adjoint of M. At most five iterations; the first always goes
+    on to the adjoint product, with sign(0) = 1: when every row of M^p sums
+    to zero, M^p x = 0 says nothing about M^p.
+    """
+    n = x.size
+    est, last, products = 0.0, -1, 0
+    for k in range(5):
+        y = x
+        for _ in range(p):
+            y = M @ y
+        products += p
+        size = np.abs(y)
+        total = float(size.sum())
+        if k > 0 and total <= est:
+            break
+        est = total
+        z = np.divide(y, size, out=np.ones(n, dtype=complex), where=size > 0)
+        for _ in range(p):
+            z = MH @ z
+        products += p
+        j = int(np.argmax(np.abs(z)))
+        if j == last or abs(z[j]) <= np.vdot(z, x).real:
+            break
+        last = j
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+    return est, products
+
+
+def _power_norm(M: _Padded, MH: _Padded, p: int) -> tuple[float, int]:
+    """An estimate of ||M^p||_1, a lower bound, and the products it took; MH is M's adjoint.
+
+    The larger of two runs of Hager's estimator, from e/n and from Higham's
+    alternating vector x_i = (-1)^i (1 + i/(n-1)) scaled to unit 1-norm
+    (LAPACK's xLACON). From e/n alone the estimate can stall far below the
+    norm, since e sums each column of M^p and the columns of a closed
+    system's commutator block largely cancel: on a three-level block it
+    read a quarter of ||M^2||_1, and 0 when every row of H has the same
+    sum, so that every row and column of the block sums to zero.
+    """
+    n = M.cols.shape[1]
+    alt = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n) + 0j
+    (a, i), (b, j) = (_hager(M, MH, p, x) for x in (np.full(n, 1.0 / n, dtype=complex),
+                                                    alt / np.abs(alt).sum()))
+    return max(a, b), i + j
+
+
+def _taylor_planner(A: _Csr, M: _Padded, mu: complex) -> Callable[[float], _Plan]:
+    """Plans of exp(t S) v by truncated Taylor series, for S = A + mu I and M = A as _Padded rows.
 
     Algorithm 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33 (2011) 488)
-    on one vector. S is shifted once by mu = trace(S)/n to A = S - mu I, the
-    keyed sum (_summed) of S's entries and -mu on every diagonal entry. A
-    gap t is split into s steps of all m Taylor terms each (_horner_steps
-    with h = t/s and eta = exp(t mu / s)), which keep the backward error
-    below 2**-53 without the paper's early exit. (m, s) come from the
-    paper's fragment 3.1 with m_max = 55, once per distinct gap. Unless
-    ||tA||_1 satisfies condition (3.13), the fragment needs
-    d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; these are estimated once
-    per run by Hager's one-column 1-norm estimator (Higham and Tisseur,
-    SIAM J. Matrix Anal. Appl. 21 (2000) 1185), run from two fixed
-    starting vectors, so that it draws no random numbers. products counts
-    every product with A or its adjoint, m s per gap taken, and actions the
-    gaps taken.
+    on one vector, with mu = trace(S)/n (_shifted). A gap t is one action of
+    s steps of all m Taylor terms each (multipliers h/k with h = t/s, and eta
+    = exp(t mu / s)), which keep the backward error below 2**-53 without
+    the paper's early exit. (m, s) come from the paper's fragment 3.1 with
+    m_max = 55. Unless ||tA||_1 satisfies condition (3.13), the fragment
+    needs d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; the first gap that
+    does estimates them, spending their products, by Hager's one-column
+    1-norm estimator (Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21
+    (2000) 1185) from two fixed starting vectors: it draws no random numbers.
     """
+    d: dict[int, float] = {}
 
-    # the Runge-Kutta stepper's, for the stepper-neutral metadata and errors
-    dt = math.nan
-    substeps = 0
-    step_norm = 0.0
-    note = ""
-
-    def __init__(self, S: _Csr):
-        self.n = n = S.indptr.size - 1
-        rows = S.rows
-        # the whole diagonal, zeros included: a pairwise sum rounds by its length
-        diag = np.zeros(n, dtype=complex)
-        on = rows == S.indices
-        diag[rows[on]] = S.data[on]
-        self.mu = complex(diag.sum()) / n
-        # A = S - mu I: S's entries and -mu on the diagonal, in one keyed sum
-        self.csr = _summed(np.concatenate([rows * n + S.indices, np.arange(n) * (n + 1)]),
-                           np.concatenate([S.data, np.full(n, -self.mu)]), n)
-        self.A = _Padded(self.csr)
-        self.norm = self.A.norm
-        self.products = 0
-        self.actions = 0
-        self._d: dict[int, float] = {}
-        self._steps: dict[float, tuple[int, int]] = {}
-
-    def _power(self, M, x: np.ndarray, p: int) -> np.ndarray:
-        """M^p x, counted as p products."""
-        for _ in range(p):
-            x = M @ x
-        self.products += p
-        return x
-
-    def _power_norm(self, p: int, AH: _Padded) -> float:
-        """An estimate of ||A^p||_1, a lower bound; AH is the adjoint of A.
-
-        The larger of two runs of Hager's estimator, from e/n and from Higham's
-        alternating vector x_i = (-1)^i (1 + i/(n-1)) scaled to unit 1-norm
-        (LAPACK's xLACON). From e/n alone the estimate can stall far below the
-        norm, since e sums each column of A^p and the columns of a closed
-        system's commutator block largely cancel: on a three-level block it
-        read a quarter of ||A^2||_1, and 0 when every row of H has the same
-        sum, so that every row and column of the block sums to zero.
-        """
-        n = self.n
-        alt = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n) + 0j
-        return max(self._hager(p, AH, np.full(n, 1.0 / n, dtype=complex)),
-                   self._hager(p, AH, alt / np.abs(alt).sum()))
-
-    def _hager(self, p: int, AH: _Padded, x: np.ndarray) -> float:
-        """Hager's estimate of ||A^p||_1 from x, ||x||_1 = 1, in at most five iterations.
-
-        The first iteration always goes on to the adjoint product, with
-        sign(0) = 1: when every row of A^p sums to zero, A^p x = 0 says
-        nothing about A^p.
-        """
-        A = self.A
-        n = self.n
-        est, last = 0.0, -1
-        for k in range(5):
-            y = self._power(A, x, p)
-            size = np.abs(y)
-            total = float(size.sum())
-            if k > 0 and total <= est:
-                break
-            est = total
-            z = self._power(AH, np.divide(y, size, out=np.ones(n, dtype=complex),
-                                          where=size > 0), p)
-            j = int(np.argmax(np.abs(z)))
-            if j == last or abs(z[j]) <= np.vdot(z, x).real:
-                break
-            last = j
-            x = np.zeros(n, dtype=complex)
-            x[j] = 1.0
-        return est
-
-    def _parameters(self, t: float) -> tuple[int, int]:
-        """Taylor degree m and step count s for the gap t: the paper's fragment 3.1."""
-        norm = t * self.norm
+    def plan(t: float) -> _Plan:
+        norm = t * M.norm
         if not norm <= _MAX_STEPS:
             raise ValueError(f"gap {t!r}: the 1-norm of the gap times the generator, "
                              f"{norm:.6g}, is not finite or above 2**53; the "
-                             f"generator's own 1-norm, {self.norm:.6g}, is set by "
+                             f"generator's own 1-norm, {M.norm:.6g}, is set by "
                              "its largest rates and energies")
-        if norm == 0.0:
-            return 0, 1
+        spent = 0
         if norm <= _NORM_ONLY:
-            # ties go to the smaller m
-            return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
-                       key=lambda ms: ms[0] * ms[1])
-        if not self._d:
-            AH = _Padded(self.csr.adjoint())
-            self._d = {p: self._power_norm(p, AH) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
-        best = None
-        for p in range(2, _P_MAX + 1):
-            alpha = t * max(self._d[p], self._d[p + 1])
-            for m, theta in _THETA.items():
-                if m >= p * (p - 1) - 1:
-                    s = math.ceil(alpha / theta)
-                    if best is None or m * s < best[0] * best[1]:
-                        best = m, s
-        return best[0], max(best[1], 1)
-
-    def __call__(self, v: np.ndarray, t: float) -> np.ndarray:
-        """exp(t S) v as a new array."""
-        if t not in self._steps:
-            self._steps[t] = self._parameters(t)
-        m, s = self._steps[t]
-        self.actions += 1
-        self.products += m * s
+            pairs = ((m, math.ceil(norm / theta)) for m, theta in _THETA.items())
+        else:
+            if not d:
+                MH = _Padded(A.adjoint())
+                for p in range(2, _P_MAX + 2):
+                    est, products = _power_norm(M, MH, p)
+                    d[p] = est ** (1.0 / p)
+                    spent += products
+            pairs = ((m, math.ceil(t * max(d[p], d[p + 1]) / theta))
+                     for p in range(2, _P_MAX + 1) for m, theta in _THETA.items()
+                     if m >= p * (p - 1) - 1)
+        # the fewest products m s, ties going to the first pair
+        m, s = min(pairs, key=lambda ms: ms[0] * ms[1]) if norm else (0, 1)
+        s = max(s, 1)
         h = t / s
-        return _horner_steps(self.A, v.copy(), [h / j for j in range(1, m + 1)], s,
-                             np.exp(t * self.mu / s))
+        return ([(tuple(h / k for k in range(1, m + 1)), s, np.exp(t * mu / s))],
+                {"expm_actions": 1}, spent)
+
+    return plan
+
+
+def _stepper(method: str, block: _Csr, S: _Padded, dt: float) -> _Stepper:
+    """The stepper of method on the reachable block, S being block as _Padded rows."""
+    if method == "superoperator_expm":
+        mu, A = _shifted(block)
+        M = _Padded(A)
+        return _Stepper(M, _taylor_planner(A, M, mu))
+    return _Stepper(S, _rk4_planner(S.norm, dt), dt=dt,
+                    note="the largest RK4 step times ||S||_1, rk4_step_norm, was "
+                         "{rk4_step_norm:.6g}; a smaller dt may keep the steps stable")
 
 
 def propagate(gen: LindbladGenerator, state: StateLike,
@@ -936,10 +936,9 @@ def propagate(gen: LindbladGenerator, state: StateLike,
     # a state that overflows breaks the audit, which names the failure
     with np.errstate(over="ignore", invalid="ignore"):
         rec.record(0, times[0], v)
-        step = (_TaylorAction(block) if config.method == "superoperator_expm"
-                else _RungeKutta(S, config.dt))
+        step = _stepper(config.method, block, S, config.dt)
         for k in range(1, times.size):
-            v = step(v, float(times[k] - times[k - 1]))
+            step(v, float(times[k] - times[k - 1]))
             rec.record(k, times[k], v, step)
     return rec.finish(T.size, step)
 

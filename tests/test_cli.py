@@ -1026,14 +1026,15 @@ class TestSteady:
         np.testing.assert_allclose(state, sol.state, atol=1e-9)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the zero threshold 1e-10*sqrt(|S|_1 |S|_inf) swallows the three "
-        "singular values of about 0.07 that gamma_in gives, so steady exits 0 with "
-        "multiplicity 4 and residual 0.050"))
-    def test_wide_rate_spread_is_solved_or_refused(self, tmp_path, capsys):
-        # at gamma_out = 1e8 the engine agrees with the closed form; at 1e10 it
-        # must still do so, or exit 1 with an error that names the block
+        "ROADMAP item 2: the zero threshold 1e-10*sqrt(|S|_1 |S|_inf) swallows singular "
+        "values of about 0.07 that gamma_in gives, so steady exits 0 with multiplicity 3 "
+        "(residual 1.6e-14) at gamma_out = 1e9 and multiplicity 4 (residual 0.050) at 1e10"))
+    @pytest.mark.parametrize("gamma_out", [1.0e9, 1.0e10])
+    def test_wide_rate_spread_is_solved_or_refused(self, tmp_path, capsys, gamma_out):
+        # at gamma_out = 1e8 the engine agrees with the closed form; at 1e9 and
+        # 1e10 it must still do so, or exit 1 with an error that names the block
         cfg = write_config(tmp_path / "wide.yaml", {
-            "preset": "two_site_pump", "params": {"gamma_out": 1.0e10}})
+            "preset": "two_site_pump", "params": {"gamma_out": gamma_out}})
         out = tmp_path / "out"
         code = main(["steady", cfg, "--output", str(out)])
         if code == 1:
@@ -1044,7 +1045,7 @@ class TestSteady:
         meta = json.loads((out / "wide_steady.meta.json").read_text())
         assert meta["multiplicity"] == 1
         state = np.array(meta["state_re"]) + 1j * np.array(meta["state_im"])
-        np.testing.assert_allclose(state, oracle.pump_two_site(2.0, 0.2, 1.0e10).state,
+        np.testing.assert_allclose(state, oracle.pump_two_site(2.0, 0.2, gamma_out).state,
                                    atol=1e-9)
 
     def test_network_initial_block_is_checked(self, tmp_path, capsys):

@@ -23,15 +23,19 @@ from lindnet.dynamics import (
     PropagationConfig,
     _closure,
     _Csr,
+    _hager,
     _Padded,
+    _power_norm,
     _reachable_block,
     _reachable_states,
     _Recorder,
     _rk4_power,
-    _RungeKutta,
+    _shifted,
+    _Stepper,
+    _stepper,
     _superoperator_csr,
     _tail_degree,
-    _TaylorAction,
+    _taylor_planner,
     _weak_components,
     propagate,
     steady_states,
@@ -53,6 +57,16 @@ from lindnet.model import (
     preset,
     preset_names,
 )
+
+
+def rk4_stepper(S: _Csr, dt: float) -> _Stepper:
+    """The Runge-Kutta stepper that propagate makes for the block S."""
+    return _stepper("fixed_step_rk4", S, _Padded(S), dt)
+
+
+def taylor_stepper(S: _Csr) -> _Stepper:
+    """The exponential's stepper that propagate makes for the block S."""
+    return _stepper("superoperator_expm", S, _Padded(S), math.nan)
 
 
 def as_scipy(S: _Csr) -> scipy.sparse.csr_matrix:
@@ -429,11 +443,11 @@ class TestPaddedProduct:
         rho0 = run.initial.to_density().matrix
         block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
         S = as_scipy(block)
-        action = _TaylorAction(block)
-        assert action.mu == complex(S.trace()) / R.size
-        A = S - action.mu * scipy.sparse.identity(R.size, dtype=complex, format="csr")
-        assert_same_csr(action.csr, A, zero_signs=False)
-        assert_same_csr(action.csr.adjoint(), A.conj().T.tocsr(), zero_signs=False)
+        mu, shifted = _shifted(block)
+        assert mu == complex(S.trace()) / R.size
+        A = S - mu * scipy.sparse.identity(R.size, dtype=complex, format="csr")
+        assert_same_csr(shifted, A, zero_signs=False)
+        assert_same_csr(shifted.adjoint(), A.conj().T.tocsr(), zero_signs=False)
 
 
 class TestPropagationConfig:
@@ -450,6 +464,20 @@ class TestPropagationConfig:
     def test_enum_fields(self, field, value):
         with pytest.raises(ValueError):
             PropagationConfig(times=np.array([0.0, 1.0]), **{field: value})
+
+
+# Work counters of each preset's default run: RK4 matvecs and rk4_substeps,
+# expm matvecs and expm_actions, and the reachable entries of vec(rho)
+PRESET_WORK = {
+    "two_site_pump": (18001, 40688, 20001, 2000, 6),
+    "three_site_pump": (20001, 40688, 20001, 2000, 20),
+    "open_chain_pump": (24001, 40688, 26001, 2000, 924),
+    "four_site_congestion": (11001, 100552, 11001, 1000, 10),
+    "hop_transfer": (8001, 10392, 8001, 1000, 5),
+    "lh1_ring": (18585, 40216, 10001, 400, 152),
+    "two_site_transfer": (4001, 5296, 4001, 500, 2),
+    "qubit_to_battery": (4001, 5296, 4001, 500, 2),
+}
 
 
 class TestPropagation:
@@ -616,7 +644,7 @@ class TestPropagation:
         dt = data.draw(st.floats(1e-3, 0.2), label="dt")
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = v.copy()
-        step = _RungeKutta(_Padded(as_engine(S)), dt)
+        step = rk4_stepper(as_engine(S), dt)
         for gap in gaps:
             n_sub = max(1, math.ceil(gap / dt))
             assert step(v, gap) is v
@@ -673,10 +701,33 @@ class TestPropagation:
         assert rk["rk4_step_norm"] == pytest.approx(max(
             g / max(1, math.ceil(g / dt)) for g in np.diff(times)) * norm, rel=1e-14)
         assert ex["rk4_step_norm"] == 0.0
-        action = _TaylorAction(block)
-        terms = sum(m * s for m, s in map(action._parameters, np.diff(expm_times)))
-        assert ex["matvecs"] == terms + action.products + expm_times.size
+        mu, A = _shifted(block)
+        plans = list(map(_taylor_planner(A, _Padded(A), mu), np.diff(expm_times)))
+        terms = sum(len(a) * s for chunks, _, _ in plans for a, s, _ in chunks)
+        assert ex["matvecs"] == terms + sum(spent for *_, spent in plans) + expm_times.size
         assert ex["positivity_blocks"] == rk["positivity_blocks"]
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_work_counters_from_plans(self, name):
+        # each preset's default grid planned without stepping: matvecs are the
+        # planned products of every gap taken, the norm estimates' products and
+        # one per sample for the purity rate
+        run = preset(name)
+        gen = LindbladGenerator.from_network(run.spec)
+        rho0 = run.initial.to_density().matrix
+        block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
+        gaps, takes = np.unique(np.diff(run.times), return_counts=True)
+        work = []
+        for method, counter in (("fixed_step_rk4", "rk4_substeps"),
+                                ("superoperator_expm", "expm_actions")):
+            step = _stepper(method, block, _Padded(block), PropagationConfig(times=run.times).dt)
+            plans = [step.planner(float(gap)) for gap in gaps]
+            products = sum(int(n) * len(a) * repeats for n, (chunks, _, _) in zip(takes, plans)
+                           for a, repeats, _ in chunks)
+            spent = sum(plan[2] for plan in plans)
+            work += [products + spent + run.times.size,
+                     sum(int(n) * plan[1][counter] for n, plan in zip(takes, plans))]
+        assert (*work, R.size) == PRESET_WORK[name]
 
     def test_invariant_violation_pickles_with_its_point(self):
         exc = InvariantViolation("trace", 1.5, 2e-3, 1e-9, "params.J=2.0", "try again")
@@ -738,10 +789,10 @@ class TestRungeKuttaChunks:
         x = 10.0 ** data.draw(st.floats(-4.0, math.log10(3.0)), label="log10 x")
         counts = data.draw(st.lists(st.integers(1, min(2000, int(200 / x))),
                                     min_size=1, max_size=3), label="substeps")
-        M = _Padded(as_engine(S))
         # dt a hair above h, so that a gap of n h takes exactly n steps
         h = x
-        step = _RungeKutta(M, h * (1 + 1e-9))
+        step = rk4_stepper(as_engine(S), h * (1 + 1e-9))
+        M = step.M
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         ref = v.copy()
         for n in counts:
@@ -792,11 +843,11 @@ class TestRungeKuttaChunks:
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         gap = 2.0 ** 40
         start = time.perf_counter()
-        step = _RungeKutta(_Padded(as_engine(S)), 1.0)
+        step = rk4_stepper(as_engine(S), 1.0)
         got = step(v.copy(), gap)
         assert time.perf_counter() - start < 0.1
         m = _tail_degree(gap * 1e-13)
-        assert (step.substeps, step.products) == (2 ** 40, m)
+        assert (step.counters["rk4_substeps"], step.products) == (2 ** 40, m)
         assert 0 < m < 16
         want = scipy.linalg.expm(gap * S.toarray()) @ v
         assert_close_relative(got, want, 1e-12)
@@ -847,9 +898,9 @@ class TestTaylorAction:
                                             st.floats(1e-6, 40.0)),
                                   min_size=1, max_size=4), label="gaps")
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        action = _TaylorAction(as_engine(S))
+        action = taylor_stepper(as_engine(S))
         for t in gaps:
-            assert_close_relative(action(v, t), scipy.linalg.expm(t * S.toarray()) @ v,
+            assert_close_relative(action(v.copy(), t), scipy.linalg.expm(t * S.toarray()) @ v,
                                   1e-12)
 
     @pytest.mark.parametrize("name", preset_names())
@@ -861,9 +912,10 @@ class TestTaylorAction:
         block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
         S = as_scipy(block)
         v = rho0.ravel(order="F")[R]
-        action = _TaylorAction(block)
+        action = taylor_stepper(block)
         for t in [*np.unique(np.diff(run.times)), 40.0]:
-            assert_close_relative(action(v, float(t)), expm_multiply(S * float(t), v), 1e-12)
+            assert_close_relative(action(v.copy(), float(t)), expm_multiply(S * float(t), v),
+                                  1e-12)
 
     def test_closed_three_level_block(self):
         # the commutator block of H = -7/8 (|0><2| + |2><0|): from e/n, Hager's
@@ -872,13 +924,13 @@ class TestTaylorAction:
         H = np.zeros((3, 3))
         H[0, 2] = H[2, 0] = -0.875
         S = scipy.sparse.csr_matrix(-1j * (np.kron(np.eye(3), H) - np.kron(H.T, np.eye(3))))
-        action = _TaylorAction(as_engine(S))
+        action = taylor_stepper(as_engine(S))
         AH = _Padded(as_engine(S.conj().T))
-        assert action._hager(2, AH, np.full(9, 1 / 9 + 0j)) == pytest.approx(0.765625)
-        assert action._power_norm(2, AH) == pytest.approx(3.0625)
+        assert _hager(action.M, AH, 2, np.full(9, 1 / 9 + 0j))[0] == pytest.approx(0.765625)
+        assert _power_norm(action.M, AH, 2)[0] == pytest.approx(3.0625)
         v = np.arange(1.0, 10.0) - 4.0j
-        assert_close_relative(action(v, 40.0), scipy.linalg.expm(40.0 * S.toarray()) @ v,
-                              1e-12)
+        assert_close_relative(action(v.copy(), 40.0),
+                              scipy.linalg.expm(40.0 * S.toarray()) @ v, 1e-12)
 
     def test_zero_row_sums_go_on_to_the_adjoint(self):
         # the two nonzero rows are orthogonal to e and to the alternating
@@ -890,14 +942,14 @@ class TestTaylorAction:
         S = scipy.sparse.csr_matrix(A / 8)
         alt = np.linspace(1.0, 2.0, 4) * (-1.0) ** np.arange(4)
         assert not np.any(S @ np.ones(4)) and not np.any(S @ alt)
-        action = _TaylorAction(as_engine(S))
+        action = taylor_stepper(as_engine(S))
         AH = _Padded(as_engine(S.conj().T))
         for p in range(1, 10):
-            assert 0 < action._hager(p, AH, np.full(4, 0.25 + 0j)) <= np.linalg.norm(
+            assert 0 < _hager(action.M, AH, p, np.full(4, 0.25 + 0j))[0] <= np.linalg.norm(
                 np.linalg.matrix_power(A / 8, p), 1)
         v = np.array([1.0, -2.0j, 0.5, 3.0])
-        assert_close_relative(action(v, 40.0), scipy.linalg.expm(40.0 * S.toarray()) @ v,
-                              1e-12)
+        assert_close_relative(action(v.copy(), 40.0),
+                              scipy.linalg.expm(40.0 * S.toarray()) @ v, 1e-12)
 
     def test_closed_congestion_preset_oscillates(self):
         # four_site_congestion with both transfer rates 0 is the closed dimer
@@ -916,10 +968,10 @@ class TestTaylorAction:
         # A^2 = 0 while ||tA||_1 = 100: the power norms, not ||A||_1, decide,
         # and one Taylor term is exact
         S = scipy.sparse.csr_matrix(([50.0 + 0j], ([0], [1])), shape=(3, 3))
-        action = _TaylorAction(as_engine(S))
-        assert action._parameters(2.0) == (1, 1)
+        action = taylor_stepper(as_engine(S))
+        assert [(len(a), s) for a, s, _ in action.planner(2.0)[0]] == [(1, 1)]
         v = np.array([0.5, 1.0 - 2.0j, 3.0])
-        np.testing.assert_array_equal(action(v, 2.0), v + 2.0 * (S @ v))
+        np.testing.assert_array_equal(action(v.copy(), 2.0), v + 2.0 * (S @ v))
 
 
 class TestSectorFilter:
@@ -1121,7 +1173,7 @@ class TestSectorFilter:
         assert rec.traj.trace[0] == pytest.approx(1.0)
         assert np.isnan(rec.traj.min_eigenvalue[0])
         with pytest.raises(InvariantViolation, match=r"bound 1\.000e-09; the largest RK4 step"):
-            rec.record(0, 0.0, v, _RungeKutta(_Padded(S), 0.1))
+            rec.record(0, 0.0, v, rk4_stepper(S, 0.1))
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
