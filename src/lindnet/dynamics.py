@@ -1,16 +1,17 @@
 """Time evolution and steady states of Lindblad generators.
 
-The generator acts as the column-stacked sparse superoperator S,
-assembled in NumPy as canonical CSR arrays: each Kronecker term from the
-nonzeros of its two factors among H, the jump operators L and the
-products L^dag L, and the entries of all terms added up by their position
-in one keyed sum. No module here imports SciPy: the products with S are
-the engine's own, on S stored as padded rows.
+The generator acts as the column-stacked sparse superoperator
+S = -i I (x) K + i conj(K) (x) I + sum conj(L) (x) L over the jumps L, with
+the effective Hamiltonian K = H - (i/2) sum L^dag L, assembled in NumPy as
+canonical CSR arrays: each Kronecker term from the nonzeros of its two
+factors, and the entries of all terms added up by their position in one
+keyed sum. No module here imports SciPy: the products with S are the
+engine's own, on S stored as padded rows.
 
 Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
-state's support reach in the sparsity pattern of H, every L and every
-L^dag L, and assembles S only on the block of vec(rho) those states span.
+state's support reach in the sparsity pattern of K and every L, and
+assembles S only on the block of vec(rho) those states span.
 In that block's sparsity graph it finds the entries the initial state can
 reach. Every other entry has zero derivative for all time, so one stepper
 integrates that block exactly, stored as padded rows for its products: it
@@ -152,8 +153,11 @@ class LindbladGenerator:
         if not np.isfinite(H).all():
             raise ValueError("hamiltonian has an entry that is not finite")
         scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-        if not float(np.abs(H - H.conj().T).max()) <= HERMITICITY_TOL * scale:
+        skew = float(np.abs(H - H.conj().T).max())
+        if not skew <= HERMITICITY_TOL * scale:
             raise ValueError("hamiltonian is not hermitian")
+        if skew:  # only an exactly hermitian H keeps the trace; halve first, no overflow
+            H = 0.5 * H + 0.5 * H.conj().T
         jumps = tuple(np.asarray(L, dtype=complex) for L in self.jump_operators)
         for k, L in enumerate(jumps):
             if L.shape != H.shape:
@@ -179,10 +183,13 @@ class LindbladGenerator:
         return self.hamiltonian.shape[0]
 
     @cached_property
-    def _dissipator_products(self) -> tuple[np.ndarray, ...]:
+    def _effective_hamiltonian(self) -> np.ndarray:
+        K = self.hamiltonian.copy()
         # an overflow is reported by the assembly's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(L.conj().T @ L for L in self.jump_operators)
+            for L in self.jump_operators:
+                K -= 0.5j * (L.conj().T @ L)
+        return K
 
 
 class _Csr(NamedTuple):
@@ -273,45 +280,40 @@ def _kron(a, b, d: int, scale: complex) -> tuple[np.ndarray, np.ndarray]:
 def _superoperator_csr(gen: LindbladGenerator, states: np.ndarray | None = None) -> _Csr:
     """Column-stacked superoperator: d vec(rho)/dt = S vec(rho).
 
-    S = -i I (x) H + i H^T (x) I plus, per jump, conj(L) (x) L - I (x) L^dag L / 2
-    - (L^dag L)^T (x) I / 2. Each Kronecker term is built from the nonzeros
-    of its two factors, and the entries of all terms, in that order, go
-    through one keyed sum (_summed), exact zeros dropped. With a sorted
-    array of basis states T, only the block on the entries rho[T[p], T[q]],
-    indexed p + len(T) * q, is assembled from H, every L and every L^dag L
-    cut to T x T. When S maps that block into itself, each of its entries
-    sums the same values in the same order as the full assembly's, so the
-    two agree bit for bit. Raises ValueError, before any term is formed, when
-    the terms' entries would take more than the dense budget to assemble, and
-    after, when an entry of S is not finite.
+    S = -i I (x) K + i conj(K) (x) I + sum over jumps of conj(L) (x) L, with
+    the effective Hamiltonian K = H - (i/2) sum L^dag L. Each Kronecker term
+    is built from the nonzeros of its two factors, and the entries of all
+    terms, in that order, go through one keyed sum (_summed), exact zeros
+    dropped. With a sorted array of basis states T, only the block on the
+    entries rho[T[p], T[q]], indexed p + len(T) * q, is assembled from K and
+    every L cut to T x T. When S maps that block into itself, each of its
+    entries sums the same values in the same order as the full assembly's,
+    so the two agree bit for bit. Raises ValueError, before any term is
+    formed, when the terms' entries would take more than the dense budget to
+    assemble, and after, when an entry of S is not finite.
     """
-    H = gen.hamiltonian
+    K = gen._effective_hamiltonian
     jumps = gen.jump_operators
-    products = gen._dissipator_products
     if states is not None:
         cut = np.ix_(states, states)
-        H = H[cut]
+        K = K[cut]
         jumps = [L[cut] for L in jumps]
-        products = [LdL[cut] for LdL in products]
-    D = H.shape[0]
+    D = K.shape[0]
     eye = (np.arange(D), np.arange(D), np.ones(D, dtype=complex))
-    rows, cols, vals = _nonzeros(H)
-    factors = [(eye, (rows, cols, vals), -1j), ((cols, rows, vals), eye, 1j)]
-    for L, LdL in zip(jumps, products):
+    factors = [(eye, _nonzeros(K), -1j), (_nonzeros(K.conj()), eye, 1j)]
+    for L in jumps:
         # conj(L) (x) L from real products: NumPy may round a complex product
         # differently on its vector and scalar loops, so a complex kron of the
         # cut could differ in the last bit from the whole space's
         Lr, Li = _nonzeros(L.real), _nonzeros(L.imag)
-        rows, cols, vals = _nonzeros(LdL)
-        factors += [(Lr, Lr, 1.0), (Li, Li, 1.0), (Lr, Li, 1j), (Li, Lr, -1j),
-                    (eye, (rows, cols, vals), -0.5), ((cols, rows, vals), eye, -0.5)]
-    # the assembly peaks at about 96 bytes per term entry: 95.6 to 95.9, measured
-    # with tracemalloc on open_chain_pump at N = 7 to 10
+        factors += [(Lr, Lr, 1.0), (Li, Li, 1.0), (Lr, Li, 1j), (Li, Lr, -1j)]
+    # the assembly peaks at about 97 bytes per term entry: 96.2 to 96.3 measured with
+    # tracemalloc on open_chain_pump at N = 7 to 10, 94.4 to 95.7 on lh1_ring N = 6
     count = sum(a[0].size * b[0].size for a, b, _ in factors)
-    if 96 * count > model.DENSE_OPERATOR_BUDGET:
+    if 97 * count > model.DENSE_OPERATOR_BUDGET:
         raise ValueError(
             f"the Kronecker terms of the superoperator have {count} entries; assembling "
-            f"them would take about {96 * count} bytes, above the budget of "
+            f"them would take about {97 * count} bytes, above the budget of "
             f"{model.DENSE_OPERATOR_BUDGET} bytes")
     terms = [_kron(a, b, D, scale) for a, b, scale in factors]
     S = _summed(np.concatenate([keys for keys, _ in terms]),
@@ -460,15 +462,13 @@ def _grouped(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Sorted basis states T that the rows and columns of rho's support reach.
 
-    S sends rho[k, l] to rows i with H, L or L^dag L nonzero at [i, k] and
-    to columns j with L nonzero at [j, l] or H, L^dag L nonzero at [l, j],
-    so S maps the block T x T of vec(rho) into itself.
+    S = -i I (x) K + i conj(K) (x) I + sum conj(L) (x) L sends rho[k, l] to
+    rows i with K or L nonzero at [i, k] and to columns j with K or L nonzero
+    at [j, l], so S maps the block T x T of vec(rho) into itself. T is closed
+    under K's pattern made symmetric, the pattern of H and every L^dag L.
     """
-    # H and L^dag L act on column kets through their transposes
-    sym = gen.hamiltonian != 0
-    for LdL in gen._dissipator_products:
-        sym |= LdL != 0
-    pattern = sym | sym.T
+    pattern = gen._effective_hamiltonian != 0
+    pattern |= pattern.T
     for L in gen.jump_operators:
         pattern |= L != 0
     support = rho != 0

@@ -55,9 +55,9 @@ HBAR_MEV_PS = 0.6582119
 # number is the documented choice.
 NOISE_PHASE_CONSTANT = math.e
 
-# Bytes that the dense operators of a network may take: 16 D**2 each for H,
-# every L and every L^dag L. lh1_ring with N = 8 (D = 3072, five operators)
-# takes 755 MB of it.
+# Bytes the dense operators of a network may take: 16 D**2 each for H, every L and
+# every L^dag L, the products in K = H - (i/2) sum L^dag L of S = -i I (x) K + i
+# conj(K) (x) I + sum conj(L) (x) L. lh1_ring N = 8 (D = 3072, five operators) takes 755 MB.
 DENSE_OPERATOR_BUDGET = 2 * 1024**3
 
 

@@ -1028,7 +1028,7 @@ class TestSteady:
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 2: the zero threshold 1e-10*sqrt(|S|_1 |S|_inf) swallows singular "
         "values of about 0.07 that gamma_in gives, so steady exits 0 with multiplicity 3 "
-        "(residual 1.6e-14) at gamma_out = 1e9 and multiplicity 4 (residual 0.050) at 1e10"))
+        "(residual 3.6e-15) at gamma_out = 1e9 and multiplicity 4 (residual 0.050) at 1e10"))
     @pytest.mark.parametrize("gamma_out", [1.0e9, 1.0e10])
     def test_wide_rate_spread_is_solved_or_refused(self, tmp_path, capsys, gamma_out):
         # at gamma_out = 1e8 the engine agrees with the closed form; at 1e9 and

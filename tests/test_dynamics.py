@@ -86,28 +86,27 @@ def scipy_superoperator(gen: LindbladGenerator,
                         states: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
     """The plain sum, by SciPy, of the superoperator's Kronecker terms, taken
     in the order _superoperator_csr sums them."""
-    H = gen.hamiltonian
+    # K = H - (i/2) sum L^dag L, each product subtracted in turn
+    K = gen.hamiltonian.copy()
+    for L in gen.jump_operators:
+        K -= 0.5j * (L.conj().T @ L)
     jumps = gen.jump_operators
-    products = [L.conj().T @ L for L in jumps]
     if states is not None:
         cut = np.ix_(states, states)
-        H = H[cut]
+        K = K[cut]
         jumps = [L[cut] for L in jumps]
-        products = [LdL[cut] for LdL in products]
-    D = H.shape[0]
+    D = K.shape[0]
     eye = scipy.sparse.identity(D, dtype=complex, format="csr")
 
     def kron(a, b):
         return scipy.sparse.kron(a, b, format="csr")
 
-    Hs = scipy.sparse.csr_matrix(H)
-    terms = [-1j * kron(eye, Hs), 1j * kron(Hs.T, eye)]
-    for L, LdL in zip(jumps, products):
+    Ks = scipy.sparse.csr_matrix(K)
+    terms = [-1j * kron(eye, Ks), 1j * kron(Ks.conj(), eye)]
+    for L in jumps:
         Lr = scipy.sparse.csr_matrix(L.real)
         Li = scipy.sparse.csr_matrix(L.imag)
-        LdL = scipy.sparse.csr_matrix(LdL)
-        terms += [kron(Lr, Lr), kron(Li, Li), 1j * kron(Lr, Li), -1j * kron(Li, Lr),
-                  -0.5 * kron(eye, LdL), -0.5 * kron(LdL.T, eye)]
+        terms += [kron(Lr, Lr), kron(Li, Li), 1j * kron(Lr, Li), -1j * kron(Li, Lr)]
     return sum(terms[1:], terms[0]).tocsr()
 
 
@@ -126,6 +125,25 @@ def assert_same_csr(S: _Csr, ref: scipy.sparse.csr_matrix, zero_signs: bool = Tr
     assert same_bits.all()
     assert np.array_equal(S.indices, ref.indices)
     assert np.array_equal(S.indptr, ref.indptr)
+
+
+def assert_canonical_form(gen: LindbladGenerator) -> None:
+    """S maps rho^dag to (S rho)^dag bit for bit, and keeps the trace to rounding.
+
+    The entry p = k + D l of vec(rho) has its mirror m(p) = l + D k in
+    vec(rho^dag), so S[m(p), m(q)] must equal conj(S[p, q]) exactly; and
+    vec(I)^T S must vanish to 1e-15 of the largest entry of S.
+    """
+    D = gen.dimension
+    S = as_scipy(_superoperator_csr(gen)).tocoo()
+    rows, cols = S.row.astype(np.int64), S.col.astype(np.int64)
+    keys = rows * D * D + cols
+    mirrored = (rows // D + D * (rows % D)) * D * D + cols // D + D * (cols % D)
+    order, mirror_order = np.argsort(keys), np.argsort(mirrored)
+    assert np.array_equal(keys[order], mirrored[mirror_order])
+    assert np.array_equal(S.data[mirror_order], S.data[order].conj())
+    left = np.asarray(S.tocsr()[np.arange(D) * (D + 1)].sum(axis=0)).ravel()
+    assert np.abs(left).max() <= 1e-15 * np.abs(S.data).max()
 
 
 def random_generator(seed: int, dim: int, n_jumps: int) -> LindbladGenerator:
@@ -284,6 +302,14 @@ class TestLindbladGenerator:
                 with pytest.raises(ValueError, match="^the rates overflow the superoperator"):
                     solve(LindbladGenerator(np.zeros((2, 2)), (L,)))
 
+    def test_skew_within_tolerance_is_dropped_exactly(self):
+        # a hermitian H keeps its bits; a skewed one keeps 0.5 H + 0.5 H^dag
+        H = np.array([[1.0, 2.0], [2.0, -1.0 + 1e-13j]])
+        assert np.array_equal(LindbladGenerator(H.real).hamiltonian, H.real)
+        stored = LindbladGenerator(H).hamiltonian
+        assert np.array_equal(stored, stored.conj().T)
+        assert np.array_equal(stored, H.real)
+
     def test_jump_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             LindbladGenerator(np.eye(2), (np.zeros((3, 3)),))
@@ -339,8 +365,8 @@ class TestLindbladGenerator:
         assert shapes == []
 
     def test_assembly_refused_above_the_dense_budget(self, monkeypatch, tmp_path, capsys):
-        # the N = 6 chain's dense operators take 327,680 bytes, but its 30,720
-        # Kronecker term entries would take 96 bytes each to assemble
+        # the N = 6 chain's dense operators take 327,680 bytes, but its 28,672
+        # Kronecker term entries would take 97 bytes each to assemble
         run = preset("open_chain_pump", N=6)
         monkeypatch.setattr("lindnet.model.DENSE_OPERATOR_BUDGET", 2_000_000)
         gen = LindbladGenerator.from_network(run.spec)
@@ -349,8 +375,8 @@ class TestLindbladGenerator:
             raise AssertionError("a Kronecker term was formed")
 
         monkeypatch.setattr("lindnet.dynamics._kron", no_kron)
-        refusal = ("the Kronecker terms of the superoperator have 30720 entries; "
-                   "assembling them would take about 2949120 bytes, above the budget "
+        refusal = ("the Kronecker terms of the superoperator have 28672 entries; "
+                   "assembling them would take about 2781184 bytes, above the budget "
                    "of 2000000 bytes")
         with pytest.raises(ValueError, match=f"^{refusal}$"):
             steady_states(gen)
@@ -385,6 +411,24 @@ class TestSuperoperator:
         # vec(identity) is a left null vector of any Lindblad superoperator
         left = np.eye(4).ravel(order="F")
         assert np.abs(left @ S).max() < 1e-12
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_canonical_form_on_presets(self, name):
+        assert_canonical_form(LindbladGenerator.from_network(preset(name).spec))
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), n_jumps=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_form_on_skewed_hamiltonians(self, seed, dim, n_jumps):
+        # H skewed by 5e-13 of its largest entry, within HERMITICITY_TOL; real
+        # sparse jumps, so each conj(L) (x) L entry is a plain real sum
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        H = A + A.conj().T
+        E = rng.uniform(-0.35, 0.35, (dim, dim)) + 1j * rng.uniform(-0.35, 0.35, (dim, dim))
+        H = H + 5e-13 * np.abs(H).max() * E
+        jumps = tuple(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.5)
+                      for _ in range(n_jumps))
+        assert_canonical_form(LindbladGenerator(H, jumps))
 
     @pytest.mark.parametrize("name", preset_names())
     def test_matches_scipy_assembly_on_presets(self, name):
