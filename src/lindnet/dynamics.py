@@ -12,26 +12,27 @@ Propagation has one path, whatever the method or the recorded output. It
 first finds the basis states that the rows and columns of the initial
 state's support reach in the sparsity pattern of K and every L, and
 assembles S only on the block of vec(rho) those states span.
-In that block's sparsity graph it finds the entries the initial state can
-reach. Every other entry has zero derivative for all time, so one stepper
-integrates that block exactly, stored as padded rows for its products: it
-advances the block vector by Horner evaluations of polynomials in a
+In that block's sparsity graph it finds the entries R the initial state
+and its transpose can reach, a set closed under mirrors (k, l) -> (l, k).
+Every other entry has zero derivative for all time. S keeps rho
+hermitian, so one stepper integrates only the half U of R with k <= l,
+exactly: each product takes S's rows U, as padded rows, over v_U and its
+conjugate. It advances v_U by Horner evaluations of polynomials in a
 matrix, which a planner chooses once per distinct gap of the output grid.
 The method picks the planner. Fixed-step fourth-order Runge-Kutta takes
 the c-th power of its four-stage step T_4(hS), c steps at a time while
 c h ||S||_1 <= 1, truncated where its tail falls below 2**-53 (c = 1 is
 the classic step); the action of the matrix exponential takes the
-truncated Taylor steps of Al-Mohy and Higham in A = S - mu I, one action
-per gap. Each jump of the models here shifts total occupation by a fixed
-amount, so the block stays inside the occupation-difference sectors the
-initial state touches, pumped and lossy runs included. Observables and
-invariants are read from the reachable entries through index maps built
-once per run: the diagonal, each entry's mirror, the recorded coherences
-and the connected components of the basis states, over which rho is
-block diagonal. Only snapshots are scattered into the full density
-matrix. The graph searches step a frontier with gathers and scatters over
-the edge arrays, and connected components come from min-label
-propagation.
+truncated Taylor steps of Al-Mohy and Higham in A = S - mu I, mu real,
+one action per gap. Each jump of the models here shifts total occupation
+by a fixed amount, so the block stays inside the occupation-difference
+sectors the initial state touches, pumped and lossy runs included.
+Observables and invariants are read from v_U through index maps built
+once per run: the diagonal, the recorded coherences and the connected
+components of the basis states, over which rho is block diagonal. Only
+snapshots are scattered into the full density matrix. The graph searches
+step a frontier with gathers and scatters over the edge arrays, and
+connected components come from min-label propagation.
 
 Steady states split the entries of vec(rho) into the weakly connected
 components of the whole sparsity graph of S and settle each block's null
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -193,7 +194,7 @@ class LindbladGenerator:
 
 
 class _Csr(NamedTuple):
-    """A square sparse matrix as CSR arrays.
+    """A sparse matrix as CSR arrays, square but for the rows of a _Half.
 
     _superoperator_csr builds them canonical: sorted column indices, no
     stored zeros. _Padded stores one as padded rows for its products.
@@ -207,6 +208,11 @@ class _Csr(NamedTuple):
     def rows(self) -> np.ndarray:
         """Row index of each stored entry."""
         return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+    @property
+    def norm(self) -> float:
+        """||S||_1, the largest column sum of absolute values."""
+        return float(np.bincount(self.indices, np.abs(self.data), self.indptr.size - 1).max())
 
     def adjoint(self) -> "_Csr":
         """The conjugate transpose, canonical when this matrix is."""
@@ -231,24 +237,21 @@ def _summed(keys: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
 
 
 class _Padded:
-    """A square sparse matrix as K padded rows, K its longest row, for products.
+    """Sparse rows as K padded rows, K the longest row, for products.
 
     Slot k of row i holds the row's k-th stored entry, in column order: its
     column in cols[k, i] and its value in vals[k, i]. A shorter row is padded
-    with slots that hold 0 and point at the row itself, an index always in
-    range whatever the row's entries. S @ x sums each row
+    with slots that hold 0 and point at the row's own index, always in range
+    of the vectors it multiplies. S @ x sums each row
     over its slots in order, starting from 0, as SciPy's CSR kernel does, so
     real products agree with it bit for bit. A complex product may differ
     in the last bit where NumPy's vector loop fuses a multiply and an add.
     """
 
     def __init__(self, S: _Csr):
-        self.nnz = S.data.size
         n = S.indptr.size - 1
-        # the largest column sum of absolute values
-        self.norm = float(np.bincount(S.indices, np.abs(S.data), n).max())
         rows = S.rows
-        slot = np.arange(self.nnz) - S.indptr[rows]
+        slot = np.arange(S.data.size) - S.indptr[rows]
         width = int(np.diff(S.indptr).max(initial=0))
         self.cols = np.tile(np.arange(n), (width, 1))
         self.cols[slot, rows] = S.indices
@@ -257,6 +260,27 @@ class _Padded:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.add.reduce(x[self.cols] * self.vals, axis=0, initial=0)
+
+
+class _Half(_Padded):
+    """The rows U of a block M on the sorted entries R of vec(rho), rho being D x D.
+
+    U holds R's entries (k, l) with k <= l, and R their mirrors (l, k). When
+    M keeps rho hermitian, M @ v_U is one product over [v_U, conj(v_U)], in
+    which a column outside U points at its mirror's conjugate. The product is
+    real-linear; on exactly hermitian rho each row sums the terms of M's
+    _Padded row, in the same order.
+    """
+
+    def __init__(self, M: _Csr, R: np.ndarray, D: int):
+        upper = R % D <= R // D
+        rank = np.cumsum(upper) - 1
+        mirror = _positions(R, R // D + D * (R % D))
+        slot = np.where(upper, rank, np.count_nonzero(upper) + rank[mirror])
+        super().__init__(_cut(M, np.where(upper, rank, -1), slot))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return super().__matmul__(np.concatenate([v, v.conj()]))
 
 
 def _nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -476,14 +500,15 @@ def _reachable_states(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_closure(src, dst, support.any(axis=0) | support.any(axis=1)))
 
 
-def _cut(S: _Csr, sub: np.ndarray) -> _Csr:
-    """S restricted to the rows and columns of the sorted entries sub."""
-    pos = np.full(S.indptr.size - 1, -1)
-    pos[sub] = np.arange(sub.size)
-    rows, cols = pos[S.rows], pos[S.indices]
-    keep = (rows >= 0) & (cols >= 0)
-    return _Csr(S.data[keep], cols[keep],
-                np.searchsorted(rows[keep], np.arange(sub.size + 1)))
+def _cut(S: _Csr, rows: np.ndarray, cols: np.ndarray) -> _Csr:
+    """S's entries in the kept rows and columns, each renumbered to its position.
+
+    rows[i] and cols[j] are the positions of row i and column j, -1 where
+    dropped; the rows kept keep their order.
+    """
+    r, c = rows[S.rows], cols[S.indices]
+    keep = (r >= 0) & (c >= 0)
+    return _Csr(S.data[keep], c[keep], np.searchsorted(r[keep], np.arange(rows.max() + 2)))
 
 
 def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
@@ -492,14 +517,21 @@ def _reachable_block(gen: LindbladGenerator, rho: np.ndarray,
 
     T is _reachable_states(gen, rho); R is found, and S cut to it, from the
     assembly of the block T x T alone. Every entry outside R has zero
-    derivative for all time, so propagating R alone is exact.
+    derivative for all time, so propagating R alone is exact. Searched from
+    rho and its transpose, R holds the mirror (l, k) of each entry (k, l).
     """
     D = gen.dimension
+    n = T.size
     S = _superoperator_csr(gen, T)
+    start = rho[np.ix_(T, T)] != 0
     # S is canonical: its stored entries are its nonzeros, entry j feeding
-    # entry i through S[i, j]
-    sub = np.flatnonzero(_closure(S.indices, S.rows, rho[np.ix_(T, T)].ravel(order="F") != 0))
-    return _cut(S, sub), T[sub % T.size] + D * T[sub // T.size]
+    # entry i through S[i, j]. S maps rho^dag to (S rho)^dag; the mirrors keep
+    # R closed, as _Half needs, should rounding zero one entry of a pair of S
+    reached = _closure(S.indices, S.rows, (start | start.T).ravel(order="F"))
+    sub = np.flatnonzero(reached | reached.reshape(n, n).T.ravel())
+    pos = np.full(n * n, -1)
+    pos[sub] = np.arange(sub.size)
+    return _cut(S, pos, pos), T[sub % n] + D * T[sub // n]
 
 
 def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -511,35 +543,30 @@ def _positions(R: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 class _Recorder:
-    """Fills the Trajectory traj while the reachable block of vec(rho) marches forward.
+    """Fills the Trajectory traj while the half vector v_U of vec(rho) marches forward.
 
-    S is the superoperator restricted to the sorted vec(rho) entries R, as
-    _Padded rows. Every observable and invariant is written into traj from
-    the block vector through index maps built here once: the positions of
-    the diagonal entries, the position of each entry's mirror (l, k), the
-    position of each recorded coherence, and the connected components of
-    the basis states. Only snapshots are scattered into the full matrix.
+    U holds the sorted reachable entries (k, l) with k <= l, and rho[l, k] is
+    conj(rho[k, l]); S is the superoperator's _Half rows on U. Every
+    observable and invariant is written into traj from v_U through index
+    maps built here once: the positions of the diagonal entries and of each
+    recorded coherence, and the connected components of the basis states.
+    Only snapshots are scattered into the full matrix.
     """
 
-    def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S: _Padded,
-                 R: np.ndarray):
+    def __init__(self, gen: LindbladGenerator, config: PropagationConfig, S: _Half,
+                 U: np.ndarray):
         self.config = config
         self.S = S
-        self.R = R
         self.dim = dim = gen.dimension
-        rows, cols = R % dim, R // dim
+        self.rows, self.cols = rows, cols = U % dim, U // dim
         diag = np.flatnonzero(rows == cols)
         self.diag_pos, self.diag_state = diag, rows[diag]
-        # position in R of each entry's mirror, and of each coherence; -1
-        # points at the zero that pads the copy of the block vector
-        self.mirror = _positions(R, cols + dim * rows)
-        self.padded = np.zeros(R.size + 1, dtype=complex)
+        # an entry off the diagonal stands for itself and its mirror in sums over R
+        self.weight = np.where(rows == cols, 1.0, 2.0)
         self._components(rows, cols)
         basis = gen.basis
         # without a basis, a (D, 0) table: no sites, and an empty population row
         self.occ = np.zeros((dim, 0)) if basis is None else basis.occupation_table
-        self.coherence_pos = _positions(
-            R, np.array([i + dim * j for i, j in config.coherences], dtype=np.int64))
         n = config.times.size
         self.traj = Trajectory(
             times=config.times.copy(),
@@ -549,15 +576,20 @@ class _Recorder:
             hermiticity_defect=np.zeros(n),
             coherences={pair: np.zeros(n, dtype=complex) for pair in config.coherences},
             snapshots=[])
+        # each coherence in R, read from (min, max) and conjugated below the diagonal
+        pairs = self.traj.coherences
+        pos = _positions(U, np.array([min(p) + dim * max(p) for p in pairs], dtype=np.int64))
+        self.coherence_reads = [(series, q, i > j)
+                                for ((i, j), series), q in zip(pairs.items(), pos) if q >= 0]
 
     def _components(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Index maps for lambda_min: rho is block diagonal over the components.
 
         The graph on all D basis states has an edge k - l for each entry
-        (k, l) of R; rho[k, l] = 0 between components, and a state that no
+        (k, l) of U; rho[k, l] = 0 between components, and a state that no
         entry touches is a 1 x 1 zero block, whose eigenvalue is 0.
         Components of equal size m are stacked into one (count, m, m) array,
-        so each size costs one batched eigvalsh.
+        so each size costs one batched eigvalsh of the upper triangle U fills.
         """
         dim = self.dim
         _, label = _weak_components(dim, rows, cols)
@@ -577,35 +609,36 @@ class _Recorder:
         self.positivity_blocks = {"count": int(np.count_nonzero(np.bincount(comp))),
                                   "largest": int(sizes[comp].max())}
 
-    def record(self, k: int, t: float, v: np.ndarray, step: _Stepper | None = None) -> None:
+    def record(self, k: int, t: float, v: np.ndarray, step: _Stepper | None = None,
+               defect: float | None = None) -> None:
         """Write slot k of traj; raise InvariantViolation, with step's note, on a broken bound.
 
-        step is None for the initial state, which no step reached. Nothing here
+        step is None for the initial state, which no step reached. The
+        hermiticity defect is 2 max |Im rho[k, k]|, unless given. Nothing here
         keeps a reference to v, which the integrator updates in place.
         """
         cfg = self.config
         traj = self.traj
         dim = self.dim
-        padded = self.padded
-        padded[:-1] = v
-        defect = float(np.abs(padded[:-1] - padded[self.mirror].conj()).max())
+        d = v[self.diag_pos]
+        if defect is None:
+            defect = 2.0 * float(np.abs(d.imag).max(initial=0.0))
         traj.hermiticity_defect[k] = defect
         # the diagonal scattered into a length-D vector sums as rho.trace() does
         diag = np.zeros(dim, dtype=complex)
-        diag[self.diag_state] = v[self.diag_pos]
+        diag[self.diag_state] = d
         tr = diag.sum()
         traj.trace[k] = tr.real
         traj.populations[k] = diag.real @ self.occ
-        traj.purity[k] = float(np.vdot(v, v).real)
-        traj.purity_rate[k] = 2.0 * float(np.vdot(v, self.S @ v).real)
+        weighted = self.weight * v
+        traj.purity[k] = float(np.vdot(weighted, v).real)
+        traj.purity_rate[k] = 2.0 * float(np.vdot(weighted, self.S @ v).real)
         lam_min = math.inf
         for count, m, pos, dest in self.blocks:
             block = np.zeros(count * m * m, dtype=complex)
             block[dest] = v[pos]
-            block = block.reshape(count, m, m)
             try:
-                low = float(np.linalg.eigvalsh(
-                    0.5 * (block + block.conj().transpose(0, 2, 1))).min())
+                low = float(np.linalg.eigvalsh(block.reshape(count, m, m), UPLO="U").min())
             except np.linalg.LinAlgError:
                 # no convergence on a non-finite block
                 low = math.nan
@@ -613,12 +646,13 @@ class _Recorder:
             if low < lam_min or math.isnan(low):
                 lam_min = low
         traj.min_eigenvalue[k] = lam_min
-        for series, pos in zip(traj.coherences.values(), self.coherence_pos):
-            series[k] = padded[pos]
+        for series, pos, mirrored in self.coherence_reads:
+            series[k] = v[pos].conjugate() if mirrored else v[pos]
         if cfg.snapshots == "all" or (cfg.snapshots == "last" and k == cfg.times.size - 1):
-            full = np.zeros(dim * dim, dtype=complex)
-            full[self.R] = v
-            traj.snapshots.append(full.reshape(dim, dim, order="F"))
+            full = np.zeros((dim, dim), dtype=complex)
+            full[self.cols, self.rows] = v.conj()
+            full[self.rows, self.cols] = v
+            traj.snapshots.append(full)
         # each bound is written so that NaN breaks it
         if not abs(tr - 1.0) <= TRACE_TOL:
             name, value, bound = "trace", float(abs(tr - 1.0)), TRACE_TOL
@@ -631,15 +665,16 @@ class _Recorder:
         raise InvariantViolation(name, t, value, bound,
                                  note=step.note.format_map(step.counters) if step else "")
 
-    def finish(self, states: int, step: _Stepper) -> Trajectory:
-        """The trajectory, with the run's invariant extremes and the stepper's work counters."""
+    def finish(self, step: _Stepper, states: int, entries: int, nnz: int) -> Trajectory:
+        """The trajectory, with the run's counts, invariant extremes and the stepper's counters."""
         self.traj.metadata = {
             "method": self.config.method,
             **step.counters,
             "dimension": self.dim,
-            "reachable": {"entries": int(self.R.size), "of": self.dim * self.dim},
+            "reachable": {"entries": entries, "integrated": int(self.rows.size),
+                          "of": self.dim * self.dim},
             "states": states,
-            "nnz": int(self.S.nnz),
+            "nnz": nnz,
             # the integrator's, and one per sample for the purity rate
             "matvecs": step.products + self.config.times.size,
             "positivity_blocks": self.positivity_blocks,
@@ -795,15 +830,18 @@ def _rk4_planner(norm: float, dt: float) -> Callable[[float], _Plan]:
     return plan
 
 
-def _shifted(S: _Csr) -> tuple[complex, _Csr]:
-    """mu = trace(S)/n and A = S - mu I: S's entries and -mu on the diagonal, in one _summed."""
+def _shifted(S: _Csr) -> tuple[float, _Csr]:
+    """mu = Re trace(S)/n and A = S - mu I: S's entries and -mu on the diagonal, in one _summed.
+
+    A block that keeps rho hermitian has a real trace; a real mu keeps A so, as _Half needs.
+    """
     n = S.indptr.size - 1
     rows = S.rows
     # the whole diagonal, zeros included: a pairwise sum rounds by its length
     diag = np.zeros(n, dtype=complex)
     on = rows == S.indices
     diag[rows[on]] = S.data[on]
-    mu = complex(diag.sum()) / n
+    mu = float(diag.sum().real) / n
     return mu, _summed(np.concatenate([rows * n + S.indices, np.arange(n) * (n + 1)]),
                        np.concatenate([S.data, np.full(n, -mu)]), n)
 
@@ -858,11 +896,11 @@ def _power_norm(M: _Padded, MH: _Padded, p: int) -> tuple[float, int]:
     return max(a, b), i + j
 
 
-def _taylor_planner(A: _Csr, M: _Padded, mu: complex) -> Callable[[float], _Plan]:
-    """Plans of exp(t S) v by truncated Taylor series, for S = A + mu I and M = A as _Padded rows.
+def _taylor_planner(A: _Csr, mu: float) -> Callable[[float], _Plan]:
+    """Plans of exp(t S) v by truncated Taylor series, for S = A + mu I.
 
     Algorithm 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33 (2011) 488)
-    on one vector, with mu = trace(S)/n (_shifted). A gap t is one action of
+    on one vector, with mu = Re trace(S)/n (_shifted). A gap t is one action of
     s steps of all m Taylor terms each (multipliers h/k with h = t/s, and eta
     = exp(t mu / s)), which keep the backward error below 2**-53 without
     the paper's early exit. (m, s) come from the paper's fragment 3.1 with
@@ -870,23 +908,25 @@ def _taylor_planner(A: _Csr, M: _Padded, mu: complex) -> Callable[[float], _Plan
     needs d_p = ||A^p||_1^(1/p) for p = 2 ... p_max + 1; the first gap that
     does estimates them, spending their products, by Hager's one-column
     1-norm estimator (Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21
-    (2000) 1185) from two fixed starting vectors: it draws no random numbers.
+    (2000) 1185) from two fixed starting vectors: it draws no random numbers;
+    its products are with A and A's adjoint as complex-linear _Padded rows.
     """
     d: dict[int, float] = {}
+    norm_A = A.norm
 
     def plan(t: float) -> _Plan:
-        norm = t * M.norm
+        norm = t * norm_A
         if not norm <= _MAX_STEPS:
             raise ValueError(f"gap {t!r}: the 1-norm of the gap times the generator, "
                              f"{norm:.6g}, is not finite or above 2**53; the "
-                             f"generator's own 1-norm, {M.norm:.6g}, is set by "
+                             f"generator's own 1-norm, {norm_A:.6g}, is set by "
                              "its largest rates and energies")
         spent = 0
         if norm <= _NORM_ONLY:
             pairs = ((m, math.ceil(norm / theta)) for m, theta in _THETA.items())
         else:
             if not d:
-                MH = _Padded(A.adjoint())
+                M, MH = _Padded(A), _Padded(A.adjoint())
                 for p in range(2, _P_MAX + 2):
                     est, products = _power_norm(M, MH, p)
                     d[p] = est ** (1.0 / p)
@@ -904,13 +944,13 @@ def _taylor_planner(A: _Csr, M: _Padded, mu: complex) -> Callable[[float], _Plan
     return plan
 
 
-def _stepper(method: str, block: _Csr, S: _Padded, dt: float) -> _Stepper:
-    """The stepper of method on the reachable block, S being block as _Padded rows."""
+def _stepper(method: str, block: _Csr, rows: Callable[[_Csr], _Padded],
+             dt: float) -> _Stepper:
+    """The stepper of method on the reachable block; rows(M) stores M's rows for its products."""
     if method == "superoperator_expm":
         mu, A = _shifted(block)
-        M = _Padded(A)
-        return _Stepper(M, _taylor_planner(A, M, mu))
-    return _Stepper(S, _rk4_planner(S.norm, dt), dt=dt,
+        return _Stepper(rows(A), _taylor_planner(A, mu))
+    return _Stepper(rows(block), _rk4_planner(block.norm, dt), dt=dt,
                     note="the largest RK4 step times ||S||_1, rk4_step_norm, was "
                          "{rk4_step_norm:.6g}; a smaller dt may keep the steps stable")
 
@@ -919,28 +959,34 @@ def propagate(gen: LindbladGenerator, state: StateLike,
               config: PropagationConfig) -> Trajectory:
     """Integrate the master equation and record observables on config.times.
 
-    The coherence pairs are checked before any state search. The reachable
-    block is stored as _Padded rows for its products; the recorder fills
-    the Trajectory returned and raises at the first broken bound.
+    The coherence pairs are checked before any state search. The block is
+    integrated on v_U, with _Half rows; the recorder fills the Trajectory
+    returned and raises at the first broken bound. The initial sample's
+    hermiticity defect is read from rho as given.
     """
     rho = _as_density(gen, state)
+    D = gen.dimension
     for (i, j) in config.coherences:
-        if not (0 <= i < gen.dimension and 0 <= j < gen.dimension):
+        if not (0 <= i < D and 0 <= j < D):
             raise ValueError(f"coherence index pair {(i, j)} out of range")
     T = _reachable_states(gen, rho)
     block, R = _reachable_block(gen, rho, T)
-    S = _Padded(block)
-    v = rho.ravel(order="F")[R]
-    rec = _Recorder(gen, config, S, R)
+    rows = partial(_Half, R=R, D=D)
+    U = R[R % D <= R // D]
+    x = rho.ravel(order="F")
+    v = x[U]
+    rec = _Recorder(gen, config, rows(block), U)
     times = config.times
     # a state that overflows breaks the audit, which names the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        rec.record(0, times[0], v)
-        step = _stepper(config.method, block, S, config.dt)
+        # rho is 0 outside R, which holds every mirror of its entries
+        asymmetry = np.abs(x[R] - x[R // D + D * (R % D)].conj())
+        rec.record(0, times[0], v, defect=float(asymmetry.max()))
+        step = _stepper(config.method, block, rows, config.dt)
         for k in range(1, times.size):
             step(v, float(times[k] - times[k - 1]))
             rec.record(k, times[k], v, step)
-    return rec.finish(T.size, step)
+    return rec.finish(step, int(T.size), int(R.size), int(block.data.size))
 
 
 @dataclass

@@ -283,7 +283,7 @@ class TestRun:
         assert prop["matvecs"] == products + 9
         assert prop["expm_actions"] == 0
         assert prop["states"] == 4
-        assert prop["reachable"] == {"entries": 6, "of": 16}
+        assert prop["reachable"] == {"entries": 6, "integrated": 5, "of": 16}
         assert prop["nnz"] > 0
         assert prop["positivity_blocks"] == {"count": 3, "largest": 2}
 
@@ -934,6 +934,44 @@ _FUZZ_PATHS = ([path for path, _ in schema_nodes(_SCHEMA)]
 # network block among them) and the preset's parameters
 _FUZZ_PARENTS = [path for path, node in schema_nodes(_SCHEMA)
                  if isinstance(node, (_Map, _Either))] + ["params"]
+
+
+class TestYamlFloats:
+    """Configs are read with YAML 1.2's floats, which YAML 1.1 reads as strings."""
+
+    @pytest.mark.parametrize("command,body,forms", [
+        ("steady", "params: {gamma_out: %s}", ("1e9", "1.0e9", "1.0e+9")),
+        ("run", "times: {start: 0.0, stop: 0.5, num: 3}\ndt: %s", ("1e-3", "1.0e-3")),
+    ])
+    def test_exponents_give_the_same_tsv(self, tmp_path, command, body, forms):
+        tsvs = set()
+        for k, form in enumerate(forms):
+            (tmp_path / str(k)).mkdir()
+            cfg = tmp_path / str(k) / "pump.yaml"
+            cfg.write_text(f"preset: two_site_pump\n{body % form}\n", encoding="utf-8")
+            out = tmp_path / str(k) / "out"
+            assert main([command, str(cfg), "--output", str(out)]) == 0
+            (tsv,) = out.glob("*.tsv")
+            tsvs.add(tsv.read_bytes())
+        assert len(tsvs) == 1
+
+    def test_quoted_exponent_label_stays_a_string(self, tmp_path):
+        cfg = tmp_path / "net.yaml"
+        cfg.write_text(
+            "network:\n"
+            "  sites:\n"
+            "    - {label: \"1e3\", kind: qubit, dim: 2}\n"
+            "    - {label: '2', kind: qubit, dim: 2}\n"
+            "  hoppings: [[\"1e3\", '2', 1e0]]\n"
+            "initial: {occupations: [1, 0]}\n"
+            "times: [0.0, 1.0]\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == 0
+        header, rows = read_tsv(out / "net.tsv")
+        assert header[1:3] == ["population_1e3", "population_2"]
+        meta = json.loads((out / "net.meta.json").read_text())
+        assert meta["config"]["network"]["sites"][0]["label"] == "1e3"
+        assert meta["config"]["network"]["hoppings"] == [["1e3", "2", 1.0]]
 
 
 class TestConfigFuzz:

@@ -24,6 +24,7 @@ from lindnet.dynamics import (
     _closure,
     _Csr,
     _hager,
+    _Half,
     _Padded,
     _power_norm,
     _reachable_block,
@@ -42,6 +43,7 @@ from lindnet.dynamics import (
 )
 from lindnet.hilbert import (
     POSITIVITY_TOL,
+    DensityMatrix,
     ProductBasis,
     PureState,
     SiteDescriptor,
@@ -60,13 +62,13 @@ from lindnet.model import (
 
 
 def rk4_stepper(S: _Csr, dt: float) -> _Stepper:
-    """The Runge-Kutta stepper that propagate makes for the block S."""
-    return _stepper("fixed_step_rk4", S, _Padded(S), dt)
+    """propagate's Runge-Kutta stepper for the block S, on the whole vector: _Padded rows."""
+    return _stepper("fixed_step_rk4", S, _Padded, dt)
 
 
 def taylor_stepper(S: _Csr) -> _Stepper:
-    """The exponential's stepper that propagate makes for the block S."""
-    return _stepper("superoperator_expm", S, _Padded(S), math.nan)
+    """propagate's exponential stepper for the block S, on the whole vector: _Padded rows."""
+    return _stepper("superoperator_expm", S, _Padded, math.nan)
 
 
 def as_scipy(S: _Csr) -> scipy.sparse.csr_matrix:
@@ -194,6 +196,11 @@ def draw_raw_case(data):
     gen = LindbladGenerator(A + A.conj().T, tuple(jumps), basis)
     rho = sparse(data.draw(st.lists(pair, min_size=1, max_size=3), label="support"))
     return gen, rho, rng
+
+
+def mirror(entries: np.ndarray, D: int) -> np.ndarray:
+    """The vec(rho) index l + D k of the mirror (l, k) of each entry k + D l."""
+    return entries // D + D * (entries % D)
 
 
 def reference_record(gen: LindbladGenerator, R: np.ndarray, v: np.ndarray, pairs):
@@ -488,7 +495,7 @@ class TestPaddedProduct:
         block, R = _reachable_block(gen, rho0, _reachable_states(gen, rho0))
         S = as_scipy(block)
         mu, shifted = _shifted(block)
-        assert mu == complex(S.trace()) / R.size
+        assert mu == S.trace().real / R.size
         A = S - mu * scipy.sparse.identity(R.size, dtype=complex, format="csr")
         assert_same_csr(shifted, A, zero_signs=False)
         assert_same_csr(shifted.adjoint(), A.conj().T.tocsr(), zero_signs=False)
@@ -665,6 +672,19 @@ class TestPropagation:
         expect = 0.5 * np.exp(-0.5 * times)
         np.testing.assert_allclose(traj.coherences[pair].real, expect, atol=1e-9)
 
+    def test_repeated_coherence_pair_keeps_the_others_in_place(self):
+        # the series are keyed by pair, so a repeated pair must not shift the
+        # pairs after it onto another pair's entry
+        run = preset("two_site_pump")
+        gen = LindbladGenerator.from_network(run.spec)
+        pair = (gen.basis.index((1, 0)), gen.basis.index((0, 1)))
+        times = np.linspace(0.0, 2.0, 5)
+        alone, repeated = (propagate(gen, run.initial, PropagationConfig(
+            times=times, coherences=pairs)).coherences[pair]
+            for pairs in ((pair,), ((0, 0), (0, 0), pair)))
+        assert np.abs(alone).max() > 0.05
+        np.testing.assert_array_equal(repeated, alone)
+
     def test_coherence_index_out_of_range(self):
         run = preset("two_site_transfer")
         gen = LindbladGenerator.from_network(run.spec)
@@ -702,12 +722,14 @@ class TestPropagation:
         # chunks of c > 1 steps would need m >= 4c terms), and each sample one
         # more for the purity rate. The expm run's matvecs count every product
         # with the block it makes: all m s Taylor terms of each gap, the norm
-        # estimates of the 40-unit gap and the purity rate
+        # estimates of the 40-unit gap and the purity rate. Stepping and the
+        # purity rate take the _Half rows on v_U; only the norm estimates take
+        # the whole block's complex-linear _Padded rows
         products = []
         matmul = _Padded.__matmul__
 
         def counted(self, other):
-            products.append(np.ndim(other) == 1)
+            products.append((type(self), np.ndim(other)))
             return matmul(self, other)
 
         monkeypatch.setattr(_Padded, "__matmul__", counted)
@@ -718,12 +740,13 @@ class TestPropagation:
         substeps = sum(max(1, math.ceil(g / dt)) for g in np.diff(times))
         assert substeps == 1 + 3 + 1 + 7
         rk = propagate(gen, run.initial, PropagationConfig(times=times, dt=dt)).metadata
-        assert products == [True] * rk["matvecs"]
+        assert products == [(_Half, 1)] * rk["matvecs"]
         products.clear()
         expm_times = np.append(times, 41.0)
         ex = propagate(gen, run.initial, PropagationConfig(
             times=expm_times, method="superoperator_expm")).metadata
-        assert products == [True] * ex["matvecs"]
+        ex_products = products.copy()
+        assert len(ex_products) == ex["matvecs"]
         again = propagate(gen, run.initial, PropagationConfig(
             times=expm_times, method="superoperator_expm")).metadata
         assert again["matvecs"] == ex["matvecs"]
@@ -734,6 +757,7 @@ class TestPropagation:
         # the four populations and the coherence pair of one excitation:
         # rho is block diagonal over {|00>}, {|10>, |01>} and {|11>}
         assert states == 4 and rk["reachable"]["entries"] == 6
+        assert rk["reachable"]["integrated"] == ex["reachable"]["integrated"] == 5
         assert rk["positivity_blocks"] == {"count": 3, "largest": 2}
         assert rk["states"] == ex["states"] == states
         assert rk["nnz"] == ex["nnz"] == nnz
@@ -746,9 +770,13 @@ class TestPropagation:
             g / max(1, math.ceil(g / dt)) for g in np.diff(times)) * norm, rel=1e-14)
         assert ex["rk4_step_norm"] == 0.0
         mu, A = _shifted(block)
-        plans = list(map(_taylor_planner(A, _Padded(A), mu), np.diff(expm_times)))
+        plans = list(map(_taylor_planner(A, mu), np.diff(expm_times)))
         terms = sum(len(a) * s for chunks, _, _ in plans for a, s, _ in chunks)
-        assert ex["matvecs"] == terms + sum(spent for *_, spent in plans) + expm_times.size
+        spent = sum(spent for *_, spent in plans)
+        assert spent > 0
+        assert ex["matvecs"] == terms + spent + expm_times.size
+        assert sorted(ex_products, key=lambda p: p[0] is _Half) == (
+            [(_Padded, 1)] * spent + [(_Half, 1)] * (terms + expm_times.size))
         assert ex["positivity_blocks"] == rk["positivity_blocks"]
 
     @pytest.mark.parametrize("name", preset_names())
@@ -764,7 +792,7 @@ class TestPropagation:
         work = []
         for method, counter in (("fixed_step_rk4", "rk4_substeps"),
                                 ("superoperator_expm", "expm_actions")):
-            step = _stepper(method, block, _Padded(block), PropagationConfig(times=run.times).dt)
+            step = _stepper(method, block, _Padded, PropagationConfig(times=run.times).dt)
             plans = [step.planner(float(gap)) for gap in gaps]
             products = sum(int(n) * len(a) * repeats for n, (chunks, _, _) in zip(takes, plans)
                            for a, repeats, _ in chunks)
@@ -847,7 +875,7 @@ class TestRungeKuttaChunks:
             ref = classic_rk4(S, ref, h_n, n)
             np.testing.assert_allclose(v, ref, rtol=0,
                                        atol=1e-12 * max(1.0, float(np.abs(ref).max())))
-            xn = h_n * M.norm
+            xn = h_n * as_engine(S).norm
             c = n if xn == 0 else max(1, min(n, math.floor(1 / xn)))
             if c == 1:
                 assert np.array_equal(v, four_stage(M, before, h_n, n))
@@ -914,9 +942,11 @@ class TestTaylorAction:
         # column of the block does too, exactly. |H_ij| <= 1/4 keeps
         # ||40 A||_1 below about 70, since a unitary step of norm near
         # theta_55 ~ 10 loses up to 1e-12 to rounding in its largest Taylor
-        # terms, as in expm_multiply. Some offset on the diagonal makes the
-        # trace shift matter. Each block is applied over several gaps from
-        # 1e-6 to 40
+        # terms, as in expm_multiply. Some decay on the diagonal makes the
+        # trace shift matter. The shift is real, as the trace of a block that
+        # keeps rho hermitian is, so a random block's mean imaginary diagonal
+        # is moved out and the offset is real. Each block is applied over
+        # several gaps from 1e-6 to 40
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         density = data.draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]), label="density")
         scale = data.draw(st.floats(0.05, 1.0), label="scale")
@@ -933,9 +963,9 @@ class TestTaylorAction:
             S = scale * scipy.sparse.random(
                 n, n, density=density, format="csr", rng=rng, dtype=complex,
                 data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+            S = S - (1j * S.diagonal().imag.mean()) * scipy.sparse.identity(n, format="csr")
         if data.draw(st.booleans(), label="offset"):
-            offset = complex(data.draw(st.floats(-1.0, 0.0), label="decay"),
-                             data.draw(st.floats(-1.0, 1.0), label="frequency"))
+            offset = data.draw(st.floats(-1.0, 0.0), label="decay")
             S = S + offset * scipy.sparse.identity(n, dtype=complex, format="csr")
         S = scipy.sparse.csr_matrix(S)
         gaps = data.draw(st.lists(st.one_of(st.sampled_from([1e-6, 40.0]),
@@ -1048,7 +1078,7 @@ class TestSectorFilter:
                                                     snapshots="last"))
         ref = full_space_run(gen, rho0.to_density().matrix, times, pairs, dt=5e-3)
         # |100>, |010> and their coherences, plus |001> fed only by the jump
-        assert traj.metadata["reachable"] == {"entries": 5, "of": 64}
+        assert traj.metadata["reachable"] == {"entries": 5, "integrated": 4, "of": 64}
         np.testing.assert_allclose(traj.populations, ref["populations"], atol=1e-10)
         np.testing.assert_allclose(traj.purity, ref["purity"], atol=1e-10)
         # five basis states are never occupied; their zero eigenvalues set the floor
@@ -1150,47 +1180,67 @@ class TestSectorFilter:
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_state_restriction_matches_full_search(self, data):
+        # the search on the whole space, from the support of rho and of its
+        # transpose; it holds the mirror of each entry it reaches
         gen, rho, _ = draw_raw_case(data)
+        D = gen.dimension
         S_full = _superoperator_csr(gen)
-        R_full = np.flatnonzero(_closure(S_full.indices, S_full.rows, rho.ravel(order="F") != 0))
+        start = (rho != 0) | (rho.T != 0)
+        R_full = np.flatnonzero(_closure(S_full.indices, S_full.rows, start.ravel(order="F")))
         block, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
         np.testing.assert_array_equal(R, R_full)
+        np.testing.assert_array_equal(np.sort(mirror(R, D)), R)
         assert_same_csr(block, as_scipy(S_full)[R_full][:, R_full])
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_recorder_matches_full_scatter(self, data):
-        # the recorder reads on R through index maps; the reference scatters
-        # each sample into the full matrix. Samples: a diagonally dominant
-        # hermitian matrix cut to R (every block positive, mirrors exact),
-        # the same with small noise, and a random vector
+        # the recorder reads the half vector v_U through index maps; the
+        # reference scatters each sample and its mirrors' conjugates into the
+        # full matrix. Samples: a diagonally dominant hermitian matrix cut to
+        # U (every block positive), the same with small noise, real on the
+        # diagonal, and a random vector, whose diagonal is not real. Purity and
+        # its rate read v_U as hermitian, so they are compared on real diagonals
         gen, rho, rng = draw_raw_case(data)
         D = gen.dimension
         S, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
+        U = R[R % D <= R // D]
         A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
         X = A + A.conj().T
         X += np.diag(np.abs(X).sum(axis=1) + 1.0)
-        x = X.ravel(order="F")[R]
-        noise = np.array([1.0, 1j]) @ rng.normal(size=(2, R.size))
-        samples = [x, x + 1e-3 * noise, rng.normal(size=R.size) + 1j * noise]
+        x = X.ravel(order="F")[U]
+        noise = np.array([1.0, 1j]) @ rng.normal(size=(2, U.size))
+        on_diagonal = U % D == U // D
+        samples = [x, x + 1e-3 * np.where(on_diagonal, noise.real, noise),
+                   rng.normal(size=U.size) + 1j * noise]
         pairs = tuple(data.draw(st.lists(st.tuples(st.integers(0, D - 1),
                                                    st.integers(0, D - 1)),
                                          max_size=4, unique=True), label="pairs"))
-        pairs += ((int(R[0] % D), int(R[0] // D)),)
+        pairs += ((int(R[0] % D), int(R[0] // D)), (int(R[-1] % D), int(R[-1] // D)))
         config = PropagationConfig(times=np.arange(float(len(samples))),
                                    coherences=pairs, snapshots="all")
-        rec = _Recorder(gen, config, _Padded(S), R)
+        rec = _Recorder(gen, config, _Half(S, R, D), U)
         for k, v in enumerate(samples):
             # a sample that breaks a bound is stored before the bound is checked
             with contextlib.suppress(InvariantViolation):
                 rec.record(k, float(k), v)
-            ref = reference_record(gen, R, v, pairs)
+            # the mirrors first, so that each diagonal entry keeps v's value
+            ref = reference_record(gen, np.concatenate([mirror(U, D), U]),
+                                   np.concatenate([v.conj(), v]), pairs)
             assert rec.traj.hermiticity_defect[k] == ref["defect"]
             assert rec.traj.trace[k] == ref["trace"]
             assert np.array_equal(rec.traj.populations[k], ref["populations"])
             assert abs(rec.traj.min_eigenvalue[k] - ref["min_eigenvalue"]) <= 1e-12
             assert [rec.traj.coherences[p][k] for p in pairs] == ref["coherences"]
             assert np.array_equal(rec.traj.snapshots[k], ref["snapshot"])
+            if k == 2:
+                continue
+            w = ref["snapshot"].ravel(order="F")[R]
+            purity = float(np.vdot(w, w).real)
+            rate = 2.0 * float(np.vdot(w, as_scipy(S) @ w).real)
+            assert abs(rec.traj.purity[k] - purity) <= 1e-13 * purity
+            assert abs(rec.traj.purity_rate[k] - rate) <= 1e-13 * float(
+                np.abs(w) @ (abs(as_scipy(S)) @ np.abs(w)))
         # the positivity blocks are the components of the touched states
         touched, edges = np.unique(np.concatenate([R % D, R // D]), return_inverse=True)
         graph = scipy.sparse.csr_matrix((np.ones(R.size), (edges[:R.size], edges[R.size:])),
@@ -1200,23 +1250,30 @@ class TestSectorFilter:
                                          "largest": int(np.bincount(labels).max())}
 
     def test_recorder_fails_a_nan_sample(self):
-        # NaN in an off-diagonal entry leaves the trace finite and breaks the
-        # hermiticity bound; eigvalsh does not converge on the 3 x 3 block,
-        # whose minimum is recorded as NaN instead. The error quotes the
-        # note of the stepper that reached the sample, and none without one
+        # NaN in an off-diagonal entry of v_U leaves the trace and the
+        # hermiticity defect finite; eigvalsh does not converge on the 3 x 3
+        # block, whose minimum NaN breaks the positivity bound. An imaginary
+        # part on the diagonal breaks the hermiticity bound. The error quotes
+        # the note of the stepper that reached the sample, and none without one
         gen = random_generator(0, 3, 1)
         rho = random_density(1, 3)
         S, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
-        rec = _Recorder(gen, PropagationConfig(times=np.array([0.0])), _Padded(S), R)
-        v = rho.ravel(order="F")[R]
+        U = R[R % 3 <= R // 3]
+        rec = _Recorder(gen, PropagationConfig(times=np.array([0.0])), _Half(S, R, 3), U)
+        v = rho.ravel(order="F")[U]
+        assert U[1] == 3
         v[1] = np.nan
         with pytest.raises(InvariantViolation,
-                           match=r"^hermiticity invariant violated at t=0: measured nan, "
-                                 r"bound 1\.000e-09$"):
+                           match=r"^positivity invariant violated at t=0: measured nan, "
+                                 r"bound -1\.000e-09$"):
             rec.record(0, 0.0, v)
         assert rec.traj.trace[0] == pytest.approx(1.0)
-        assert np.isnan(rec.traj.min_eigenvalue[0])
-        with pytest.raises(InvariantViolation, match=r"bound 1\.000e-09; the largest RK4 step"):
+        assert rec.traj.hermiticity_defect[0] < 1e-15
+        v = rho.ravel(order="F")[U]
+        v[0] += 1e-9j
+        with pytest.raises(InvariantViolation,
+                           match=r"^hermiticity invariant violated at t=0: measured 2\.000e-09, "
+                                 r"bound 1\.000e-09; the largest RK4 step"):
             rec.record(0, 0.0, v, rk4_stepper(S, 0.1))
 
     @given(data=st.data())
@@ -1285,7 +1342,7 @@ class TestSectorFilter:
         traj = propagate(gen, basis_state(gen.basis, (0, 0)),
                          PropagationConfig(times=np.array([0.0, 1.0])))
         # the populations and coherences of equal total occupation
-        assert traj.metadata["reachable"] == {"entries": 6, "of": 16}
+        assert traj.metadata["reachable"] == {"entries": 6, "integrated": 5, "of": 16}
 
     def test_declines_for_mixed_sector_initial(self):
         gen = self.conserving_model()
@@ -1294,15 +1351,99 @@ class TestSectorFilter:
         plus[gen.basis.index((1, 1, 0))] = 1 / np.sqrt(2)
         rho0 = np.outer(plus, plus.conj())
         traj = propagate(gen, rho0, PropagationConfig(times=np.array([0.0, 1.0])))
-        assert traj.metadata["reachable"] == {"entries": 18, "of": 64}
+        assert traj.metadata["reachable"] == {"entries": 18, "integrated": 12, "of": 64}
 
     def test_declines_without_basis(self):
         gen_nb = LindbladGenerator(self.conserving_model().hamiltonian,
                                    self.conserving_model().jump_operators)
         traj = propagate(gen_nb, np.diag([0, 0, 0, 0, 1, 0, 0, 0.0]).astype(complex),
                          PropagationConfig(times=np.array([0.0, 1.0])))
-        assert traj.metadata["reachable"] == {"entries": 5, "of": 64}
+        assert traj.metadata["reachable"] == {"entries": 5, "integrated": 4, "of": 64}
         assert traj.site_labels == ()
+
+
+class TestHalfVector:
+    """propagate integrates only the half U of the reachable entries R, k <= l.
+
+    The reference is the full-vector stepper: the plans propagate makes, taken
+    with the complex-linear _Padded rows of the whole block on every entry of R.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_half_path_matches_full_vector_path(self, data):
+        # raw sparse generators, or dense random ones, from hermitian states of
+        # rank 1 (pure) up to their support's size, sparse or dense
+        if data.draw(st.booleans(), label="raw"):
+            gen, _, rng = draw_raw_case(data)
+        else:
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            gen = random_generator(seed, data.draw(st.integers(2, 4), label="dim"),
+                                   data.draw(st.integers(0, 2), label="jumps"))
+            rng = np.random.default_rng(seed)
+        D = gen.dimension
+        support = data.draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=D,
+                                     unique=True), label="support")
+        rank = data.draw(st.integers(1, len(support)), label="rank")
+        B = np.zeros((D, rank), dtype=complex)
+        B[support] = rng.normal(size=(len(support), rank)) + 1j * rng.normal(
+            size=(len(support), rank))
+        rho = B @ B.conj().T
+        rho /= rho.trace().real
+        block, R = _reachable_block(gen, rho, _reachable_states(gen, rho))
+        assert np.array_equal(np.sort(mirror(R, D)), R)
+        upper = R % D <= R // D
+
+        # on an exactly hermitian vector, the half product is the full one on U
+        X = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        x = (X + X.conj().T).ravel(order="F")[R]
+        for M in (block, _shifted(block)[1]):
+            assert np.array_equal(_Half(M, R, D) @ x[upper], (_Padded(M) @ x)[upper])
+
+        gaps = data.draw(st.lists(st.floats(1e-3, 0.3), min_size=1, max_size=3), label="gaps")
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        for method in ("fixed_step_rk4", "superoperator_expm"):
+            traj = propagate(gen, rho, PropagationConfig(times=times, dt=1e-3, method=method,
+                                                         snapshots="all"))
+            assert traj.metadata["reachable"]["integrated"] == np.count_nonzero(upper)
+            step = _stepper(method, block, _Padded, 1e-3)
+            v = rho.ravel(order="F")[R]
+            for k, snapshot in enumerate(traj.snapshots):
+                if k:
+                    step(v, float(times[k] - times[k - 1]))
+                want = np.zeros(D * D, dtype=complex)
+                want[R] = v
+                assert_close_relative(snapshot.ravel(order="F"), want, 1e-12)
+                assert abs(traj.purity[k] - np.vdot(v, v).real) <= 1e-12 * np.vdot(v, v).real
+
+    def test_asymmetric_zero_pattern_is_integrated_and_audited_as_given(self):
+        # rho[|100>, |001>] is 4e-13 and its mirror 0: the search starts from
+        # rho and its transpose, so R holds both entries, and v_U holds the
+        # upper one, 0. The run matches the full-space run of rho as given, and
+        # its sample at t = 0 reports rho's own hermiticity defect
+        gen = TestSectorFilter().conserving_model()
+        basis = gen.basis
+        a, b, c = (basis.index(occ) for occ in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[a, a], rho[b, b] = 0.6, 0.4
+        rho[a, b] = 0.2 + 0.1j
+        rho[b, a] = 0.2 - 0.1j
+        rho[a, c] = 4e-13
+        assert c < a
+        times = np.linspace(0.0, 2.0, 5)
+        pairs = ((a, c), (c, a), (a, b))
+        traj = propagate(gen, DensityMatrix(rho, basis), PropagationConfig(
+            times=times, dt=1e-3, coherences=pairs, snapshots="all"))
+        assert traj.hermiticity_defect[0] == 4e-13
+        assert traj.snapshots[0][a, c] == traj.snapshots[0][c, a] == 0.0
+        ref = full_space_run(gen, rho, times, pairs)
+        for name in ("populations", "purity", "trace", "min_eigenvalue"):
+            np.testing.assert_allclose(getattr(traj, name), ref[name], atol=1e-10,
+                                       err_msg=name)
+        for pair in pairs:
+            np.testing.assert_allclose(traj.coherences[pair], ref["coherences"][pair],
+                                       atol=1e-10)
+        np.testing.assert_allclose(np.array(traj.snapshots), ref["snapshot"], atol=1e-10)
 
 
 class TestSteadyStates:
