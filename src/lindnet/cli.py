@@ -9,16 +9,20 @@ Subcommands:
   presets   list available presets with their defaults
 
 Configurations are single-document YAML files; see README for the schema.
-Exit codes: 0 success, 1 bad input or configuration, 2 a propagated state
-broke a physical invariant, 3 the validate battery found a mismatch.
+Exit codes: 0 success, 1 bad input or configuration (or a sweep worker that
+died without its results), 2 a propagated state broke a physical invariant,
+3 the validate battery found a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import math
+import os
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -332,11 +336,15 @@ def _sweep_values(block: dict) -> list[float]:
                                           math.log10(float(ls["stop"])), int(ls["num"]))]
 
 
+def _point(task) -> str:
+    """The name of a sweep point, <sweep path>=<value>."""
+    return f"{task[0]['sweep']['path']}={task[3]!r}"
+
+
 def _sweep_one(task):
-    """One sweep point, its config checked again; an error names the point as
-    <sweep path>=<value>. Module-level, so it can cross a process boundary."""
+    """One sweep point, its config checked again; an error names the point."""
     cfg, seed, dt, value, at_times, token = task
-    point = f"{cfg['sweep']['path']}={value!r}"
+    point = _point(task)
     try:
         run_cfg = copy.deepcopy(cfg)
         _set_dotted(run_cfg, run_cfg["sweep"]["path"], value)
@@ -356,6 +364,97 @@ def _sweep_one(task):
             for k, cells in zip(samples, _rows(cols, traj, samples))]
 
 
+def _share(tasks, first: int, stride: int, parent: int | None = None):
+    """(rows of each of tasks[first::stride], None), or (None, (k, error)) at
+    the first point k that fails.
+
+    Given the pid of the parent, returns None before a point once this
+    process is no longer its child.
+    """
+    results = []
+    for k in range(first, len(tasks), stride):
+        if parent is not None and os.getppid() != parent:
+            return None
+        try:
+            results.append(_sweep_one(tasks[k]))
+        except Exception as exc:
+            return None, (k, exc)
+    return results, None
+
+
+def _sweep_points(tasks, workers: int) -> list:
+    """The rows of every sweep point, point k computed in process k mod workers.
+
+    Process 0 is this one: it forks the others, runs its own share, then
+    reads each child's pickled share to EOF and reaps the child. The
+    failure at the lowest point index is raised, the one a serial sweep
+    meets first. A child that ends without its share is a ValueError that
+    names its points. No child outlives the call, whatever it raises.
+    """
+    parent = os.getpid()
+    if workers > 1:
+        # the children share every object made so far with this process:
+        # frozen, no collection walks them again, in a child (whose walk
+        # would copy the pages it touches) or in this process at exit
+        gc.freeze()
+    children = {}  # pid -> (read end of its pipe, its first point)
+    shares, lost = {}, []
+    try:
+        for first in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    share = _share(tasks, first, workers, parent)
+                    if share is not None:
+                        # pickled whole first: an error that cannot be pickled writes nothing
+                        data = pickle.dumps(share)
+                        with open(w, "wb") as fh:
+                            fh.write(data)
+                        code = 0
+                finally:
+                    # never return into the caller
+                    os._exit(code)
+            os.close(w)
+            children[pid] = (open(r, "rb"), first)
+        shares[0] = _share(tasks, 0, workers)
+        for pid, (fh, first) in list(children.items()):
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if os.waitstatus_to_exitcode(status) == 0 and data:
+                shares[first] = pickle.loads(data)
+            else:
+                lost.append((first, status))
+    finally:
+        if children:
+            # imported here: only a sweep that fails midway kills its workers
+            import signal
+        for pid, (fh, _) in children.items():
+            fh.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already
+    if lost:
+        first, status = lost[0]
+        how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+               else f"exit status {os.waitstatus_to_exitcode(status)}")
+        names = ", ".join(_point(t) for t in tasks[first::workers])
+        raise ValueError(f"the sweep worker of {names} ended without a result ({how})")
+    failures = [failure for _, failure in shares.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [None] * len(tasks)
+    for first, (results, _) in shares.items():
+        rows[first::workers] = results
+    return rows
+
+
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -367,18 +466,8 @@ def _cmd_sweep(args) -> int:
     # the header's names only; each point reads the token on its own generator
     cols, _ = _token_columns(token)
     tasks = [(cfg, args.seed, args.dt, v, at_times, token) for v in values]
-
-    # under the fork start method the pool forks every worker at the first
-    # submit, so never ask for more than there are points
-    workers = min(args.workers, len(tasks))
-    if workers > 1:
-        # imported here: run, steady and a serial sweep need no process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
+    workers = min(args.workers, len(tasks)) if hasattr(os, "fork") else 1
+    results = _sweep_points(tasks, workers)
 
     header = [block["path"].split(".")[-1], "t"] + [name for name, _ in cols]
     rows = [row for chunk in results for row in chunk]

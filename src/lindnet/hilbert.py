@@ -146,18 +146,39 @@ def embed_operator_product(basis: ProductBasis, ops: Mapping[str, str]) -> np.nd
     """Product of single-site operators, one per named site, in the full space.
 
     ops maps site labels to op kinds as in embed_site_operator. Operators on
-    distinct sites commute, so the product is one Kronecker chain of the
-    local factors with an identity run over each stretch of sites between
-    them.
+    distinct sites commute; the dense matrix holds the nonzeros of
+    _operator_triplet, equal to the Kronecker chain of the local factors
+    bit for bit.
     """
-    factors = sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items())
-    out = np.ones((1, 1), dtype=complex)
-    start = 0
-    for pos, kind in factors:
-        out = np.kron(out, np.eye(prod(basis.dims[start:pos])))
-        out = np.kron(out, _local_operator(basis.sites[pos], kind))
-        start = pos + 1
-    return np.kron(out, np.eye(prod(basis.dims[start:])))
+    rows, cols, vals = _operator_triplet(basis, ops)
+    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    out[rows, cols] = vals
+    return out
+
+
+def _operator_triplet(basis: ProductBasis,
+                      ops: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the nonzeros of a product of single-site operators.
+
+    ops is as in embed_operator_product. Each local operator has at most one
+    nonzero per column, so column c of the product has at most one: each
+    factor moves its site's digit of c to the row of its nonzero, and the
+    real values multiply in site order, as the Kronecker chain multiplies
+    them. No two entries share a column.
+    """
+    occ = basis.occupation_table
+    cols = np.arange(basis.dimension)
+    rows = cols.copy()
+    vals = np.ones(basis.dimension)
+    for pos, kind in sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items()):
+        local = _local_operator(basis.sites[pos], kind).real
+        # the row of each column's nonzero; an empty column reads row 0 and value 0
+        to = np.abs(local).argmax(axis=0)
+        digit = occ[:, pos]
+        rows += (to[digit] - digit) * prod(basis.dims[pos + 1:])
+        vals = vals * local[to, np.arange(local.shape[1])][digit]
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
 
 
 @dataclass(frozen=True)

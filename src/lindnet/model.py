@@ -20,10 +20,9 @@ from lindnet.hilbert import (
     ProductBasis,
     PureState,
     SiteDescriptor,
+    _operator_triplet,
     basis_state,
     dicke_state,
-    embed_operator_product,
-    embed_site_operator,
 )
 
 __all__ = [
@@ -327,29 +326,42 @@ def _named(key: str, make, *args, **kwargs):
 
 
 def build_hamiltonian(spec: NetworkSpec, basis: ProductBasis | None = None) -> np.ndarray:
-    """Hermitian Hamiltonian matrix of the hopping and onsite terms."""
+    """Hermitian Hamiltonian matrix of the hopping and onsite terms.
+
+    Each hopping a -> b with amplitude amp adds amp v at (r, c) and
+    amp conj(v) at (c, r) for every nonzero v at (r, c) of lower_a raise_b,
+    and each onsite energy eps adds eps n at the diagonal, term by term in
+    declaration order: the same sums as a dense accumulation of
+    amp (T + T^dag) and eps N, bit for bit.
+    """
     basis = basis or spec.basis()
     D = basis.dimension
     H = np.zeros((D, D), dtype=complex)
     for a, b, amp in spec.hoppings:
-        term = embed_operator_product(basis, {a: "lower", b: "raise"})
-        H += amp * (term + term.conj().T)
+        rows, cols, vals = _operator_triplet(basis, {a: "lower", b: "raise"})
+        # a term lowers a, its adjoint raises a: the two never share an entry,
+        # and the values are real, so conj(v) = v
+        term = amp * vals
+        H[rows, cols] += term
+        H[cols, rows] += term
     for lbl, eps in spec.onsite:
-        H += eps * embed_site_operator(basis, lbl, "number")
+        rows, cols, vals = _operator_triplet(basis, {lbl: "number"})
+        H[rows, cols] += eps * vals
     return H
 
 
 def build_jump_operators(spec: NetworkSpec, basis: ProductBasis | None = None) -> list[np.ndarray]:
     """Jump operators in declaration order, rates folded in as sqrt(rate)."""
     basis = basis or spec.basis()
+    D = basis.dimension
     ops = []
     for j in spec.jumps:
-        root = math.sqrt(j.rate)
-        if isinstance(j, Transfer):
-            L = embed_operator_product(basis, {j.source: "lower", j.target: "raise"})
-        else:
-            L = embed_site_operator(basis, j.site, j.op_kind)
-        ops.append(root * L)
+        rows, cols, vals = _operator_triplet(
+            basis, {j.source: "lower", j.target: "raise"} if isinstance(j, Transfer)
+            else {j.site: j.op_kind})
+        L = np.zeros((D, D), dtype=complex)
+        L[rows, cols] = math.sqrt(j.rate) * vals
+        ops.append(L)
     return ops
 
 

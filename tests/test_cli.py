@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -35,6 +37,12 @@ def readme_example(marker):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     example = readme.read_text(encoding="utf-8").split(marker, 1)[1]
     return yaml.safe_load(example.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_tsv(path):
@@ -551,30 +559,105 @@ class TestSweep:
         # the two counts fill site 3 differently
         assert rows[0][2] != rows[1][2]
 
-    def test_pool_never_exceeds_points(self, tmp_path, monkeypatch):
-        sizes = []
+    def test_forks_never_exceed_points(self, tmp_path, monkeypatch):
+        # the parent computes a share of its own, so 2 points fork 1 child
+        forks = []
+        real_fork = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         cfg = self.sweep_config(tmp_path)
         assert main(["sweep", cfg, "--output", str(tmp_path), "--workers", "64"]) == 0
-        assert sizes == [2]
+        assert forks == [1]
+        assert_no_children()
         for workers in ("0", "-1"):
             assert main(["sweep", cfg, "--output", str(tmp_path),
                          "--workers", workers]) == 1
-        assert sizes == [2]
+        assert forks == [1]
+
+    def test_strided_shares_keep_value_order(self, tmp_path):
+        # 5 points on 3 processes: point k runs in process k mod 3
+        cfg = self.sweep_config(tmp_path, sweep={
+            "path": "params.gamma_b", "values": [0.05, 0.1, 0.2, 0.5, 1.0],
+            "observable": "population:4", "at_times": [1.0, 10.0]})
+        for workers in ("1", "3"):
+            assert main(["sweep", cfg, "--output", str(tmp_path / workers),
+                         "--workers", workers]) == 0
+        assert_no_children()
+        tsv = (tmp_path / "1" / "sweep_sweep.tsv").read_bytes()
+        assert tsv == (tmp_path / "3" / "sweep_sweep.tsv").read_bytes()
+        _, rows = read_tsv(tmp_path / "1" / "sweep_sweep.tsv")
+        assert [float(r[0]) for r in rows] == [v for v in (0.05, 0.1, 0.2, 0.5, 1.0)
+                                               for _ in range(2)]
+
+    def test_lowest_failing_point_is_reported(self, tmp_path, monkeypatch, capsys):
+        # at 2 workers the child runs points 1 and 3, the parent 0 and 2;
+        # point 1 fails in the child and point 2 in the parent, and point 1
+        # is the one reported
+        from lindnet import cli
+
+        parent_points = []
+        real_one = cli._sweep_one
+
+        def recorded(task):
+            parent_points.append(task[3])
+            return real_one(task)
+
+        monkeypatch.setattr(cli, "_sweep_one", recorded)
+        cfg = write_config(tmp_path / "bad.yaml", {
+            "preset": "two_site_pump",
+            "sweep": {"path": "params.gamma_in", "values": [0.2, -1.0, -2.0, 0.3],
+                      "observable": "population:2", "at_times": [1.0]}})
+        assert main(["sweep", cfg, "--output", str(tmp_path), "--workers", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: params.gamma_in=-1.0: params.gamma_in must be a finite "
+            "number not below 0, got -1.0\n")
+        # the child's calls are recorded in the child only
+        assert parent_points == [0.2, -2.0]
+        assert_no_children()
+
+    def test_killed_worker_exits_1(self, tmp_path, monkeypatch, capsys):
+        from lindnet import cli
+
+        parent = os.getpid()
+        real_one = cli._sweep_one
+
+        def fatal(task):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_one(task)
+
+        monkeypatch.setattr(cli, "_sweep_one", fatal)
+        cfg = self.sweep_config(tmp_path)
+        assert main(["sweep", cfg, "--output", str(tmp_path), "--workers", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the sweep worker of params.gamma_b=0.5 ended without a result "
+            f"(killed by signal {int(signal.SIGKILL)})\n")
+        assert not (tmp_path / "sweep_sweep.tsv").exists()
+        assert_no_children()
+
+    def test_interrupted_parent_kills_its_workers(self, tmp_path, monkeypatch):
+        # Ctrl-C in the parent's own share: the child, still in its point,
+        # is killed and reaped before the interrupt propagates
+        from lindnet import cli
+
+        parent = os.getpid()
+
+        def interrupted(task):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_sweep_one", interrupted)
+        cfg = self.sweep_config(tmp_path)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", cfg, "--output", str(tmp_path), "--workers", "2"])
+        assert time.monotonic() - start < 30
+        assert_no_children()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invariant_violation_exit_code(self, tmp_path, workers):
@@ -587,6 +670,7 @@ class TestSweep:
         })
         assert main(["sweep", cfg, "--output", str(tmp_path),
                      "--workers", workers]) == 2
+        assert_no_children()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_errors_name_the_point(self, tmp_path, workers, capsys):
@@ -612,6 +696,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == ("error: params.gamma_in=-1.0: params.gamma_in must be a finite "
                        "number not below 0, got -1.0\n")
+        assert_no_children()
 
     def test_dt_override_reaches_every_point(self, tmp_path):
         # a sweep point at --dt equals run at --dt on the same grid, and a
@@ -650,13 +735,13 @@ class TestSweep:
     def test_missing_sweep_block(self, tmp_path, pump_config):
         assert main(["sweep", pump_config, "--output", str(tmp_path)]) == 1
 
-    def test_config_error_comes_before_the_pool(self, tmp_path, monkeypatch, capsys):
+    def test_config_error_comes_before_any_fork(self, tmp_path, monkeypatch, capsys):
         # a mistake no point's value changes is reported once, without a
         # point, and no worker starts
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the pool was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = write_config(tmp_path / "init.yaml", {
             "preset": "two_site_pump", "initial": {"occupations": [1, 1]},
             "sweep": {"path": "params.J", "values": [1.0, 2.0],

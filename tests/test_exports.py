@@ -83,7 +83,7 @@ def test_expm_run_and_sweep_leave_solver_modules_unloaded(tmp_path):
 
 def test_commands_load_no_scipy(tmp_path):
     # the engine assembles, searches, integrates, records and solves with
-    # NumPy alone, and a sweep's parent starts its pool without SciPy
+    # NumPy alone, and a sweep's parent forks its workers without SciPy
     (tmp_path / "pump.yaml").write_text(
         "preset: two_site_pump\ntimes: {start: 0.0, stop: 40.0, num: 3}\n"
         "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
@@ -99,6 +99,21 @@ def test_commands_load_no_scipy(tmp_path):
             "        out = ['--output', 'out'] if argv[0] in ('run', 'sweep', 'steady') else []\n"
             "        assert cli.main(argv + out) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code, cwd=tmp_path) == "[]"
+
+
+def test_parallel_sweep_loads_no_process_pool(tmp_path):
+    # the parent forks its workers itself: no executor, no multiprocessing
+    (tmp_path / "pump.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 1.0, num: 3}\n"
+        "sweep: {path: params.J, values: [1.0, 2.0, 3.0], observable: 'population:2',"
+        " at_times: [1.0]}\n", encoding="utf-8")
+    code = ("import contextlib, io, sys\nfrom lindnet import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['sweep', 'pump.yaml', '--dt', '0.1', '--workers', '2',"
+            " '--output', 'out']) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     assert _run_python(code, cwd=tmp_path) == "[]"
 
 

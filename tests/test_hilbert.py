@@ -157,6 +157,48 @@ class TestEmbeddedOperators:
                 assert np.array_equal(got, ref)
 
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_products_match_kron_chain_bitwise(self, data):
+        # the triplet build against the Kronecker chain it replaced, on
+        # random site lists of D <= 512 and random maps over 1-3 sites
+        sites = data.draw(site_lists(512))
+        labels = [s.label for s in sites]
+        chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                    max_size=min(3, len(labels)), unique=True))
+        ops = {lbl: data.draw(st.sampled_from(["lower", "raise", "number", "identity"]))
+               for lbl in chosen}
+        basis = ProductBasis(tuple(sites))
+        got = embed_operator_product(basis, ops)
+        ref = kron_chain(basis, ops)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def site_lists(draw, max_dim):
+    """Qubits and spins of dimension 2-4 with a product of dimensions <= max_dim."""
+    sites, dim = [], 1
+    while not sites or (dim * 2 <= max_dim and draw(st.booleans())):
+        d = draw(st.integers(2, min(4, max_dim // dim)))
+        kind = "qubit" if d == 2 and draw(st.booleans()) else "spin"
+        sites.append(SiteDescriptor(f"s{len(sites)}", kind, d))
+        dim *= d
+    return sites
+
+
+def kron_chain(basis, ops):
+    """A product of single-site operators as one Kronecker chain of the local
+    factors, an identity run over each stretch of sites between them."""
+    factors = sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items())
+    out = np.ones((1, 1), dtype=complex)
+    start = 0
+    for pos, kind in factors:
+        out = np.kron(out, np.eye(int(np.prod(basis.dims[start:pos]))))
+        out = np.kron(out, local_operator(basis.sites[pos], kind))
+        start = pos + 1
+    return np.kron(out, np.eye(int(np.prod(basis.dims[start:]))))
+
+
 def local_operator(site, op_kind):
     # S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>; s = 1/2 gives the qubit's 1
     d = site.dim

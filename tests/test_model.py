@@ -233,6 +233,66 @@ class TestBuilders:
                 ref = embed_site_operator(basis, j.site, kinds[type(j)])
             assert np.array_equal(L, np.sqrt(j.rate) * ref)
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_networks_match_dense_accumulation_bitwise(self, data):
+        # H scatter-added term by term against amp (T + T^dag) and eps N
+        # summed densely in declaration order, each T a Kronecker chain;
+        # every L against sqrt(rate) times its chain
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=8))
+        while math.prod(dims) > 512:
+            dims.pop()
+        sites = tuple(SiteDescriptor(f"s{k}", "qubit" if d == 2 and k % 2 else "spin", d)
+                      for k, d in enumerate(dims))
+        labels = [s.label for s in sites]
+        label = st.sampled_from(labels)
+        number = st.floats(-100.0, 100.0, allow_nan=False)
+        pairs = st.lists(label, min_size=2, max_size=2, unique=True)
+        hoppings = tuple((a, b, amp) for (a, b), amp in data.draw(
+            st.lists(st.tuples(pairs, number), max_size=6)))
+        onsite = tuple(data.draw(st.lists(st.tuples(label, number), max_size=4)))
+        rate = st.floats(0.0, 100.0)
+        site_jump = st.sampled_from([Injection, Extraction, Dissipation, Dephasing])
+        jumps = tuple(data.draw(st.lists(st.one_of(
+            st.builds(lambda ab, r: Transfer(*ab, r), pairs, rate),
+            st.builds(lambda cls, lbl, r: cls(lbl, r), site_jump, label, rate)),
+            max_size=4)))
+        spec = NetworkSpec(sites=sites, hoppings=hoppings, onsite=onsite, jumps=jumps)
+        basis = spec.basis()
+
+        def chain(ops):
+            factors = {basis.site_position(lbl): kind for lbl, kind in ops.items()}
+            out = np.ones((1, 1), dtype=complex)
+            for pos, site in enumerate(sites):
+                out = np.kron(out, local_operator(site, factors.get(pos, "identity")))
+            return out
+
+        D = basis.dimension
+        H = np.zeros((D, D), dtype=complex)
+        for a, b, amp in hoppings:
+            term = chain({a: "lower", b: "raise"})
+            H += amp * (term + term.conj().T)
+        for lbl, eps in onsite:
+            H += eps * chain({lbl: "number"})
+        got = build_hamiltonian(spec, basis)
+        assert got.tobytes() == H.tobytes()
+        for j, L in zip(jumps, build_jump_operators(spec, basis), strict=True):
+            ops = ({j.source: "lower", j.target: "raise"} if isinstance(j, Transfer)
+                   else {j.site: j.op_kind})
+            assert L.tobytes() == (math.sqrt(j.rate) * chain(ops)).tobytes()
+
+
+def local_operator(site, op_kind):
+    """A site's local operator, S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>."""
+    d = site.dim
+    s = (d - 1) / 2
+    low = np.zeros((d, d), dtype=complex)
+    for eta in range(d - 1):
+        low[eta, eta + 1] = np.sqrt((eta + 1) * (2 * s - eta))
+    return {"lower": low, "raise": low.conj().T,
+            "number": np.diag(np.arange(d, dtype=float)).astype(complex),
+            "identity": np.eye(d, dtype=complex)}[op_kind]
+
 
 class TestNoise:
     def test_cosine_profile(self):
