@@ -63,7 +63,6 @@ from lindnet.model import (
     preset_description,
     preset_names,
 )
-from lindnet.observables import unitarity_distance
 
 FLOAT_FMT = "%.17g"
 
@@ -523,6 +522,7 @@ def _check(name: str, measured: float, bound: float, lines: list) -> bool:
 def _validate_battery() -> tuple[list[str], bool]:
     # imported here: only validate checks the engine against the closed forms
     from lindnet import oracle
+    from lindnet.observables import unitarity_distance
 
     lines: list[str] = []
     ok = True

@@ -1544,6 +1544,29 @@ class TestSteadyStates:
         assert real_rank(ref_parts) == real_rank(ref_parts + mine) == real_rank(mine) \
             == K.shape[1]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the zero threshold 1e-10*sqrt(|S|_1 |S|_inf) counts the singular "
+        "value 1.65e-10 beside nine exact zeros as zero, so steady_states reports "
+        "multiplicity 11"))
+    def test_small_singular_value_is_not_null(self):
+        # a raw draw of test_matches_full_space_null_space, rebuilt entry by
+        # entry in the order it was drawn: SciPy's null_space finds 10 null vectors
+        D = 8
+        rng = np.random.default_rng(74300)
+
+        def sparse(pairs):
+            M = np.zeros((D, D), dtype=complex)
+            for i, j in pairs:
+                M[i, j] = complex(*rng.normal(size=2))
+            return M
+
+        A = sparse([(0, 0), (0, 0), (3, 3), (3, 4)])
+        jumps = (sparse([(0, 0), (0, 1)]), sparse([(0, 3), (0, 2)]))
+        basis = ProductBasis(tuple(SiteDescriptor(str(k), "qubit", 2) for k in range(3)))
+        gen = LindbladGenerator(A + A.conj().T, jumps, basis)
+        K = scipy.linalg.null_space(scipy_superoperator(gen).toarray())
+        assert steady_states(gen).multiplicity == K.shape[1]
+
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_certificates_match_the_svd_path(self, data):

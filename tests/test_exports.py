@@ -23,7 +23,11 @@ def _defined_names(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["hilbert", "model", "dynamics", "observables", "oracle"])
+_LIBRARY = ("hilbert", "model", "dynamics", "observables", "oracle")
+_SUBMODULES = (*_LIBRARY, "cli")
+
+
+@pytest.mark.parametrize("module", _LIBRARY)
 def test_all_names_resolve(module):
     # each public name has one home: the module that defines it
     mod = importlib.import_module(f"lindnet.{module}")
@@ -47,6 +51,73 @@ def _run_python(code: str, cwd=None, env=None) -> str:
 
 
 _SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_import_loads_no_module():
+    # each submodule, and NumPy with it, loads on first use of one of its names
+    code = ("import sys, lindnet\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('lindnet.')))")
+    assert _run_python(code) == "[]"
+
+
+def test_package_names_are_their_home_objects():
+    # each of the 32 names is the object its one home module defines and lists
+    code = ("import importlib, lindnet\n"
+            f"mods = [importlib.import_module('lindnet.' + m) for m in {_LIBRARY!r}]\n"
+            "bad = []\n"
+            "for name in lindnet.__all__:\n"
+            "    if name == '__version__':\n"
+            "        continue\n"
+            "    homes = [m for m in mods if name in m.__all__]\n"
+            "    if len(homes) != 1 or getattr(lindnet, name) is not getattr(homes[0], name):\n"
+            "        bad.append(name)\n"
+            "print(bad, len(lindnet.__all__))")
+    assert _run_python(code) == "[] 33"
+
+
+def test_package_resolves_submodules_without_import():
+    code = ("import sys, lindnet\n"
+            f"print(all(getattr(lindnet, m) is sys.modules['lindnet.' + m]"
+            f" for m in {_SUBMODULES!r}))")
+    assert _run_python(code) == "True"
+
+
+def test_package_refuses_unknown_attribute():
+    code = ("import lindnet\n"
+            "try:\n    lindnet.propagator\nexcept AttributeError as exc:\n    print(exc)")
+    assert _run_python(code) == "module 'lindnet' has no attribute 'propagator'"
+
+
+def test_star_import_binds_every_name():
+    code = ("import lindnet\nnames = {}\nexec('from lindnet import *', names)\n"
+            "print(sorted(set(lindnet.__all__) - set(names)),"
+            " sorted(dir(lindnet)) == sorted(lindnet.__all__))")
+    assert _run_python(code) == "[] True"
+
+
+def test_cli_import_leaves_the_collector_alone():
+    # only the entry point freezes the import heap; a library or a test that
+    # imports the command line keeps the collector as it found it
+    code = "import gc, lindnet.cli\nprint(gc.isenabled(), gc.get_freeze_count())"
+    assert _run_python(code) == "True 0"
+
+
+def test_entry_point_freezes_the_import_heap():
+    # python -m lindnet: the heap its imports leave is never scanned again,
+    # and the collector runs on what the command allocates
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['lindnet', 'presets']\n"
+            "try:\n    runpy.run_module('lindnet', run_name='__main__')\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert _run_python(code) == "0 True True"
+
+
+def test_console_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"lindnet": "lindnet.__main__:main"}
 
 
 def test_cli_import_leaves_graph_and_solver_modules_unloaded():
@@ -134,6 +205,26 @@ def test_run_and_sweep_load_no_masked_arrays(tmp_path):
             "        assert cli.main(argv + ['--output', 'out']) == 0, argv\n"
             "print('numpy.ma' in sys.modules)")
     assert _run_python(code, cwd=tmp_path) == "False"
+
+
+def test_only_validate_loads_the_detectors(tmp_path):
+    # run, steady and sweep neither compile nor execute lindnet.observables
+    (tmp_path / "pump.yaml").write_text(
+        "preset: two_site_pump\ntimes: {start: 0.0, stop: 1.0, num: 3}\n"
+        "sweep: {path: params.J, values: [1.0, 2.0], observable: 'population:2',"
+        " at_times: [1.0]}\n", encoding="utf-8")
+    (tmp_path / "expm.yaml").write_text(
+        "preset: two_site_pump\nmethod: superoperator_expm\n"
+        "times: {start: 0.0, stop: 1.0, num: 3}\n", encoding="utf-8")
+    code = ("import contextlib, io, sys\nfrom lindnet import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['run', 'pump.yaml', '--dt', '0.1'], ['run', 'expm.yaml'],"
+            " ['steady', 'pump.yaml'], ['sweep', 'pump.yaml', '--dt', '0.1', '--workers', '2']):\n"
+            "        assert cli.main(argv + ['--output', 'out']) == 0, argv\n"
+            "    loaded = 'lindnet.observables' in sys.modules\n"
+            "    assert cli.main(['validate']) == 0\n"
+            "print(loaded, 'lindnet.observables' in sys.modules)")
+    assert _run_python(code, cwd=tmp_path) == "False True"
 
 
 def test_steady_loads_no_scipy(tmp_path):
