@@ -33,7 +33,6 @@ _EXPORTS = {
         "SiteDescriptor",
         "basis_state",
         "dicke_state",
-        "embed_site_operator",
     ),
     "model": (
         "Dephasing",

@@ -34,14 +34,13 @@ snapshots are scattered into the full density matrix. The graph searches
 step a frontier with gathers and scatters over the edge arrays, and
 connected components come from min-label propagation.
 
-Steady states split the entries of vec(rho) into the weakly connected
-components of the whole sparsity graph of S and settle each block's null
-space densely, in one pass under the dense budget: one inverse certifies
-most blocks, a mirror block inherits its partner's result, and only what
-no certificate settles is factored by SVD. The hermitian parts of the
-null vectors are found on the entries of the blocks that hold one,
-through the recorder's position map; only the state and directions are
-scattered to D x D.
+Steady states split the entries of vec(rho) into blocks closed under S and
+under mirrors, and settle each block's null space densely, in one pass
+under the dense budget: one inverse certifies most blocks, a mirror block
+inherits its partner's result, and only what no certificate settles is
+factored by SVD. A block that is its own mirror is settled in real
+coordinates, where S is a real operator and every null vector a hermitian
+matrix; a mirror pair's null vectors give their hermitian combinations.
 """
 
 from __future__ import annotations
@@ -275,12 +274,17 @@ class _Half(_Padded):
     def __init__(self, M: _Csr, R: np.ndarray, D: int):
         upper = R % D <= R // D
         rank = np.cumsum(upper) - 1
-        mirror = _positions(R, R // D + D * (R % D))
+        mirror = _positions(R, _mirror(R, D))
         slot = np.where(upper, rank, np.count_nonzero(upper) + rank[mirror])
         super().__init__(_cut(M, np.where(upper, rank, -1), slot))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return super().__matmul__(np.concatenate([v, v.conj()]))
+
+
+def _mirror(entries: np.ndarray, D: int) -> np.ndarray:
+    """The mirror l + D k of each entry k + D l of vec(rho), rho being D x D."""
+    return entries // D + D * (entries % D)
 
 
 def _nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -980,7 +984,7 @@ def propagate(gen: LindbladGenerator, state: StateLike,
     # a state that overflows breaks the audit, which names the failure
     with np.errstate(over="ignore", invalid="ignore"):
         # rho is 0 outside R, which holds every mirror of its entries
-        asymmetry = np.abs(x[R] - x[R // D + D * (R % D)].conj())
+        asymmetry = np.abs(x[R] - x[_mirror(R, D)].conj())
         rec.record(0, times[0], v, defect=float(asymmetry.max()))
         step = _stepper(config.method, block, rows, config.dt)
         for k in range(1, times.size):
@@ -1068,38 +1072,45 @@ def _settle(block: np.ndarray, diagonal: np.ndarray, zero: float,
 def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     """All stationary solutions, solved block by block on the sparse superoperator.
 
-    The entries of vec(rho) split into the weakly connected components of
-    the sparsity graph of S; S maps each component into itself, so its null
-    space is the direct sum of the null spaces of its diagonal blocks. A
-    singular value counts as zero when it is at most _ZERO_TOL = 1e-10 times
-    sqrt(|S|_1 |S|_inf), a bound on every singular value of S. A block of
-    more than sqrt(DENSE_OPERATOR_BUDGET / 128) entries (4096) raises
-    ValueError before any dense work.
+    The entries of vec(rho) split into blocks, the weakly connected components
+    of the sparsity graph of S with each edge also joining the mirrors (l, k)
+    of its ends (k, l): S maps each block into itself, so its null space is
+    the direct sum of the blocks' null spaces, and the mirrors of a block's
+    entries make up a block. A singular value counts as zero when it is at
+    most _ZERO_TOL = 1e-10 times sqrt(|S|_1 |S|_inf), a bound on every
+    singular value of S. A block of more than sqrt(DENSE_OPERATOR_BUDGET /
+    128) entries (4096) raises ValueError before any dense work.
 
-    Since S(X^dag) = S(X)^dag, the mirrors (l, k) of a block's entries (k, l)
-    make up a block whose null vectors are the conjugated mirrors of its
-    own. Of each such pair only the lower label is settled, in label order,
-    and its mirror inherits the result ("mirrored"); a block that holds
-    diagonal entries is its own mirror. Each settled block takes the cheapest
-    proof of its null count (see _settle): one inverse certifies that a
-    block without diagonal entries holds no null vector ("certified"), or
-    that a block with them holds exactly one, found by a bordered solve with
-    the trace row ("bordered"). Only a block that no bound settles is
-    factored by SVD ("factored"). settled counts the blocks of each kind.
+    Since S(X^dag) = S(X)^dag, a block's mirror holds the conjugated mirrors
+    of its null vectors: of two mirror blocks the lower label is settled, in
+    label order, and the other inherits the result ("mirrored"). A block
+    that is its own mirror, as each block with diagonal entries is, is
+    settled in real coordinates: rho[k, k], sqrt(2) Re rho[k, l] at (k, l)
+    with k < l, and sqrt(2) Im rho[l, k] at (k, l) with k > l. The unitary T
+    from them to the entries maps real vectors onto hermitian matrices,
+    which S keeps hermitian, so B is the real T^dag B T there, and each real
+    null vector y is the hermitian T y. Each settled block takes the
+    cheapest proof of its null count (see _settle): one inverse certifies
+    that a block without diagonal entries holds no null vector
+    ("certified"), or that a block with them holds exactly one, found by a
+    bordered solve with the trace row ("bordered"). Only a block that no
+    bound settles is factored by SVD ("factored"). settled counts the blocks
+    of each kind.
 
-    On the sorted entries E of the blocks that hold a null vector, each null
-    vector X gives the hermitian parts (X + X^dag)/2 and (X - X^dag)/2i,
-    reading entry (k, l) of X^dag from the mirror (l, k) in E. The real and
-    imaginary parts of the entries in E are isometric real coordinates for
-    them, in which one SVD gives a real orthonormal basis of the hermitian
-    stationary matrices and the trace is the sum over E's diagonal entries.
-    The multiplicity is the number of null vectors the blocks give.
+    A mirror pair's null vector X gives (X + X^dag)/sqrt(2) and
+    i (X - X^dag)/sqrt(2). The blocks share no entry, so these and the real
+    null vectors are, in real coordinates, an orthonormal basis of the
+    hermitian stationary matrices, one per null vector: the multiplicity.
+    The state and directions are found in these coordinates, where the trace
+    sums the diagonal ones, and T maps them onto exactly hermitian matrices.
     """
     D = gen.dimension
     n = D * D
     S = _superoperator_csr(gen)
     rows = S.rows
-    n_blocks, labels = _weak_components(n, S.indices, rows)
+    mirror = _mirror(np.arange(n), D)
+    n_blocks, labels = _weak_components(n, np.concatenate([S.indices, mirror[S.indices]]),
+                                        np.concatenate([rows, mirror[rows]]))
     sizes = np.bincount(labels)
     largest = int(sizes.max())
     # the SVD of a complex m x m block adds about 8 times its 16 m**2 bytes:
@@ -1123,13 +1134,11 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     ends = np.cumsum(sizes)
     stored = np.argsort(labels[rows], kind="stable")
     stored_ends = np.cumsum(np.bincount(labels[rows], minlength=n_blocks))
-    # S(X^dag) = S(X)^dag: when the mirrors (l, k) of a block's entries (k, l) fill
-    # one block of its size, that block is its conjugate mirror, and the lower label
-    # of the pair settles both
-    mirrors = labels[order // D + D * (order % D)]
-    low = np.minimum.reduceat(mirrors, ends - sizes)
-    pair = np.where((low == np.maximum.reduceat(mirrors, ends - sizes)) & (sizes[low] == sizes),
-                    low, np.arange(n_blocks))
+    pair = labels[mirror[order[ends - sizes]]]
+    # T as two slots per entry: (T y)[j] = t0[j] y[j] + t1[j] y[mirror[j]]
+    below = np.arange(n) % D - np.arange(n) // D
+    t0 = np.select([below < 0, below > 0], [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1)
+    t1 = np.select([below < 0, below > 0], [1j * math.sqrt(0.5), math.sqrt(0.5)], 0)
     settled = dict.fromkeys(("certified", "bordered", "mirrored", "factored"), 0)
     found = {}
     held = []
@@ -1139,45 +1148,36 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
         if pair[b] < b:
             settled["mirrored"] += 1
             if pair[b] in found:
-                # X's null vectors give X^dag's: conjugated, on the mirrored entries
-                mirrored, null, z = found[pair[b]]
-                held.append((mirrored // D + D * (mirrored % D), null.conj()))
-                zero_eigenvalues.append(z.conj())
+                zero_eigenvalues.append(found[pair[b]].conj())
             continue
         block = np.zeros((idx.size, idx.size), dtype=complex)
         block[local[rows[k]], local[S.indices[k]]] = S.data[k]
+        if pair[b] == b:
+            # T^dag B T from B's columns, then rows, at each entry and its mirror:
+            # T's column j holds t0[j] at j and t1[mirror[j]] at mirror[j]
+            mir = local[mirror[idx]]
+            t, u = t0[idx], t1[idx][mir]
+            block = block * t + block[:, mir] * u
+            block = (t.conj()[:, None] * block + u.conj()[:, None] * block[mir]).real
         how, null, z = _settle(block, np.flatnonzero(idx % D == idx // D), zero, top)
         settled[how] += 1
         if null is not None:
-            found[b] = idx, null, z
-            held.append((idx, null))
+            found[b] = z
             zero_eigenvalues.append(z)
+            if pair[b] > b:
+                # X = x + iy at (k, l): (X + X^dag)/sqrt(2) has the coordinates x there and
+                # y at (l, k) when k < l, -y there and x at (l, k) when k > l; iX gives the other
+                W = np.where(idx % D < idx // D, null, 1j * null)
+                idx = np.concatenate([idx, mirror[idx]])
+                null = np.block([[W.real, W.imag], [-W.imag, W.real]])
+            held.append(np.zeros((len(null), n)))
+            held[-1][:, idx] = null
     if not held:
         raise ValueError("generator has no stationary mode within tolerance")
-    zero_eigenvalues = np.concatenate(zero_eigenvalues)
+    zero_eigenvalues = np.concatenate(zero_eigenvalues, dtype=complex)
 
-    # row r of X is null vector r on E; a mirror outside E reads the last column's zero
-    entries = np.concatenate([idx for idx, _ in held])
-    E = np.sort(entries)
-    X = np.zeros((sum(len(null) for _, null in held), E.size + 1), dtype=complex)
-    top = 0
-    for idx, null in held:
-        X[top:top + len(null), _positions(E, idx)] = null
-        top += len(null)
-    X_adj = X[:, _positions(E, E // D + D * (E % D))].conj()
-    X = X[:, :-1]
-    parts = np.concatenate([0.5 * (X + X_adj), (X - X_adj) / 2j])
-    M = np.concatenate([parts.real, parts.imag], axis=1)
-    # the hermitian parts of an orthonormal basis of a null space closed under the
-    # adjoint are a Parseval frame of its hermitian elements, whose real dimension is
-    # the number of null vectors: M's singular values are that many ones, then zeros.
-    # A mirror pair's null vectors are each other's adjoints by construction, so
-    # the frame is exact on them; a block that is its own mirror is closed under
-    # the adjoint within rounding
-    rank = len(X)
-    span = np.linalg.svd(M, full_matrices=False)[2][:rank]
-
-    traces = span[:, :E.size][:, E % D == E // D].sum(axis=1)
+    span = np.concatenate(held)
+    traces = span[:, np.arange(D) * (D + 1)].sum(axis=1)
     tnorm2 = float(traces @ traces)
     if tnorm2 <= _ZERO_TOL:
         raise ValueError("stationary subspace carries no trace; "
@@ -1185,8 +1185,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     g_coords = (traces / tnorm2) @ span
     # the directions: span turned onto the orthogonal complement of the trace vector
     coords = np.vstack([g_coords, np.linalg.svd(traces[None])[2][1:] @ span])
-    full = np.zeros((len(coords), n), dtype=complex)
-    full[:, E] = coords[:, :E.size] + 1j * coords[:, E.size:]
+    full = coords * t0 + coords[:, mirror] * t1
     # row-major D x D slices, transposed: each is a column-stacked vec(rho)
     state, *directions = full.reshape(-1, D, D).transpose(0, 2, 1)
 
@@ -1194,7 +1193,7 @@ def steady_states(gen: LindbladGenerator) -> SteadyStateResult:
     residual = float(np.abs(np.bincount(rows, terms.real, n)
                             + 1j * np.bincount(rows, terms.imag, n)).max())
     return SteadyStateResult(state=state, directions=tuple(directions),
-                             multiplicity=rank,
+                             multiplicity=len(span),
                              zero_eigenvalues=zero_eigenvalues,
                              residual=residual,
                              blocks={"count": int(n_blocks), "largest": largest, "of": n},

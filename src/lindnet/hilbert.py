@@ -22,8 +22,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "check_density",
-    "embed_site_operator",
-    "embed_operator_product",
     "basis_state",
     "dicke_state",
     "HERMITICITY_TOL",
@@ -133,38 +131,17 @@ def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:
     raise ValueError(f"unknown op_kind {op_kind!r}; valid: {OP_KINDS}")
 
 
-def embed_site_operator(basis: ProductBasis, label: str, op_kind: str) -> np.ndarray:
-    """Single-site operator embedded in the full product space.
-
-    op_kind is one of 'lower', 'raise', 'number', 'identity'. There is no
-    separate sz kind: on a site of dimension 2s+1, sz = number - s.
-    """
-    return embed_operator_product(basis, {label: op_kind})
-
-
-def embed_operator_product(basis: ProductBasis, ops: Mapping[str, str]) -> np.ndarray:
-    """Product of single-site operators, one per named site, in the full space.
-
-    ops maps site labels to op kinds as in embed_site_operator. Operators on
-    distinct sites commute; the dense matrix holds the nonzeros of
-    _operator_triplet, equal to the Kronecker chain of the local factors
-    bit for bit.
-    """
-    rows, cols, vals = _operator_triplet(basis, ops)
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    out[rows, cols] = vals
-    return out
-
-
 def _operator_triplet(basis: ProductBasis,
                       ops: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of the nonzeros of a product of single-site operators.
 
-    ops is as in embed_operator_product. Each local operator has at most one
-    nonzero per column, so column c of the product has at most one: each
-    factor moves its site's digit of c to the row of its nonzero, and the
-    real values multiply in site order, as the Kronecker chain multiplies
-    them. No two entries share a column.
+    ops maps site labels to op kinds: 'lower', 'raise', 'number' or
+    'identity' (on a site of dimension 2s+1, sz is number - s). Operators on
+    distinct sites commute. Each local operator has at most one nonzero per
+    column, so column c of the product has at most one: each factor moves
+    its site's digit of c to the row of its nonzero, and the real values
+    multiply in site order, as the Kronecker chain multiplies them. No two
+    entries share a column.
     """
     occ = basis.occupation_table
     cols = np.arange(basis.dimension)

@@ -1,6 +1,7 @@
 """Tests for superoperators, propagation, the reachable-subspace reduction, and steady states."""
 
 import contextlib
+import functools
 import math
 import pickle
 import time
@@ -1446,6 +1447,16 @@ class TestHalfVector:
         np.testing.assert_allclose(np.array(traj.snapshots), ref["snapshot"], atol=1e-10)
 
 
+DISSIPATIVE_RING = {"gamma_diss": 0.05, "gamma_deph": 0.02, "battery_dim": 2}
+
+
+@functools.cache
+def dissipative_ring_steady():
+    """steady_states of lh1_ring with loss, dephasing and a two-level battery, solved once."""
+    spec = preset("lh1_ring", **DISSIPATIVE_RING).spec
+    return steady_states(LindbladGenerator.from_network(spec))
+
+
 class TestSteadyStates:
     def test_unique_pump_state(self):
         run = preset("two_site_pump")
@@ -1521,11 +1532,12 @@ class TestSteadyStates:
         traces = K[np.arange(D) * (D + 1)].sum(axis=0)
         ref = K @ (traces.conj() / np.vdot(traces, traces).real)
         np.testing.assert_allclose(result.state, ref.reshape(D, D, order="F"), atol=1e-9)
+        assert np.array_equal(result.state, result.state.conj().T)
         dirs = result.directions
         assert len(dirs) == result.multiplicity - 1
         for d in dirs:
             assert np.abs(S @ d.ravel(order="F")).max() < 1e-10
-            np.testing.assert_allclose(d, d.conj().T, atol=1e-12)
+            assert np.array_equal(d, d.conj().T)
             assert abs(np.trace(d)) < 1e-10
         gram = np.array([[np.vdot(a, b).real for b in dirs] for a in dirs])
         np.testing.assert_allclose(gram.reshape(len(dirs), len(dirs)), np.eye(len(dirs)),
@@ -1611,6 +1623,27 @@ class TestSteadyStates:
                                       "factored": 0}
             assert result.multiplicity == 1
             assert result.residual < 1e-12
+
+    @pytest.mark.parametrize("name, params", [(name, {}) for name in preset_names()]
+                             + [("lh1_ring", DISSIPATIVE_RING)],
+                             ids=[*preset_names(), "lh1_ring_dissipative"])
+    def test_state_and_directions_are_exactly_hermitian(self, name, params):
+        # T y of real coordinates y puts the conjugate of entry (k, l) at (l, k), bit for bit
+        result = dissipative_ring_steady() if params else steady_states(
+            LindbladGenerator.from_network(preset(name).spec))
+        for m in (result.state, *result.directions):
+            assert np.array_equal(m, m.conj().T)
+
+    def test_dissipative_ring_settles_real_blocks_with_several_null_vectors(self):
+        # D = 128: the 1,008-entry block that holds the diagonal, settled in real
+        # coordinates, holds 3 null vectors; 3 mirror pairs give 2 hermitian ones each
+        result = dissipative_ring_steady()
+        assert result.multiplicity == 9
+        assert result.settled == {"certified": 61, "bordered": 0, "mirrored": 64,
+                                  "factored": 4}
+        assert result.blocks == {"count": 129, "largest": 1008, "of": 16384}
+        assert result.residual < 1e-12
+        assert result.state.trace().real == pytest.approx(1.0)
 
     def test_dimension_beyond_dense_limit(self):
         # seven decaying qubits, D = 128: the blocks are labelled by where

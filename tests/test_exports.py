@@ -61,7 +61,7 @@ def test_package_import_loads_no_module():
 
 
 def test_package_names_are_their_home_objects():
-    # each of the 32 names is the object its one home module defines and lists
+    # each of the 31 names is the object its one home module defines and lists
     code = ("import importlib, lindnet\n"
             f"mods = [importlib.import_module('lindnet.' + m) for m in {_LIBRARY!r}]\n"
             "bad = []\n"
@@ -72,7 +72,7 @@ def test_package_names_are_their_home_objects():
             "    if len(homes) != 1 or getattr(lindnet, name) is not getattr(homes[0], name):\n"
             "        bad.append(name)\n"
             "print(bad, len(lindnet.__all__))")
-    assert _run_python(code) == "[] 33"
+    assert _run_python(code) == "[] 32"
 
 
 def test_package_resolves_submodules_without_import():

@@ -10,11 +10,12 @@ from lindnet.hilbert import (
     ProductBasis,
     PureState,
     SiteDescriptor,
+    _operator_triplet,
     basis_state,
     dicke_state,
-    embed_operator_product,
-    embed_site_operator,
 )
+
+from kron_reference import embedded, kron_chain
 
 
 def qubit(label):
@@ -103,46 +104,41 @@ class TestProductBasis:
 class TestEmbeddedOperators:
     def test_qubit_ladder_algebra(self):
         basis = ProductBasis((qubit("a"), qubit("b")))
-        low = embed_site_operator(basis, "a", "lower")
-        high = embed_site_operator(basis, "a", "raise")
-        num = embed_site_operator(basis, "a", "number")
-        eye = embed_site_operator(basis, "a", "identity")
+        low, high, num, eye = (embedded(basis, {"a": kind})
+                               for kind in ("lower", "raise", "number", "identity"))
         np.testing.assert_allclose(high @ low, num, atol=1e-15)
         np.testing.assert_allclose(low @ high, eye - num, atol=1e-15)
 
     def test_spin_ladder_elements(self):
         # S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>, s = 1
         basis = ProductBasis((spin("b", 3),))
-        low = embed_site_operator(basis, "b", "lower")
+        low = embedded(basis, {"b": "lower"})
         assert low[0, 1] == pytest.approx(np.sqrt(2.0))
         assert low[1, 2] == pytest.approx(np.sqrt(2.0))
 
     def test_unknown_kind(self):
         basis = ProductBasis((qubit("a"),))
         with pytest.raises(ValueError, match="op_kind"):
-            embed_site_operator(basis, "a", "parity")
+            _operator_triplet(basis, {"a": "parity"})
 
     def test_embedding_slot(self):
         basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c")))
-        num_b = embed_site_operator(basis, "b", "number")
+        num_b = embedded(basis, {"b": "number"})
         np.testing.assert_array_equal(np.diag(num_b).real,
                                       basis.occupation_table[:, 1])
 
     def test_different_sites_commute(self):
         basis = ProductBasis((qubit("a"), qubit("b")))
-        ra = embed_site_operator(basis, "a", "raise")
-        lb = embed_site_operator(basis, "b", "lower")
+        ra = embedded(basis, {"a": "raise"})
+        lb = embedded(basis, {"b": "lower"})
         np.testing.assert_allclose(ra @ lb, lb @ ra, atol=1e-15)
 
     @pytest.mark.parametrize("op_kind", ["lower", "raise", "number", "identity"])
     def test_matches_kron_chain_bitwise(self, op_kind):
         basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)))
-        for pos, site in enumerate(basis.sites):
-            ref = np.array([[1.0 + 0j]])
-            for k, other in enumerate(basis.sites):
-                local = local_operator(other, op_kind) if k == pos else np.eye(other.dim)
-                ref = np.kron(ref, local)
-            assert np.array_equal(embed_site_operator(basis, site.label, op_kind), ref)
+        for site in basis.sites:
+            ops = {site.label: op_kind}
+            assert np.array_equal(embedded(basis, ops), kron_chain(basis, ops))
 
     def test_product_matches_matmul_bitwise(self):
         basis = ProductBasis((qubit("a"), spin("b", 3), qubit("c"), spin("d", 4)))
@@ -151,11 +147,9 @@ class TestEmbeddedOperators:
             for second in labels:
                 if first == second:
                     continue
-                ref = (embed_site_operator(basis, first, "lower")
-                       @ embed_site_operator(basis, second, "raise"))
-                got = embed_operator_product(basis, {first: "lower", second: "raise"})
+                ref = embedded(basis, {first: "lower"}) @ embedded(basis, {second: "raise"})
+                got = embedded(basis, {first: "lower", second: "raise"})
                 assert np.array_equal(got, ref)
-
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -169,7 +163,7 @@ class TestEmbeddedOperators:
         ops = {lbl: data.draw(st.sampled_from(["lower", "raise", "number", "identity"]))
                for lbl in chosen}
         basis = ProductBasis(tuple(sites))
-        got = embed_operator_product(basis, ops)
+        got = embedded(basis, ops)
         ref = kron_chain(basis, ops)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -184,31 +178,6 @@ def site_lists(draw, max_dim):
         sites.append(SiteDescriptor(f"s{len(sites)}", kind, d))
         dim *= d
     return sites
-
-
-def kron_chain(basis, ops):
-    """A product of single-site operators as one Kronecker chain of the local
-    factors, an identity run over each stretch of sites between them."""
-    factors = sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items())
-    out = np.ones((1, 1), dtype=complex)
-    start = 0
-    for pos, kind in factors:
-        out = np.kron(out, np.eye(int(np.prod(basis.dims[start:pos]))))
-        out = np.kron(out, local_operator(basis.sites[pos], kind))
-        start = pos + 1
-    return np.kron(out, np.eye(int(np.prod(basis.dims[start:]))))
-
-
-def local_operator(site, op_kind):
-    # S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>; s = 1/2 gives the qubit's 1
-    d = site.dim
-    s = (d - 1) / 2
-    low = np.zeros((d, d), dtype=complex)
-    for eta in range(d - 1):
-        low[eta, eta + 1] = np.sqrt((eta + 1) * (2 * s - eta))
-    return {"lower": low, "raise": low.conj().T,
-            "number": np.diag(np.arange(d, dtype=float)).astype(complex),
-            "identity": np.eye(d, dtype=complex)}[op_kind]
 
 
 class TestStates:

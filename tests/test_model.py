@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindnet.cli import main
-from lindnet.hilbert import SiteDescriptor, embed_site_operator
+from lindnet.hilbert import SiteDescriptor
 from lindnet.model import (
     HBAR_MEV_PS,
     NOISE_PHASE_CONSTANT,
@@ -30,6 +30,8 @@ from lindnet.model import (
     preset_names,
     uniform_noise,
 )
+
+from kron_reference import kron_chain, local_operator
 
 
 def two_qubits(**kw):
@@ -186,11 +188,11 @@ class TestBuilders:
                                  Extraction("2", 9.0), Dephasing("1", 16.0)))
         basis = spec.basis()
         ops = build_jump_operators(spec)
-        low1 = embed_site_operator(basis, "1", "lower")
-        rai1 = embed_site_operator(basis, "1", "raise")
-        rai2 = embed_site_operator(basis, "2", "raise")
-        low2 = embed_site_operator(basis, "2", "lower")
-        num1 = embed_site_operator(basis, "1", "number")
+        low1 = kron_chain(basis, {"1": "lower"})
+        rai1 = kron_chain(basis, {"1": "raise"})
+        rai2 = kron_chain(basis, {"2": "raise"})
+        low2 = kron_chain(basis, {"2": "lower"})
+        num1 = kron_chain(basis, {"1": "number"})
         np.testing.assert_allclose(ops[0], 0.5 * low1 @ rai2, atol=1e-15)
         np.testing.assert_allclose(ops[1], 2.0 * rai1, atol=1e-15)
         np.testing.assert_allclose(ops[2], 3.0 * low2, atol=1e-15)
@@ -206,13 +208,12 @@ class TestBuilders:
     @pytest.mark.parametrize("name", preset_names())
     def test_products_match_matmul_form_bitwise(self, name):
         # each a_s a_t^dag is one two-site embedding, equal to the product
-        # of the two single-site embeddings
+        # of the two single-site Kronecker chains
         spec = preset(name).spec
         basis = spec.basis()
 
         def hop(lowered, raised):
-            return (embed_site_operator(basis, lowered, "lower")
-                    @ embed_site_operator(basis, raised, "raise"))
+            return kron_chain(basis, {lowered: "lower"}) @ kron_chain(basis, {raised: "raise"})
 
         D = basis.dimension
         H = np.zeros((D, D), dtype=complex)
@@ -220,7 +221,7 @@ class TestBuilders:
             term = hop(a, b)
             H += amp * (term + term.conj().T)
         for lbl, eps in spec.onsite:
-            H += eps * embed_site_operator(basis, lbl, "number")
+            H += eps * kron_chain(basis, {lbl: "number"})
         assert np.array_equal(build_hamiltonian(spec, basis), H)
         ops = build_jump_operators(spec, basis)
         assert len(ops) == len(spec.jumps)
@@ -230,7 +231,7 @@ class TestBuilders:
             if isinstance(j, Transfer):
                 ref = hop(j.source, j.target)
             else:
-                ref = embed_site_operator(basis, j.site, kinds[type(j)])
+                ref = kron_chain(basis, {j.site: kinds[type(j)]})
             assert np.array_equal(L, np.sqrt(j.rate) * ref)
 
     @given(data=st.data())
@@ -280,18 +281,6 @@ class TestBuilders:
             ops = ({j.source: "lower", j.target: "raise"} if isinstance(j, Transfer)
                    else {j.site: j.op_kind})
             assert L.tobytes() == (math.sqrt(j.rate) * chain(ops)).tobytes()
-
-
-def local_operator(site, op_kind):
-    """A site's local operator, S-|eta+1> = sqrt((eta+1)(2s-eta)) |eta>."""
-    d = site.dim
-    s = (d - 1) / 2
-    low = np.zeros((d, d), dtype=complex)
-    for eta in range(d - 1):
-        low[eta, eta + 1] = np.sqrt((eta + 1) * (2 * s - eta))
-    return {"lower": low, "raise": low.conj().T,
-            "number": np.diag(np.arange(d, dtype=float)).astype(complex),
-            "identity": np.eye(d, dtype=complex)}[op_kind]
 
 
 class TestNoise:
