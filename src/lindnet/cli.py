@@ -173,11 +173,17 @@ def _check_config(cfg: dict, command: str, seed: int | None, dt: float | None) -
             raise ValueError("params: only preset configs take params")
         if seed is not None:
             raise ValueError("network configs accept no seed")
-        for key in ("initial", "times"):
-            if command != "steady" and key not in cfg:
+        # a sweep point integrates on {0} and sweep.at_times only
+        for key in {"run": ("initial", "times"), "sweep": ("initial",)}.get(command, ()):
+            if key not in cfg:
                 raise ValueError(f"{key}: a network config needs one for {command}")
-    if command == "sweep" and "sweep" not in cfg:
-        raise ValueError("config needs a sweep block for the sweep command")
+    if command == "sweep":
+        if "sweep" not in cfg:
+            raise ValueError("config needs a sweep block for the sweep command")
+        path = cfg["sweep"]["path"]
+        for flag, given, key in (("--seed", seed, "params.seed"), ("--dt", dt, "dt")):
+            if given is not None and path == key:
+                raise ValueError(f"sweep.path: {flag} would override the swept {path}")
     if dt is not None:
         _walk(_SCHEMA.keys["dt"], dt, "--dt")
     # PropagationConfig owns dt's sign, the method names and the order of times

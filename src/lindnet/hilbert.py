@@ -33,8 +33,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
-OP_KINDS = ("lower", "raise", "number", "identity")
-
 
 @dataclass(frozen=True)
 class SiteDescriptor:
@@ -53,11 +51,6 @@ class SiteDescriptor:
             raise ValueError(f"site {self.label!r}: dimension must be >= 2")
         if self.kind == "qubit" and self.dim != 2:
             raise ValueError(f"qubit site {self.label!r} must have dim 2")
-
-    @property
-    def spin(self) -> float:
-        """Spin quantum number s with dim = 2s + 1."""
-        return (self.dim - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -112,48 +105,34 @@ class ProductBasis:
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
 
-def _local_operator(site: SiteDescriptor, op_kind: str) -> np.ndarray:
-    d = site.dim
-    if op_kind == "identity":
-        return np.eye(d, dtype=complex)
-    if op_kind == "number":
-        return np.diag(np.arange(d, dtype=float)).astype(complex)
-    if op_kind in ("lower", "raise"):
-        low = np.zeros((d, d), dtype=complex)
-        if site.kind == "qubit":
-            low[0, 1] = 1.0
-        else:
-            s = site.spin
-            for eta in range(d - 1):
-                # S- |eta+1> = sqrt((eta+1)(2s-eta)) |eta>
-                low[eta, eta + 1] = np.sqrt((eta + 1) * (2 * s - eta))
-        return low if op_kind == "lower" else low.conj().T
-    raise ValueError(f"unknown op_kind {op_kind!r}; valid: {OP_KINDS}")
-
-
 def _operator_triplet(basis: ProductBasis,
                       ops: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of the nonzeros of a product of single-site operators.
 
-    ops maps site labels to op kinds: 'lower', 'raise', 'number' or
-    'identity' (on a site of dimension 2s+1, sz is number - s). Operators on
-    distinct sites commute. Each local operator has at most one nonzero per
-    column, so column c of the product has at most one: each factor moves
-    its site's digit of c to the row of its nonzero, and the real values
-    multiply in site order, as the Kronecker chain multiplies them. No two
-    entries share a column.
+    ops maps site labels to 'lower', 'raise' or 'number'. Each factor reads
+    its site's digit n of column c, on a site of dimension d: 'number' keeps
+    the row and scales by n; 'lower' moves the digit to n - 1 and 'raise' to
+    n + 1, both scaling by sqrt(m (d - m)) with m the upper of the two levels.
+    That is the ladder of a spin of dimension d = 2s + 1, and of a qubit at
+    d = 2. The real values multiply in site order, as the Kronecker chain
+    multiplies them; a column with no partner level gets 0 and is dropped.
+    No two entries share a column.
     """
     occ = basis.occupation_table
     cols = np.arange(basis.dimension)
     rows = cols.copy()
     vals = np.ones(basis.dimension)
     for pos, kind in sorted((basis.site_position(lbl), kind) for lbl, kind in ops.items()):
-        local = _local_operator(basis.sites[pos], kind).real
-        # the row of each column's nonzero; an empty column reads row 0 and value 0
-        to = np.abs(local).argmax(axis=0)
-        digit = occ[:, pos]
-        rows += (to[digit] - digit) * prod(basis.dims[pos + 1:])
-        vals = vals * local[to, np.arange(local.shape[1])][digit]
+        n = occ[:, pos]
+        if kind == "number":
+            vals = vals * n
+            continue
+        if kind not in ("lower", "raise"):
+            raise ValueError(f"unknown op_kind {kind!r}; valid: lower, raise, number")
+        up = kind == "raise"
+        m, d = n + up, basis.dims[pos]
+        rows += (1 if up else -1) * prod(basis.dims[pos + 1:])
+        vals = vals * np.sqrt(m * (d - m))
     keep = vals != 0
     return rows[keep], cols[keep], vals[keep]
 
@@ -242,10 +221,8 @@ def dicke_state(basis: ProductBasis, site_labels: Sequence[str], n: int) -> Pure
         raise ValueError(f"excitation count {n!r} out of range 0..{N}")
     amp = np.zeros(basis.dimension, dtype=complex)
     weight = 1.0 / np.sqrt(comb(N, n))
-    for chosen in combinations(positions, n):
-        occ = [0] * len(basis.sites)
-        for p in chosen:
-            occ[p] = 1
-        amp[basis.index(occ)] = weight
+    # a named site occupied adds its stride to the flat index
+    for chosen in combinations([prod(basis.dims[p + 1:]) for p in positions], n):
+        amp[sum(chosen)] = weight
     return PureState(amp, basis)
 

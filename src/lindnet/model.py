@@ -365,12 +365,11 @@ def build_jump_operators(spec: NetworkSpec, basis: ProductBasis | None = None) -
     return ops
 
 
-def cosine_noise(amplitude: float, count: int,
-                 constant: float = NOISE_PHASE_CONSTANT) -> list[float]:
-    """Deterministic diagonal noise profile eps_j = amplitude*cos(constant*j), j=1..count."""
+def cosine_noise(amplitude: float, count: int) -> list[float]:
+    """Deterministic diagonal noise eps_j = amplitude*cos(NOISE_PHASE_CONSTANT*j), j=1..count."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return [amplitude * math.cos(constant * j) for j in range(1, count + 1)]
+    return [amplitude * math.cos(NOISE_PHASE_CONSTANT * j) for j in range(1, count + 1)]
 
 
 def uniform_noise(amplitude: float, count: int, seed: int) -> list[float]:

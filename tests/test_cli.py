@@ -720,6 +720,34 @@ class TestSweep:
             got[dt] = sweep_rows[0][2]
         assert got[None] != got["0.5"]
 
+    @pytest.mark.parametrize("path,flag,value", [("params.seed", "--seed", "7"),
+                                                 ("dt", "--dt", "0.01")])
+    def test_flag_cannot_set_the_swept_key(self, tmp_path, capsys, path, flag, value):
+        # the flag would win at every point: rows labelled by the swept
+        # values would all hold the flag's run
+        cfg = write_config(tmp_path / "s.yaml", {
+            "preset": "open_chain_pump", "params": {"N": 3, "noise": "uniform"},
+            "sweep": {"path": path, "values": [1, 2, 3], "observable": "population:2",
+                      "at_times": [1.0]}})
+        assert main(["sweep", cfg, "--output", str(tmp_path / "out"), flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep.path: {flag} would override the swept {path}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_network_sweep_needs_no_times(self, tmp_path):
+        # a point integrates on {0} and at_times, so a times block changes nothing
+        payload = {"network": {**_NETWORK, "hoppings": [["1", "2", 1.0]]},
+                   "initial": {"occupations": [1, 0]},
+                   "sweep": {"path": "dt", "values": [0.001, 0.01],
+                             "observable": "population:2", "at_times": [0.5, 1.0]}}
+        bare = write_config(tmp_path / "net.yaml", payload)
+        assert main(["sweep", bare, "--output", str(tmp_path / "bare")]) == 0
+        timed = write_config(tmp_path / "net.yaml", {**payload, "times": [0.0, 3.0]})
+        assert main(["sweep", timed, "--output", str(tmp_path / "timed")]) == 0
+        tsv = (tmp_path / "bare" / "net_sweep.tsv").read_bytes()
+        assert tsv == (tmp_path / "timed" / "net_sweep.tsv").read_bytes()
+        assert len(tsv.splitlines()) == 5
+
     def test_logspace_values(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         data = yaml.safe_load(open(cfg))
